@@ -145,6 +145,15 @@ def _require_nondegenerate(p: ParameterSet, n_max: int) -> None:
     bi_coefficients(n_max, p)
 
 
+def _require_nonnegative_sizes(args) -> None:
+    """A negative --n-max, --degree or --size would check nothing and pass."""
+    for name in ("n_max", "degree", "size"):
+        value = getattr(args, name, None)
+        if value is not None and value < 0:
+            flag = "--" + name.replace("_", "-")
+            raise InvalidParameters(f"{flag} must be >= 0, got {value}")
+
+
 def random_parameter_set(rng: random.Random, n_max: int) -> ParameterSet:
     """A random nondegenerate rational parameter quadruple.
 
@@ -467,6 +476,7 @@ def main(argv=None) -> int:
     output = getattr(args, "output", None)
     base = {"schema": SCHEMA, "command": args.command}
     try:
+        _require_nonnegative_sizes(args)
         doc, passed = _DISPATCH[args.command](args)
     except (DegenerateParameters, InvalidParameters) as exc:
         _emit({**base, "error": {"kind": type(exc).__name__, "detail": str(exc)}},

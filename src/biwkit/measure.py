@@ -151,9 +151,15 @@ def log_gamma(z, precision: Optional[int] = None):
         return +( _stirling_log_gamma(z) - acc )
 
 
+def _to_mpf(q) -> mpf:
+    """An mpf at the working precision; a Fraction is divided in mpf."""
+    if isinstance(q, Fraction):
+        return mpf(q.numerator) / mpf(q.denominator)
+    return mpf(q)
+
+
 def _param_to_mpc(v: ComplexRational) -> mpc:
-    return mpc(mpf(v.re.numerator) / mpf(v.re.denominator),
-               mpf(v.im.numerator) / mpf(v.im.denominator))
+    return mpc(_to_mpf(v.re), _to_mpf(v.im))
 
 
 def _check_weight_hypotheses(p: ParameterSet):
@@ -182,7 +188,7 @@ def weight_W(z, p: ParameterSet, precision: int = DEFAULT_PRECISION):
     """The positive weight W(z) at real z."""
     _check_weight_hypotheses(p)
     with mp.workdps(precision + _GUARD_DPS):
-        val = mp.exp(_log_weight(mpf(z), *(_param_to_mpc(getattr(p, n)) for n in "abcd")))
+        val = mp.exp(_log_weight(_to_mpf(z), *(_param_to_mpc(getattr(p, n)) for n in "abcd")))
         val = +val
     return val
 

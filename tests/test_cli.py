@@ -118,6 +118,16 @@ class TestErrorPaths:
         code, doc = run(["rep", "--quad=-1,1,1,1", "--size", "10"], tmp_path)
         assert code == EXIT_INVALID_PARAMETERS
 
+    @pytest.mark.parametrize("argv", [
+        ["verify-daha", "--daha", "1,1,1,1", "--degree", "-1", "--n-max", "-1"],
+        ["poly", "--params", "0,0,0,0", "--n-max", "-3"],
+        ["rep", "--quad", "1/2,1/2,1/2,1/2", "--size", "-1"],
+    ])
+    def test_negative_size_exit_3(self, argv, tmp_path):
+        code, doc = run(argv, tmp_path)
+        assert code == EXIT_INVALID_PARAMETERS
+        assert doc["error"]["kind"] == "InvalidParameters"
+
 
 class TestLeafTagging:
     def test_every_leaf_tagged_or_structural(self, tmp_path):

@@ -86,6 +86,14 @@ class TestWeight:
             assert w10 < w1 * mpf(10) ** -5
             assert w20 < w10 * mpf(10) ** -5
 
+    def test_exact_argument(self):
+        # A Fraction z is converted like the exact parameters are.
+        assert weight_W(Fraction(3, 4), HALF_PARAMS) == weight_W(mpf("0.75"), HALF_PARAMS)
+        with mp.workdps(80):
+            z = mpf(7) / 10
+        assert weight_W(Fraction(7, 10), HALF_PARAMS, precision=60) == weight_W(
+            z, HALF_PARAMS, precision=60)
+
     def test_hypotheses_enforced(self):
         # Not conjugate-paired.
         with pytest.raises(InvalidParameters):

@@ -6,12 +6,14 @@ from fractions import Fraction
 import pytest
 
 from biwkit.cli import random_parameter_set
-from biwkit.errors import OperatorNotPolynomialPreserving
-from biwkit.exact import ComplexRational, Polynomial
+from biwkit.errors import InvalidParameters, OperatorNotPolynomialPreserving
+from biwkit.exact import I, ComplexRational, Polynomial
 from biwkit.operators import (
-    Identity,
-    RationalMultiple,
+    DividedDifference,
     StructureConstants,
+    Substitution,
+    _check_annihilates,
+    _check_eigen_pairs,
     bi_realization,
     build_daha_generators,
     build_L,
@@ -32,6 +34,7 @@ from biwkit.operators import (
     verify_prop1_operator_transform,
 )
 from biwkit.polyfam import (
+    DAHAParameterSet,
     ParameterSet,
     RealParameterQuad,
     param_map_bi_to_daha,
@@ -48,27 +51,105 @@ class TestOperatorBasics:
         x = Polynomial.x()
         assert reflection().apply(x * x + x) == x * x - x
 
-    def test_deferred_division(self):
-        # (x+1)/(2x+1) * (T+R - 1) is polynomial-preserving only as a
-        # whole: T+R maps x to -x-1, so (T+R - 1) x = -2x - 1 and the
-        # quotient by (2x+1) is exact.
-        from biwkit.operators import Substitution
-
-        tplus_r = Substitution(-1, -1)
-        op = RationalMultiple(Polynomial([1, 1]), Polynomial([1, 2])) * (
-            tplus_r - Identity()
-        )
+    def test_divided_difference_block(self):
+        # (x+1)/(2x+1) * (T+R - 1): T+R maps x to -x-1, so (T+R - 1) x =
+        # -2x - 1, the quotient by (2x+1) is exact and the block maps x to
+        # -(x+1).
+        op = DividedDifference(Polynomial([1, 1]), Polynomial([1, 2]), Substitution(-1, -1))
         assert op.apply(Polynomial.x()) == Polynomial([-1, -1])
 
     def test_non_preserving_raises(self):
-        op = RationalMultiple(Polynomial.one(), Polynomial([0, 1]))  # 1/x
+        # (f(x+1) - f(x))/x: the shift has no fixed point, x does not divide.
+        op = DividedDifference(Polynomial.one(), Polynomial([0, 1]), Substitution(1, 1))
         with pytest.raises(OperatorNotPolynomialPreserving):
-            op.apply(Polynomial.one())
+            op.apply(Polynomial.x())
 
     def test_L_on_x_at_zero_params(self):
         # Hand computation: L x = -5/2 x at a=b=c=d=0.
         L = build_L(ZERO_PARAMS)
         assert L.apply(Polynomial.x()) == Polynomial([0, Fraction(-5, 2)])
+
+
+def _gaussian_rational(rng):
+    return ComplexRational(Fraction(rng.randint(-9, 9), rng.randint(1, 5)),
+                           Fraction(rng.randint(-9, 9), rng.randint(1, 5)))
+
+
+# The defining formulas, evaluated pointwise at x with f called directly.
+def _L_formula(f, x, p):
+    return ((x + 2 * p.c + 1) * (x + 2 * p.d + 1) / (2 * x + 1) * (f(-x - 1) - f(x))
+            - (x - 2 * p.a - 1) * (x - 2 * p.b - 1) / (2 * x - 1) * (f(-x + 1) - f(x))
+            + (p.total + Fraction(3, 2)) * f(x))
+
+
+def _M_formula(f, x, p):
+    ix = I * x
+    return ((2 * p.a + 1 - ix) * (2 * p.b + 1 - ix) / (1 - 2 * ix) * (f(-x - I) - f(x))
+            + (2 * p.c + 1 + ix) * (2 * p.d + 1 + ix) / (1 + 2 * ix) * (f(-x + I) - f(x))
+            + (p.total + Fraction(3, 2)) * f(x))
+
+
+def _T0_formula(f, z, t):
+    half = Fraction(1, 2)
+    return ((t.t0 + t.u0 - z + half) * (t.t0 - t.u0 - z + half) / (1 - 2 * z)
+            * (f(1 - z) - f(z)) + t.t0 * f(z))
+
+
+def _T1_formula(f, z, t):
+    return (t.t1 + t.u1 + z) * (t.t1 - t.u1 + z) / (2 * z) * (f(-z) - f(z)) + t.t1 * f(z)
+
+
+class TestOracle:
+    """The operator engine against the defining formulas at random points."""
+
+    def test_generators_match_defining_formulas(self):
+        rng = random.Random(2015)
+        # Every block denominator: 2x+-1, 1-+2ix, 1-2z, 2z.
+        poles = {ComplexRational(0), ComplexRational(Fraction(1, 2)),
+                 ComplexRational(Fraction(-1, 2)), ComplexRational(0, Fraction(1, 2)),
+                 ComplexRational(0, Fraction(-1, 2))}
+        for _ in range(4):
+            p = ParameterSet(*(_gaussian_rational(rng) for _ in range(4)))
+            t = DAHAParameterSet(*(_gaussian_rational(rng) for _ in range(4)))
+            T0, T1, _, _ = build_daha_generators(t)
+            cases = [(build_L(p), lambda f, x: _L_formula(f, x, p)),
+                     (build_M(p), lambda f, x: _M_formula(f, x, p)),
+                     (T0, lambda f, z: _T0_formula(f, z, t)),
+                     (T1, lambda f, z: _T1_formula(f, z, t))]
+            for _ in range(3):
+                f = Polynomial([_gaussian_rational(rng) for _ in range(rng.randint(1, 8))])
+                x0 = _gaussian_rational(rng)
+                if x0 in poles:
+                    continue
+                for op, formula in cases:
+                    assert op.apply(f)(x0) == formula(f, x0)
+
+    def test_corrupted_block_is_named(self):
+        x = Polynomial.x()
+        bad = DividedDifference((x + 1) * (x + 1), 2 * x + 3, Substitution(-1, -1))
+        op = bad - build_L(ZERO_PARAMS)
+        with pytest.raises(OperatorNotPolynomialPreserving) as info:
+            (op * op).apply(Polynomial.monomial(2))
+        assert info.value.operator is bad
+        assert repr(bad) in str(info.value)
+        assert not info.value.remainder.is_zero()
+
+    def test_images_are_memoized_per_object(self):
+        L = build_L(HALF_QUAD_PARAMS)
+        image = L.image(4)
+        assert L.image(4) is image
+        assert build_L(HALF_QUAD_PARAMS).image(4) == image
+
+
+class TestNoVacuousPass:
+    def test_negative_degree_rejected(self):
+        L = build_L(ZERO_PARAMS)
+        with pytest.raises(InvalidParameters):
+            _check_annihilates(L, -1, "vacuous")
+        with pytest.raises(InvalidParameters):
+            _check_eigen_pairs(L, [], [], "vacuous", -1)
+        with pytest.raises(InvalidParameters):
+            verify_daha_relations(param_map_bi_to_daha(ZERO_PARAMS), -1)
 
 
 class TestEigen:
@@ -85,7 +166,6 @@ class TestEigen:
 
     def test_failure_is_reported_with_witness(self):
         # A wrong eigenvalue must produce a first_failure witness.
-        from biwkit.operators import _check_eigen_pairs
         from biwkit.polyfam import bi_polynomials
 
         L = build_L(ZERO_PARAMS)
