@@ -125,6 +125,13 @@ def _parse_daha(text: str) -> DAHAParameterSet:
     return DAHAParameterSet(*vals)
 
 
+def _parse_tol(text: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise InvalidParameters(f"--tol: {exc}") from exc
+
+
 def _resolve_bi_params(args) -> ParameterSet:
     """One parameter style per invocation: --params or --quad."""
     given = [s for s in ("params", "quad") if getattr(args, s, None)]
@@ -300,7 +307,7 @@ def _cmd_ortho(args) -> tuple:
     report = orthogonality_gram(
         args.n_max,
         p,
-        tol=Fraction(args.tol),
+        tol=_parse_tol(args.tol),
         precision=args.precision,
         truncation=args.truncation,
     )
@@ -309,6 +316,7 @@ def _cmd_ortho(args) -> tuple:
 
 
 def _cmd_all(args) -> tuple:
+    tol = _parse_tol(args.tol)
     quad = _parse_quad(args.quad) if args.quad else RealParameterQuad(
         Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)
     )
@@ -368,7 +376,7 @@ def _cmd_all(args) -> tuple:
 
     ortho = orthogonality_gram(
         args.n_max, p,
-        tol=Fraction(args.tol),
+        tol=tol,
         precision=args.precision,
         truncation=args.truncation,
     )

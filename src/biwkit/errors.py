@@ -44,4 +44,4 @@ class PoleError(BiwkitError, ArithmeticError):
 
 
 class QuadratureNotConverged(BiwkitError, ArithmeticError):
-    """Panel refinement failed to stabilize the integral."""
+    """Step refinement failed to stabilize the integral."""

@@ -304,12 +304,27 @@ class Polynomial:
         return Polynomial(qcoeffs)
 
     def affine_substitute(self, s: ScalarLike, t: ScalarLike) -> "Polynomial":
-        """Return the polynomial x -> p(s*x + t), exactly (Horner)."""
-        arg = Polynomial([t, s])
-        result = Polynomial()
+        """Return the polynomial x -> p(s*x + t), exactly.
+
+        t = 0 scales the coefficients by powers of s; otherwise Horner's
+        rule runs on a plain coefficient list.
+        """
+        s, t = ComplexRational.coerce(s), ComplexRational.coerce(t)
+        if t.is_zero():
+            out, power = [], ONE
+            for c in self.coeffs:
+                out.append(c * power)
+                power = power * s
+            return Polynomial(out)
+        acc = []
         for c in reversed(self.coeffs):
-            result = result * arg + c
-        return result
+            # acc <- acc * (s*x + t) + c
+            nxt = [ZERO] + [s * a for a in acc]
+            for k, a in enumerate(acc):
+                nxt[k] = nxt[k] + t * a
+            nxt[0] = nxt[0] + c
+            acc = nxt
+        return Polynomial(acc)
 
     def __call__(self, z: ScalarLike) -> ComplexRational:
         z = ComplexRational.coerce(z)

@@ -2,8 +2,23 @@
 
 The weight W(z) is a ratio of Gamma-function moduli; the Gram matrix of
 the (real-coefficient) modified polynomials against W dz / (4*pi) on the
-real line is computed by composite Gauss-Legendre quadrature with panel
-doubling, and compared with the exact norms h0 * prod(u_k).
+real line is computed by a nested trapezoid rule and compared with the
+exact norms h0 * prod(u_k).
+
+W is analytic in the strip |Im z| < d, d = 2*min(Re a + 1, Re b + 1,
+Re c + 1/2, Re d + 1/2), and decays like exp(-pi |z|) times a power, so
+the trapezoid rule on the real line converges like exp(-2*pi*d/h)
+(Trefethen & Weideman, SIAM Review 56, 2014).  The rule samples z = j*h
+on [-X, X], starting at h = 1; each halving of h evaluates only the new
+odd nodes and reuses every earlier sample through running sums.  X is
+grown until the integrand bound W(X) X^(2 n_max) is negligible, so the
+truncation does not limit the accuracy.
+
+The weight takes the four numerator factors from mpmath.loggamma and the
+denominator from the identity |Gamma(1/2 + iz)|^2 = pi / cosh(pi z); the
+in-house log_gamma (upward recursion into the Stirling series) feeds the
+closed form of h0 only, so the diagonal certificate compares two
+independent Gamma implementations.
 
 Precision is handled with mpmath work contexts: all entry points take a
 ``precision`` in significant decimal digits and run with guard digits
@@ -25,7 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import List, Optional
 
-from mpmath import bernoulli, mp, mpc, mpf, pi
+from mpmath import bernoulli, loggamma, mp, mpc, mpf, pi
 
 from .errors import InvalidParameters, PoleError, QuadratureNotConverged
 from .exact import ComplexRational
@@ -34,12 +49,16 @@ from .polyfam import ParameterSet, bi_coefficients, q_polynomials
 DEFAULT_PRECISION = 50
 DEFAULT_TOL = Fraction(1, 10**8)
 DEFAULT_TRUNCATION = 40
-NODES_PER_UNIT_PANEL = 50
-MAX_DOUBLINGS = 12
+# Below this precision the fixed off-diagonal threshold (OFFDIAG_REL_EXPONENT)
+# cannot be resolved.
+MIN_PRECISION = 20
 _GUARD_DPS = 10
+# Truncation L grows by _TAIL_STEP at most _MAX_TAIL_STEPS times.
+_TAIL_STEP = 5
+_MAX_TAIL_STEPS = 12
 
-# Shift threshold and term budget for the Stirling series, in units of the
-# current working precision.
+# Shift threshold for the Stirling series, in units of the current working
+# precision.
 _SHIFT_SLOPE = 0.4
 _SHIFT_OFFSET = 8
 
@@ -74,54 +93,6 @@ def _stirling_log_gamma(z):
     else:
         raise ArithmeticError("Stirling series did not reach the requested precision")
     return result
-
-
-@lru_cache(maxsize=256)
-def _series_term_count(abs_z_floor: int, dps: int) -> int:
-    """Stirling terms needed at |z| >= abs_z_floor, estimated in float math."""
-    target = -(dps + 2) * _math.log(10)
-    lz = _math.log(max(abs_z_floor, 2))
-    l2pi = _math.log(2 * _math.pi)
-    for k in range(1, 400):
-        log_term = _math.log(2) + _math.lgamma(2 * k - 1) - 2 * k * l2pi - (2 * k - 1) * lz
-        if log_term < target:
-            return k + 2
-    raise ArithmeticError("Stirling series cannot reach the requested precision")
-
-
-def _log_abs_gamma(z):
-    """log |Gamma(z)| at the current working precision.
-
-    Branch-free fast path for weight evaluation: the argument recursion
-    accumulates a single product instead of one complex log per step, and
-    shift/term counts come from cheap float estimates.  Assumes z is not
-    at a pole.
-    """
-    threshold = _SHIFT_SLOPE * mp.dps + _SHIFT_OFFSET
-    zre, zim = float(mp.re(z)), float(mp.im(z))
-    im2 = zim * zim
-    t2 = threshold * threshold
-    shifts = 0
-    if im2 < t2:
-        shifts = max(0, int(_math.ceil(_math.sqrt(t2 - im2) - zre)))
-    prod = None
-    for _ in range(shifts):
-        prod = z if prod is None else prod * z
-        z += 1
-    abs_z = _math.hypot(zre + shifts, zim)
-    nterms = _series_term_count(int(abs_z), mp.dps)
-
-    result = (z - mpf(1) / 2) * mp.log(z) - z
-    zinv2 = 1 / (z * z)
-    zpow = 1 / z
-    coeffs = _stirling_coefficients(mp.dps)
-    for c in coeffs[:nterms]:
-        result += c * zpow
-        zpow *= zinv2
-    out = mp.re(result) + mp.log(2 * pi) / 2
-    if prod is not None:
-        out -= mp.log(abs(prod))
-    return out
 
 
 def log_gamma(z, precision: Optional[int] = None):
@@ -171,25 +142,24 @@ def _check_weight_hypotheses(p: ParameterSet):
             raise InvalidParameters(f"parameter {name} must have positive real and imaginary parts")
 
 
-def _log_weight(z, pa, pb, pc, pd):
-    """log W(z) for real z; W is a squared Gamma-product modulus."""
+def _weight(z, pa, pb, pc, pd):
+    """W(z) for real z: |Gamma products|^2, with 1/|Gamma(1/2+iz)|^2 = cosh(pi z)/pi."""
     izh = mpc(0, z / 2)
+    half = mpf(1) / 2
     s = (
-        _log_abs_gamma(pa + izh + 1)
-        + _log_abs_gamma(pb + izh + 1)
-        + _log_abs_gamma(pc + izh + mpf(1) / 2)
-        + _log_abs_gamma(pd + izh + mpf(1) / 2)
-        - _log_abs_gamma(mpf(1) / 2 + mpc(0, z))
+        mp.re(loggamma(pa + izh + 1))
+        + mp.re(loggamma(pb + izh + 1))
+        + mp.re(loggamma(pc + izh + half))
+        + mp.re(loggamma(pd + izh + half))
     )
-    return 2 * s
+    return mp.exp(2 * s) * mp.cosh(pi * z) / pi
 
 
 def weight_W(z, p: ParameterSet, precision: int = DEFAULT_PRECISION):
     """The positive weight W(z) at real z."""
     _check_weight_hypotheses(p)
     with mp.workdps(precision + _GUARD_DPS):
-        val = mp.exp(_log_weight(_to_mpf(z), *(_param_to_mpc(getattr(p, n)) for n in "abcd")))
-        val = +val
+        val = +_weight(_to_mpf(z), *(_param_to_mpc(getattr(p, n)) for n in "abcd"))
     return val
 
 
@@ -214,35 +184,6 @@ def h0(p: ParameterSet, precision: int = DEFAULT_PRECISION):
             raise InvalidParameters("h0 is not real; parameters are not conjugate-paired")
         result = +mp.re(val)
     return result
-
-
-@lru_cache(maxsize=8)
-def _gauss_legendre_nodes(n: int, dps: int):
-    """Nodes and weights of the n-point rule on [-1, 1] via Newton iteration."""
-    with mp.workdps(dps):
-        nodes, weights = [], []
-        for i in range(1, n // 2 + 1):
-            x = mp.cos(pi * (i - mpf(1) / 4) / (n + mpf(1) / 2))
-            for _ in range(100):
-                p0, p1 = mpf(1), x
-                for k in range(2, n + 1):
-                    p0, p1 = p1, ((2 * k - 1) * x * p1 - (k - 1) * p0) / k
-                dp = n * (x * p1 - p0) / (x * x - 1)
-                dx = p1 / dp
-                x -= dx
-                if abs(dx) < mpf(10) ** (-dps):
-                    break
-            w = 2 / ((1 - x * x) * dp * dp)
-            nodes.append(x)
-            weights.append(w)
-        full_nodes = [-x for x in nodes] + ([mpf(0)] if n % 2 else []) + list(reversed(nodes))
-        if n % 2:
-            # Central weight from the symmetry of the rule.
-            wc = 2 - 2 * mp.fsum(weights)
-            full_weights = list(weights) + [wc] + list(reversed(weights))
-        else:
-            full_weights = list(weights) + list(reversed(weights))
-    return tuple(full_nodes), tuple(full_weights)
 
 
 # Off-diagonal entries of an exactly orthogonal family should vanish to
@@ -292,42 +233,24 @@ class OrthogonalityReport:
         }
 
 
-def _panel_grams(polys_mpf, pa, pb, pc, pd, lo, hi, n_subpanels, nodes, weights):
-    """Integrals of W * P_n * P_m over [lo, hi] split into n_subpanels."""
-    k = len(polys_mpf)
-    acc = [[mpf(0)] * k for _ in range(k)]
-    width = (mpf(hi) - mpf(lo)) / n_subpanels
-    for s in range(n_subpanels):
-        a = mpf(lo) + s * width
-        mid = a + width / 2
-        half = width / 2
-        for x, w in zip(nodes, weights):
-            z = mid + half * x
-            wv = mp.exp(_log_weight(z, pa, pb, pc, pd))
-            vals = []
-            for coeffs in polys_mpf:
-                acc_v = mpf(0)
-                for c in reversed(coeffs):
-                    acc_v = acc_v * z + c
-                vals.append(acc_v)
-            scale = w * half * wv
-            for n in range(k):
-                vn = vals[n] * scale
-                for m in range(n, k):
-                    acc[n][m] += vn * vals[m]
-    return acc
+def _strip_halvings(p: ParameterSet, dps: int) -> int:
+    """Halvings of h = 1 down to the a-priori step 2*pi*d / (ln 10 * dps).
+
+    At that step the trapezoid error exp(-2*pi*d/h) reaches 10^-dps, where
+    d is the distance from the real line to the nearest pole of W.
+    """
+    d = 2 * min(p.a.re + 1, p.b.re + 1, p.c.re + Fraction(1, 2), p.d.re + Fraction(1, 2))
+    step = 2 * _math.pi * float(d) / (_math.log(10) * dps)
+    return max(0, _math.ceil(_math.log2(1 / step)))
 
 
-def _sum_panels(panel_list, k):
-    out = [[mpf(0)] * k for _ in range(k)]
-    for pm in panel_list:
-        for n in range(k):
-            for m in range(n, k):
-                out[n][m] += pm[n][m]
-    for n in range(k):
-        for m in range(n):
-            out[n][m] = out[m][n]
-    return out
+def _accumulate(acc, vals, scale):
+    """acc[n][m] += scale * vals[n] * vals[m] on the upper triangle."""
+    for n, vn in enumerate(vals):
+        vn = vn * scale
+        row = acc[n]
+        for m in range(n, len(vals)):
+            row[m] += vn * vals[m]
 
 
 def orthogonality_gram(
@@ -339,15 +262,23 @@ def orthogonality_gram(
 ) -> OrthogonalityReport:
     """Gram matrix of the modified family against W dz / (4*pi).
 
-    Composite Gauss-Legendre on [-L, L] with unit panels, the panel count
-    doubled until the matrix is stable to tol/10.  The report also carries
-    the change when the truncation is reduced from L+5 to L (computed from
-    the shared panel decomposition), which certifies tail convergence.
+    Nested trapezoid rule on [-X, X] (see the module docstring), halving h
+    until the matrix changes by at most min(tol/10, 10^(OFFDIAG_REL_EXPONENT-1))
+    * |h0| from one level to the next; QuadratureNotConverged is raised one
+    halving past the a-priori step.  L is grown from ``truncation`` until
+    the tail bound falls to tol * 1e-3 * |h0|; the report carries the change
+    when the interval is cut from [-X, X] to [-L, L], which certifies tail
+    convergence.
     """
     _check_weight_hypotheses(p)
+    if n_max < 0:
+        raise InvalidParameters(f"n_max must be >= 0, got {n_max}")
+    if precision < MIN_PRECISION:
+        raise InvalidParameters(f"precision must be >= {MIN_PRECISION} digits, got {precision}")
     if not isinstance(tol, mpf):
-        tol_frac = Fraction(tol)
-        tol = mpf(tol_frac.numerator) / mpf(tol_frac.denominator)
+        tol = _to_mpf(Fraction(tol))
+    if tol <= 0:
+        raise InvalidParameters(f"tol must be > 0, got {tol}")
 
     polys = q_polynomials(n_max, p)
     for n, poly in enumerate(polys):
@@ -360,60 +291,74 @@ def orthogonality_gram(
             raise InvalidParameters(f"u_{n} is not real")
 
     with mp.workdps(precision + _GUARD_DPS):
-        pa, pb, pc, pd = (_param_to_mpc(getattr(p, n)) for n in "abcd")
+        params = [_param_to_mpc(getattr(p, n)) for n in "abcd"]
         h0_val = h0(p, mp.dps)
         expected = [h0_val]
         for n in range(1, n_max + 1):
-            u = data.u_mod[n].re
-            expected.append(expected[-1] * mpf(u.numerator) / mpf(u.denominator))
+            expected.append(expected[-1] * _to_mpf(data.u_mod[n].re))
 
-        polys_mpf = [
-            [mpf(c.re.numerator) / mpf(c.re.denominator) for c in poly.coeffs]
-            for poly in polys
-        ]
+        polys_mpf = [[_to_mpf(c.re) for c in poly.coeffs] for poly in polys]
 
-        # Truncation: W decays like exp(-pi |z|) times polynomial growth.
+        def tail(x):
+            """Bound on the integrand at |z| = x: W decays like exp(-pi |z|)."""
+            return _weight(mpf(x), *params) * mpf(x) ** (2 * n_max)
+
         L = int(truncation) if truncation is not None else DEFAULT_TRUNCATION
-        target = tol * mpf(10) ** (-3) * abs(h0_val)
-        for _ in range(MAX_DOUBLINGS):
-            tail = mp.exp(_log_weight(mpf(L), pa, pb, pc, pd)) * mpf(L) ** (2 * n_max)
-            if tail <= target:
+        for _ in range(_MAX_TAIL_STEPS):
+            if tail(L) <= tol * mpf(10) ** (-3) * abs(h0_val):
                 break
-            L += 5
-        Lx = L + 5  # extended interval for the tail-stability figure
+            L += _TAIL_STEP
+        # Past X the integrand is negligible, so the half-weighted endpoints
+        # leave no O(h^2) floor.
+        X = L + _TAIL_STEP
+        while tail(X) > min(tol * mpf(10) ** (-3), mpf(10) ** -22) * abs(h0_val):
+            X += _TAIL_STEP
 
-        nodes, weights = _gauss_legendre_nodes(NODES_PER_UNIT_PANEL, mp.dps)
         k = n_max + 1
-        subdiv = 1
-        prev_gram = None
-        final = None
-        for attempt in range(MAX_DOUBLINGS):
-            panels = []  # one per unit interval [j, j+1)
-            for j in range(-Lx, Lx):
-                panels.append(
-                    _panel_grams(polys_mpf, pa, pb, pc, pd, j, j + 1, subdiv, nodes, weights)
-                )
-            gram_full = _sum_panels(panels, k)
-            if prev_gram is not None:
-                delta = max(
-                    abs(gram_full[n][m] - prev_gram[n][m])
-                    for n in range(k) for m in range(k)
-                )
-                if delta <= tol / 10 * abs(h0_val):
-                    inner = _sum_panels(panels[5:-5], k)  # [-L, L] only
-                    final = (gram_full, inner, subdiv)
-                    break
-            prev_gram = gram_full
-            subdiv *= 2
-        if final is None:
+        full = [[mpf(0)] * k for _ in range(k)]
+        inner = [[mpf(0)] * k for _ in range(k)]  # nodes with |z| <= L
+
+        def add(z, endpoint_weight):
+            w = _weight(z, *params)
+            vals = []
+            for coeffs in polys_mpf:
+                v = mpf(0)
+                for c in reversed(coeffs):
+                    v = v * z + c
+                vals.append(v)
+            _accumulate(full, vals, w * endpoint_weight)
+            if abs(z) < L:
+                _accumulate(inner, vals, w)
+            elif abs(z) == L:
+                _accumulate(inner, vals, w / 2)
+
+        threshold = min(tol / 10, mpf(10) ** (OFFDIAG_REL_EXPONENT - 1)) * abs(h0_val)
+        max_halvings = _strip_halvings(p, mp.dps) + 1
+        prev = None
+        for level in range(max_halvings + 1):
+            if level == 0:
+                for j in range(-X, X + 1):
+                    add(mpf(j), mpf(1) / 2 if abs(j) == X else 1)
+            else:
+                # The new nodes are the odd multiples of h = 2^-level.
+                for j in range(-X * 2 ** (level - 1), X * 2 ** (level - 1)):
+                    add(mp.ldexp(mpf(2 * j + 1), -level), 1)
+            h = mp.ldexp(mpf(1), -level)
+            current = [[h * v for v in row] for row in full]
+            if prev is not None and max(
+                abs(current[n][m] - prev[n][m]) for n in range(k) for m in range(n, k)
+            ) <= threshold:
+                break
+            prev = current
+        else:
             raise QuadratureNotConverged(
-                f"Gram matrix did not stabilize after {MAX_DOUBLINGS} panel doublings"
+                f"Gram matrix did not stabilize after {max_halvings} halvings of the step"
             )
-        gram_full, gram_inner, subdiv = final
 
         four_pi = 4 * pi
-        gram = [[v / four_pi for v in row] for row in gram_full]
-        gram_l = [[v / four_pi for v in row] for row in gram_inner]
+        gram = [[current[min(n, m)][max(n, m)] / four_pi for m in range(k)] for n in range(k)]
+        gram_l = [[h * inner[min(n, m)][max(n, m)] / four_pi for m in range(k)]
+                  for n in range(k)]
 
         scale = abs(gram[0][0])
         max_off = mpf(0)
@@ -427,8 +372,7 @@ def orthogonality_gram(
                     max_off = max(max_off, abs(gram[n][m]) / scale)
         max_ratio = mpf(0)
         for n in range(1, k):
-            u = data.u_mod[n].re
-            u_val = mpf(u.numerator) / mpf(u.denominator)
+            u_val = _to_mpf(data.u_mod[n].re)
             max_ratio = max(max_ratio, abs(gram[n][n] / gram[n - 1][n - 1] - u_val) / u_val)
         l_stab = max(
             abs(gram[n][m] - gram_l[n][m]) / scale for n in range(k) for m in range(k)
@@ -442,7 +386,7 @@ def orthogonality_gram(
             max_diag_rel_err=+max_diag,
             max_ratio_err=+max_ratio,
             truncation_L=L,
-            panels=2 * Lx * subdiv,
+            panels=2 * X * 2 ** level,
             l_stability=+l_stab,
             precision_digits=precision,
             tol=+tol,

@@ -7,19 +7,19 @@ import pytest
 
 from biwkit.cli import (
     EXIT_INVALID_PARAMETERS,
+    EXIT_NOT_CONVERGED,
     EXIT_OK,
     EXIT_VERIFICATION_FAILED,
     SCHEMA,
     main,
 )
 
-# Reduced settings for the full-suite runs: L = 20 is the smallest
-# interval whose truncation tail clears the fixed off-diagonal threshold
-# of the orthogonality report.
+# Reduced settings for the full-suite runs.
 FAST_ALL = [
     "--quad", "1/2,1/2,1/2,1/2",
     "--n-max", "1", "--precision", "30", "--truncation", "20", "--tol", "1e-6",
 ]
+ORTHO = ["ortho", "--quad", "1/2,1/2,1/2,1/2", "--n-max", "1"]
 
 
 def run(argv, tmp_path, name="out.json"):
@@ -127,6 +127,24 @@ class TestErrorPaths:
         code, doc = run(argv, tmp_path)
         assert code == EXIT_INVALID_PARAMETERS
         assert doc["error"]["kind"] == "InvalidParameters"
+
+    @pytest.mark.parametrize("argv", [
+        ORTHO + ["--tol", "abc"],
+        ORTHO + ["--tol", "0"],
+        ORTHO + ["--precision", "0"],
+        ["all", "--tol", "abc"],
+    ])
+    def test_ortho_invalid_input_exit_3(self, argv, tmp_path):
+        code, doc = run(argv, tmp_path)
+        assert code == EXIT_INVALID_PARAMETERS
+        assert doc["error"]["kind"] == "InvalidParameters"
+
+    def test_ortho_not_converged_exit_4(self, tmp_path):
+        # 1e-40 is below what 30 working digits resolve: the halving cap is hit.
+        argv = ORTHO + ["--precision", "20", "--truncation", "10", "--tol", "1e-40"]
+        code, doc = run(argv, tmp_path)
+        assert code == EXIT_NOT_CONVERGED
+        assert doc["error"]["kind"] == "QuadratureNotConverged"
 
 
 class TestLeafTagging:

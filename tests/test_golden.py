@@ -3,7 +3,9 @@
 The files under ``tests/data/golden/`` were written by the operator engine
 that divided once at the root of each operator tree; any engine must
 reproduce them byte for byte: the verdicts, the ``biwkit/1`` JSON and the
-``first_failure`` residuals of the two negative controls.
+``first_failure`` residuals of the two negative controls.  ``ortho.json``
+was written by the nested trapezoid Gram; its approximate digits pin the
+quadrature rule, so a change to ``measure`` shows here.
 """
 
 import json
@@ -30,6 +32,8 @@ CLI_CASES = {
     "verify-daha": ["verify-daha", "--daha", DAHA, "--n-max", "4", "--degree", "4"],
     "verify-iso": ["verify-iso", "--params", PARAMS, "--degree", "1"],
     "verify-prop1": ["verify-prop1", "--params", PARAMS, "--n-max", "4", "--degree", "3"],
+    "ortho": ["ortho", "--quad", "1/2,1/2,1/2,1/2", "--n-max", "1", "--precision", "30",
+              "--truncation", "20", "--tol", "1e-6"],
 }
 
 

@@ -1,8 +1,9 @@
 """Tests for the weight function, normalization, and Gram matrix.
 
-The in-house log-gamma is checked against mpmath.loggamma, which is used
-nowhere in the implementation path and therefore serves as an independent
-oracle.
+The in-house log-gamma, which feeds h0 only, is checked against
+mpmath.loggamma; the weight, which uses mpmath.loggamma, is checked
+against Gamma products built from mpmath.gamma, an oracle independent of
+both log-gamma paths.
 """
 
 from fractions import Fraction
@@ -11,7 +12,7 @@ import mpmath
 import pytest
 from mpmath import mp, mpc, mpf
 
-from biwkit.errors import InvalidParameters, PoleError
+from biwkit.errors import InvalidParameters, PoleError, QuadratureNotConverged
 from biwkit.measure import (
     DEFAULT_PRECISION,
     h0,
@@ -25,6 +26,16 @@ HALF_QUAD = RealParameterQuad(
     Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)
 )
 HALF_PARAMS = ParameterSet.from_quad(HALF_QUAD)
+# Strip half-width d = 2*min(alpha, gamma) + 1 = 1.2, the narrowest in use.
+NARROW_PARAMS = ParameterSet.from_quad(RealParameterQuad(
+    Fraction(1, 10), Fraction(1, 3), Fraction(1, 8), Fraction(2, 3)
+))
+
+
+def _mp(q):
+    """A decimal string or Fraction as an mpf at the working precision."""
+    q = Fraction(q)
+    return mpf(q.numerator) / q.denominator
 
 
 class TestLogGamma:
@@ -64,19 +75,23 @@ class TestWeight:
             for z in ("0", "1.5", "-1.5", "7.25"):
                 w = weight_W(mpf(z), HALF_PARAMS)
                 assert w > 0
-        # Direct Gamma-product oracle at one point, via mpmath.gamma.
-        with mp.workdps(65):
-            z = mpf("2.3")
-            a = b = mpc("0.5", "0.5")
-            c = d = a.conjugate()
-            izh = mpc(0, z / 2)
+
+    @pytest.mark.parametrize("params", [HALF_PARAMS, NARROW_PARAMS])
+    @pytest.mark.parametrize("z", ["2.3", "0", "-3.75", Fraction(7, 10), "16.5"])
+    def test_against_gamma_product_oracle(self, params, z):
+        precision = 55
+        with mp.workdps(precision + 15):
+            zz = _mp(z)
+            ours = weight_W(z if isinstance(z, Fraction) else zz, params, precision=precision)
+            a, b, c, d = (mpc(_mp(v.re), _mp(v.im))
+                          for v in (params.a, params.b, params.c, params.d))
+            izh = mpc(0, zz / 2)
             g = mpmath.gamma
             prod = (g(a + izh + 1) * g(b + izh + 1)
                     * g(c + izh + mpf("0.5")) * g(d + izh + mpf("0.5"))
-                    / g(mpf("0.5") + mpc(0, z)))
+                    / g(mpf("0.5") + mpc(0, zz)))
             ref = abs(prod) ** 2
-            ours = weight_W(z, HALF_PARAMS, precision=55)
-            assert abs(ours - ref) / ref < mpf(10) ** -45
+            assert abs(ours - ref) / ref < mpf(10) ** -(precision - 2), (z, ours, ref)
 
     def test_decay(self):
         with mp.workdps(50):
@@ -135,9 +150,8 @@ def small_report():
 class TestGram:
 
     def test_quantitative_fields(self, small_report):
-        # At these deliberately reduced settings (precision 30, L ~ 15)
-        # the truncation tail dominates; the full-scale thresholds are
-        # exercised by the acceptance suite.
+        # Reduced settings (precision 30, L = 15); the full-scale
+        # thresholds are exercised by the acceptance suite.
         assert small_report.max_offdiag_rel <= mpf(10) ** -18
         assert small_report.max_diag_rel_err <= mpf(10) ** -8
         assert small_report.max_ratio_err <= mpf(10) ** -8
@@ -160,9 +174,30 @@ class TestGram:
         assert len(doc["gram"]) == 2
         assert doc["precision_digits"] == 30
 
+    def test_narrow_strip_passes(self):
+        # The poles of W sit at |Im z| = 1.2 here, the trapezoid rule's
+        # slowest case among the tested parameters.
+        report = orthogonality_gram(1, NARROW_PARAMS, precision=30, truncation=20)
+        assert report.passed
+
+    def test_halving_cap_raises(self):
+        # A level change of 1e-41 * h0 is below what 30 working digits
+        # resolve, so the rule runs to its cap.
+        with pytest.raises(QuadratureNotConverged):
+            orthogonality_gram(1, HALF_PARAMS, tol=Fraction(1, 10 ** 40),
+                               precision=20, truncation=10)
+
     def test_rejects_unpaired_parameters(self):
         with pytest.raises(InvalidParameters):
             orthogonality_gram(1, ParameterSet(0, 0, 1, 1), precision=30)
+
+    @pytest.mark.parametrize("kwargs", [
+        {"tol": 0}, {"tol": Fraction(-1, 10)}, {"precision": 19}, {"n_max": -1},
+    ])
+    def test_rejects_invalid_input(self, kwargs):
+        args = {"n_max": 1, "p": HALF_PARAMS, "precision": 30, **kwargs}
+        with pytest.raises(InvalidParameters):
+            orthogonality_gram(**args)
 
     def test_default_precision_constant(self):
         assert DEFAULT_PRECISION == 50
