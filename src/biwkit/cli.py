@@ -2,7 +2,8 @@
 subcommand with deterministic JSON output.
 
 Exit codes: 0 all verifications pass; 2 a verification failed; 3 invalid
-or degenerate parameters; 4 numerical non-convergence.  Every JSON leaf
+or degenerate parameters or a usage error; 4 numerical non-convergence.
+Errors are reported as JSON documents too.  Every JSON leaf
 carrying a numeric value is tagged ``exact`` (rational string or
 ``{re, im}`` pair) or ``approx`` (decimal string plus the working
 precision in digits).
@@ -16,6 +17,7 @@ import os
 import random
 import re
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from typing import Optional
 
@@ -54,7 +56,7 @@ from .operators import (
     verify_prop1_operator_transform,
 )
 from .reptheory import build_rep, positivity_scan, verify_rep_relations
-from .measure import DEFAULT_PRECISION, orthogonality_gram
+from .measure import DEFAULT_PRECISION, MIN_PRECISION, orthogonality_gram
 
 SCHEMA = "biwkit/1"
 
@@ -90,46 +92,27 @@ def _tag_leaves(node, digits: int, key: Optional[str] = None):
     raise TypeError(f"unserializable leaf of type {type(node).__name__}")
 
 
-def _parse_params(text: str) -> ParameterSet:
-    parts = text.split(",")
+def _parse_four(text: Optional[str], flag: str, parse, cls):
+    """``flag``'s four comma-separated values, each read by ``parse``, as a ``cls``."""
+    parts = text.split(",") if text is not None else []
     if len(parts) != 4:
-        raise InvalidParameters("--params requires four comma-separated values a,b,c,d")
+        names = ",".join(f.name for f in fields(cls))
+        raise InvalidParameters(f"{flag} requires four comma-separated values {names}")
     try:
-        vals = [parse_complex_rational(s) for s in parts]
-    except ValueError as exc:
-        raise InvalidParameters(str(exc)) from exc
-    return ParameterSet(*vals)
-
-
-def _parse_quad(text: str) -> RealParameterQuad:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise InvalidParameters(
-            "--quad requires four comma-separated rationals alpha,beta,gamma,delta"
-        )
-    try:
-        vals = [Fraction(s.strip()) for s in parts]
+        return cls(*(parse(s) for s in parts))
     except (ValueError, ZeroDivisionError) as exc:
-        raise InvalidParameters(str(exc)) from exc
-    return RealParameterQuad(*vals)
-
-
-def _parse_daha(text: str) -> DAHAParameterSet:
-    parts = text.split(",")
-    if len(parts) != 4:
-        raise InvalidParameters("--daha requires four comma-separated values t0,t1,u0,u1")
-    try:
-        vals = [parse_complex_rational(s) for s in parts]
-    except ValueError as exc:
-        raise InvalidParameters(str(exc)) from exc
-    return DAHAParameterSet(*vals)
+        raise InvalidParameters(
+            f"{flag}: cannot read {text!r}: {type(exc).__name__}: {exc}") from exc
 
 
 def _parse_tol(text: str) -> Fraction:
     try:
-        return Fraction(text)
+        tol = Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidParameters(f"--tol: {exc}") from exc
+    if tol <= 0:
+        raise InvalidParameters(f"--tol must be > 0, got {text}")
+    return tol
 
 
 def _resolve_bi_params(args) -> ParameterSet:
@@ -138,8 +121,16 @@ def _resolve_bi_params(args) -> ParameterSet:
     if len(given) != 1:
         raise InvalidParameters("give exactly one of --params or --quad")
     if given[0] == "params":
-        return _parse_params(args.params)
+        return _parse_four(args.params, "--params", parse_complex_rational, ParameterSet)
     return ParameterSet.from_quad(_parse_quad(args.quad))
+
+
+def _parse_quad(text: Optional[str]) -> RealParameterQuad:
+    return _parse_four(text, "--quad", Fraction, RealParameterQuad)
+
+
+def _parse_daha(text: Optional[str]) -> DAHAParameterSet:
+    return _parse_four(text, "--daha", parse_complex_rational, DAHAParameterSet)
 
 
 def _require_nondegenerate(p: ParameterSet, n_max: int) -> None:
@@ -317,6 +308,9 @@ def _cmd_ortho(args) -> tuple:
 
 def _cmd_all(args) -> tuple:
     tol = _parse_tol(args.tol)
+    if args.precision < MIN_PRECISION:
+        raise InvalidParameters(
+            f"--precision must be >= {MIN_PRECISION} digits, got {args.precision}")
     quad = _parse_quad(args.quad) if args.quad else RealParameterQuad(
         Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)
     )
@@ -393,9 +387,16 @@ def _cmd_all(args) -> tuple:
     return doc, passed
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Usage errors raise InvalidParameters, reported like any other bad input."""
+
+    def error(self, message):
+        raise InvalidParameters(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
     default_precision = int(os.environ.get("BIWKIT_PRECISION", DEFAULT_PRECISION))
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="biwkit",
         description="Exact construction and certification of Bannai-Ito type "
                     "polynomial families and their operator algebras.",
@@ -477,28 +478,27 @@ _DISPATCH = {
 }
 
 
+# Exit code of each error kind; any other BiwkitError is a failed verification.
+_EXIT_CODES = {
+    DegenerateParameters: EXIT_INVALID_PARAMETERS,
+    InvalidParameters: EXIT_INVALID_PARAMETERS,
+    QuadratureNotConverged: EXIT_NOT_CONVERGED,
+}
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    digits = getattr(args, "precision", DEFAULT_PRECISION)
-    output = getattr(args, "output", None)
-    base = {"schema": SCHEMA, "command": args.command}
+    digits, output, command = DEFAULT_PRECISION, None, None
     try:
+        args = build_parser().parse_args(argv)
+        digits = getattr(args, "precision", DEFAULT_PRECISION)
+        output, command = args.output, args.command
         _require_nonnegative_sizes(args)
         doc, passed = _DISPATCH[args.command](args)
-    except (DegenerateParameters, InvalidParameters) as exc:
-        _emit({**base, "error": {"kind": type(exc).__name__, "detail": str(exc)}},
-              digits, output)
-        return EXIT_INVALID_PARAMETERS
-    except QuadratureNotConverged as exc:
-        _emit({**base, "error": {"kind": type(exc).__name__, "detail": str(exc)}},
-              digits, output)
-        return EXIT_NOT_CONVERGED
     except BiwkitError as exc:
-        _emit({**base, "error": {"kind": type(exc).__name__, "detail": str(exc)}},
-              digits, output)
-        return EXIT_VERIFICATION_FAILED
-    _emit({**base, **doc, "pass": bool(passed)}, digits, output)
+        _emit({"schema": SCHEMA, "command": command,
+               "error": {"kind": type(exc).__name__, "detail": str(exc)}}, digits, output)
+        return _EXIT_CODES.get(type(exc), EXIT_VERIFICATION_FAILED)
+    _emit({"schema": SCHEMA, "command": command, **doc, "pass": bool(passed)}, digits, output)
     return EXIT_OK if passed else EXIT_VERIFICATION_FAILED
 
 

@@ -1,25 +1,27 @@
 """Difference-reflection operators and exact verification of their algebras.
 
-Operators are immutable expression trees that map exact polynomials to
-exact polynomials.  Every operator of the paper is built from polynomial
+An operator is a linear map on exact polynomials, given by its image of
+each monomial x^k and memoizing that image per object: its column list in
+the monomial basis.  Every operator of the paper is built from polynomial
 multiples, affine substitutions and divided-difference blocks
 num/den * (f o sigma - f), where sigma is an affine involution and den
 the linear factor vanishing at its fixed point (2x+1, 2x-1, 1-2ix, 1+2ix,
 1-2z or 2z).  Such a block is exactly divisible on its own, so each block
-divides where it occurs and every node returns a polynomial.
+divides where it occurs and every image is a polynomial.
 
-Each node memoizes its image of x^k, so applying an operator to f is a
-linear combination of cached images; a sum adds the images of its terms
-and a product applies its left factor to the image of its right factor.
-A block whose division leaves a remainder was transcribed incorrectly and
-raises OperatorNotPolynomialPreserving naming that block.
+Applying an operator to f is a linear combination of its images; a sum
+adds the images of its operands, a scalar multiple scales them, and a
+product applies its left factor to the image of its right factor.  Every
+relation is checked on the images of x^0..x^degree, column by column of
+its matrix.  A block whose division leaves a remainder was transcribed
+incorrectly and raises OperatorNotPolynomialPreserving naming that block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional
+from typing import Callable, Dict, Iterable, List, Optional
 
 from .errors import InvalidParameters, NonzeroRemainder, OperatorNotPolynomialPreserving
 from .exact import I, ComplexRational, Polynomial
@@ -39,19 +41,32 @@ QUARTER = ComplexRational(Fraction(1, 4))
 
 
 class DifferenceOperator:
-    """Base class; subclasses implement _image, the action on x^k."""
+    """A linear operator on polynomials, given by ``image_of(k)``, its image of x^k.
 
-    def __init__(self):
+    A plain scalar c in an operator expression is the operator x^k -> c*x^k.
+    Only leaves carry an informative ``label``: a block is the only
+    operator an error ever names.  An image whose division leaves a
+    remainder raises OperatorNotPolynomialPreserving naming the operator
+    that divided, always a divided-difference block.  It is named here,
+    not in the block's closure, so no reference cycle keeps the block's
+    images alive.
+    """
+
+    def __init__(self, image_of: Callable[[int], Polynomial], label: str = "operator"):
+        self._image_of = image_of
+        self._label = label
         self._images: Dict[int, Polynomial] = {}
-
-    def _image(self, k: int) -> Polynomial:
-        raise NotImplementedError
 
     def image(self, k: int) -> Polynomial:
         """The image of x^k, computed once per operator object."""
         img = self._images.get(k)
         if img is None:
-            img = self._images[k] = self._image(k)
+            try:
+                img = self._images[k] = self._image_of(k)
+            except NonzeroRemainder as exc:
+                raise OperatorNotPolynomialPreserving(
+                    f"block {self!r} left a remainder on x^{k}",
+                    operator=self, remainder=exc.remainder) from exc
         return img
 
     def apply(self, p: Polynomial) -> Polynomial:
@@ -67,154 +82,74 @@ class DifferenceOperator:
                 out[j] = out[j] + c * a
         return Polynomial(out)
 
+    def __repr__(self):
+        return self._label
+
+    @staticmethod
+    def _coerce(v) -> DifferenceOperator:
+        if isinstance(v, DifferenceOperator):
+            return v
+        c = ComplexRational.coerce(v)
+        return DifferenceOperator(lambda k: c * Polynomial.monomial(k), str(c))
+
     def __add__(self, other):
-        return OperatorSum((self, _coerce_operator(other)))
+        other = self._coerce(other)
+        return DifferenceOperator(lambda k: self.image(k) + other.image(k))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-_coerce_operator(other))
+        return self + -self._coerce(other)
 
     def __rsub__(self, other):
-        return _coerce_operator(other) + (-self)
+        return self._coerce(other) + -self
 
     def __neg__(self):
-        return ScalarMultiple(ComplexRational(-1), self)
+        return self * -1
 
     def __mul__(self, other):
         if isinstance(other, DifferenceOperator):
-            return OperatorProduct(self, other)
-        return ScalarMultiple(ComplexRational.coerce(other), self)
+            return DifferenceOperator(lambda k: self.apply(other.image(k)))
+        c = ComplexRational.coerce(other)
+        return DifferenceOperator(lambda k: c * self.image(k))
 
-    def __rmul__(self, other):
-        return ScalarMultiple(ComplexRational.coerce(other), self)
-
-
-def _coerce_operator(v) -> DifferenceOperator:
-    if isinstance(v, DifferenceOperator):
-        return v
-    return ScalarMultiple(ComplexRational.coerce(v), Identity())
+    __rmul__ = __mul__  # reached only with a scalar on the left
 
 
-class Identity(DifferenceOperator):
-    def _image(self, k):
-        return Polynomial.monomial(k)
-
-    def __repr__(self):
-        return "1"
-
-
-class Substitution(DifferenceOperator):
+def Substitution(s, t) -> DifferenceOperator:
     """Composition with an affine map: (Op f)(x) = f(s*x + t).
 
     With s = -1 this is the reflection composed with a shift: t = 0 is
     f(-x), t = -1 is f(-x-1), t = 1 is f(-x+1) and t = -+i is f(-x-+i).
     """
-
-    def __init__(self, s, t):
-        super().__init__()
-        self.s = ComplexRational.coerce(s)
-        self.t = ComplexRational.coerce(t)
-
-    def _image(self, k):
-        return Polynomial.monomial(k).affine_substitute(self.s, self.t)
-
-    def __repr__(self):
-        return f"Subst(x -> {self.s}*x + {self.t})"
+    s, t = ComplexRational.coerce(s), ComplexRational.coerce(t)
+    return DifferenceOperator(lambda k: Polynomial.monomial(k).affine_substitute(s, t),
+                              f"Subst(x -> {s}*x + {t})")
 
 
-def reflection() -> Substitution:
+def reflection() -> DifferenceOperator:
     """R: f(x) -> f(-x)."""
     return Substitution(-1, 0)
 
 
-class PolynomialMultiple(DifferenceOperator):
-    def __init__(self, poly: Polynomial):
-        super().__init__()
-        self.poly = poly
-
-    def _image(self, k):
-        return self.poly * Polynomial.monomial(k)
-
-    def __repr__(self):
-        return f"Mul({self.poly!r})"
+def PolynomialMultiple(poly: Polynomial) -> DifferenceOperator:
+    """Multiplication by ``poly``."""
+    return DifferenceOperator(lambda k: poly * Polynomial.monomial(k), f"Mul({poly!r})")
 
 
-class DividedDifference(DifferenceOperator):
+def DividedDifference(num: Polynomial, den: Polynomial,
+                      sigma: DifferenceOperator) -> DifferenceOperator:
     """The block f -> num * (f o sigma - f) / den, divided exactly.
 
     ``den`` must vanish at the fixed point of ``sigma``; otherwise the
     division leaves a remainder and OperatorNotPolynomialPreserving is
     raised with this block as its ``operator``.
     """
-
-    def __init__(self, num: Polynomial, den: Polynomial, sigma: Substitution):
-        super().__init__()
-        if den.is_zero():
-            raise ZeroDivisionError("divided difference with zero denominator")
-        self.num = num
-        self.den = den
-        self.sigma = sigma
-
-    def _image(self, k):
-        diff = self.sigma.image(k) - Polynomial.monomial(k)
-        try:
-            return self.num * diff.exact_div(self.den)
-        except NonzeroRemainder as exc:
-            raise OperatorNotPolynomialPreserving(
-                f"block {self!r} left a remainder on x^{k}",
-                operator=self,
-                remainder=exc.remainder,
-            ) from exc
-
-    def __repr__(self):
-        return f"DivDiff({self.num!r} / {self.den!r} * ({self.sigma!r} - 1))"
-
-
-class ScalarMultiple(DifferenceOperator):
-    def __init__(self, scalar: ComplexRational, op: DifferenceOperator):
-        super().__init__()
-        self.scalar = scalar
-        self.op = op
-
-    def _image(self, k):
-        return self.scalar * self.op.image(k)
-
-    def __repr__(self):
-        return f"({self.scalar}) * {self.op!r}"
-
-
-class OperatorSum(DifferenceOperator):
-    def __init__(self, terms):
-        super().__init__()
-        flat = []
-        for t in terms:
-            if isinstance(t, OperatorSum):
-                flat.extend(t.terms)
-            else:
-                flat.append(t)
-        self.terms = tuple(flat)
-
-    def _image(self, k):
-        return sum((t.image(k) for t in self.terms), Polynomial.zero())
-
-    def __repr__(self):
-        return " + ".join(repr(t) for t in self.terms)
-
-
-class OperatorProduct(DifferenceOperator):
-    """Composition: (left * right) p = left(right(p))."""
-
-    def __init__(self, left, right):
-        super().__init__()
-        self.left = left
-        self.right = right
-
-    def _image(self, k):
-        return self.left.apply(self.right.image(k))
-
-    def __repr__(self):
-        return f"({self.left!r}) o ({self.right!r})"
+    if den.is_zero():
+        raise ZeroDivisionError("divided difference with zero denominator")
+    return DifferenceOperator(
+        lambda k: num * (sigma.image(k) - Polynomial.monomial(k)).exact_div(den),
+        f"DivDiff({num!r} / {den!r} * ({sigma!r} - 1))")
 
 
 def anticommutator(a: DifferenceOperator, b: DifferenceOperator) -> DifferenceOperator:
@@ -222,7 +157,7 @@ def anticommutator(a: DifferenceOperator, b: DifferenceOperator) -> DifferenceOp
     return a * b + b * a
 
 
-def multiplication_by_x() -> PolynomialMultiple:
+def multiplication_by_x() -> DifferenceOperator:
     return PolynomialMultiple(Polynomial.x())
 
 

@@ -192,7 +192,7 @@ def q_modified_coefficients(n_max: int, q: RealParameterQuad) -> RecurrenceData:
     pairing; any mismatch means a transcription bug and raises.
     """
     al, be, ga, de = q.alpha, q.beta, q.gamma, q.delta
-    data = bi_coefficients(n_max, q_to_parameters(q))
+    data = bi_coefficients(n_max, ParameterSet.from_quad(q))
     for n in range(n_max + 1):
         d1 = Fraction(n) + 2 * al + 2 * ga + 1
         d2 = Fraction(n) + 2 * al + 2 * ga + 2
@@ -211,10 +211,6 @@ def q_modified_coefficients(n_max: int, q: RealParameterQuad) -> RecurrenceData:
         if n >= 1 and ComplexRational(u_n) != data.u_mod[n]:
             raise AssertionError(f"u_{n} closed form disagrees with recurrence route")
     return data
-
-
-def q_to_parameters(q: RealParameterQuad) -> ParameterSet:
-    return ParameterSet.from_quad(q)
 
 
 def param_map_bi_to_daha(p: ParameterSet) -> DAHAParameterSet:

@@ -24,6 +24,8 @@ from .operators import StructureConstants, casimir_scalar, structure_constants
 # Guard digits for matrix products so the reported residual reflects the
 # rounding of the stored entries, not of the products.
 _PRODUCT_GUARD_DPS = 10
+# Double precision, the least working precision a representation is built at.
+MIN_PRECISION = 16
 
 
 @dataclass
@@ -61,6 +63,9 @@ def build_rep(N: int, q: RealParameterQuad, precision_digits: int = 30) -> Tridi
     """
     if N < 4:
         raise InvalidParameters("truncation size must be at least 4")
+    if precision_digits < MIN_PRECISION:
+        raise InvalidParameters(
+            f"precision must be >= {MIN_PRECISION} digits, got {precision_digits}")
     if not q.all_positive():
         raise InvalidParameters(
             "alpha, beta, gamma, delta must all be positive (u_n > 0 is not guaranteed otherwise)"
@@ -163,7 +168,7 @@ class RepReport:
 
 def rep_tolerance(precision_digits: int) -> mpf:
     """Acceptance threshold: 1e-25 at 30 digits, 1e-12 at double precision."""
-    if precision_digits <= 16:
+    if precision_digits <= MIN_PRECISION:
         return mpf(10) ** (-12)
     return mpf(10) ** (-(precision_digits - 5))
 

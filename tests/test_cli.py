@@ -1,9 +1,12 @@
 """End-to-end tests of the command-line driver: exit codes, JSON schema,
 determinism, and the exactness tagging of leaves."""
 
+import io
 import json
+from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from biwkit.cli import (
     EXIT_INVALID_PARAMETERS,
@@ -26,6 +29,14 @@ def run(argv, tmp_path, name="out.json"):
     path = tmp_path / name
     code = main(argv + ["--output", str(path)])
     return code, json.loads(path.read_text())
+
+
+def run_stdout(argv):
+    """Run main() and read its document from stdout (where usage errors go)."""
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = main(argv)
+    return code, json.loads(out.getvalue())
 
 
 class TestConstruction:
@@ -129,6 +140,44 @@ class TestErrorPaths:
         assert doc["error"]["kind"] == "InvalidParameters"
 
     @pytest.mark.parametrize("argv", [
+        ["poly", "--params", "1/0,0,0,0"],
+        ["wilson", "--daha", "1/0,0,0,0"],
+        ["verify-daha", "--n-max", "1", "--degree", "1"],
+        ["rep", "--quad", "1/2,1/2,1/2,1/2", "--size", "10", "--precision", "0"],
+    ])
+    def test_unreadable_or_missing_values_exit_3(self, argv, tmp_path):
+        code, doc = run(argv, tmp_path)
+        assert code == EXIT_INVALID_PARAMETERS
+        assert doc["error"]["kind"] == "InvalidParameters"
+
+    @pytest.mark.parametrize("argv", [
+        ["poly", "--n-max", "abc"],
+        ["poly", "--params", "0,0,0,0", "--bogus"],
+        [],
+        ["no-such-command"],
+    ])
+    def test_usage_error_exit_3(self, argv):
+        code, doc = run_stdout(argv)
+        assert code == EXIT_INVALID_PARAMETERS
+        assert doc["schema"] == SCHEMA
+        assert doc["error"]["kind"] == "InvalidParameters"
+
+    def test_help_exits_0(self):
+        with pytest.raises(SystemExit) as info, redirect_stdout(io.StringIO()):
+            main(["--help"])
+        assert info.value.code == 0
+
+    def test_all_checks_precision_before_any_stage(self, tmp_path, monkeypatch):
+        def stage(*args):
+            raise AssertionError("a stage ran before --precision was checked")
+
+        monkeypatch.setattr("biwkit.cli.verify_eigen_bi", stage)
+        code, doc = run(["all", "--precision", "5", "--n-max", "1", "--truncation", "20"],
+                        tmp_path)
+        assert code == EXIT_INVALID_PARAMETERS
+        assert doc["error"]["kind"] == "InvalidParameters"
+
+    @pytest.mark.parametrize("argv", [
         ORTHO + ["--tol", "abc"],
         ORTHO + ["--tol", "0"],
         ORTHO + ["--precision", "0"],
@@ -145,6 +194,63 @@ class TestErrorPaths:
         code, doc = run(argv, tmp_path)
         assert code == EXIT_NOT_CONVERGED
         assert doc["error"]["kind"] == "QuadratureNotConverged"
+
+
+# Random argv: a subcommand, its size flags with a value of at most 3 or a
+# malformed one, a parameter flag with a good or malformed value, and maybe
+# one more flag.  `all` and `ortho` are left out to keep every run short.
+COMMANDS = {  # command: (size flags, parameter flags)
+    "poly": (("--n-max",), ("--params", "--quad")),
+    "q-poly": (("--n-max",), ("--params", "--quad")),
+    "wilson": (("--n-max",), ("--params", "--quad", "--daha")),
+    "verify-eigen": (("--n-max",), ("--params", "--quad")),
+    "verify-algebra": (("--degree",), ("--params", "--quad")),
+    "verify-daha": (("--n-max", "--degree"), ("--daha",)),
+    "verify-iso": (("--degree",), ("--params", "--quad")),
+    "verify-prop1": (("--n-max", "--degree"), ("--params", "--quad")),
+    "rep": (("--size",), ("--quad",)),
+    "no-such-command": ((), ("--params",)),
+}
+
+
+def mostly(good, bad):
+    """Good tokens three times as likely as malformed ones."""
+    return st.sampled_from(good * 3 + bad)
+
+
+SIZES = mostly(("0", "1", "2", "3"), ("-1", "abc", "1.5", ""))
+VALUES = mostly(("0,0,0,0", "1/2,1/2,1/2,1/2", "1/3,2/5,1/2,1/7", "1/3,1/5+1/2i,-1/4,2/7i"),
+                ("0,0,-2,0", "-1,1,1,1", "1/0,0,0,0", "1,2,3", "a,b,c,d", ""))
+EXTRA_FLAGS = ("--params", "--quad", "--daha", "--precision", "--tol", "--bogus")
+EXTRA_VALUES = st.one_of(VALUES, st.sampled_from(("0", "16", "30", "1e-6", "abc")))
+
+
+@st.composite
+def argvs(draw):
+    command = draw(st.sampled_from(sorted(COMMANDS)))
+    size_flags, param_flags = COMMANDS[command]
+    argv = [command]
+    for flag in size_flags:
+        argv += [flag, draw(SIZES)]
+    argv += [draw(st.sampled_from(param_flags)), draw(VALUES)]
+    for flag in draw(st.lists(st.sampled_from(EXTRA_FLAGS), max_size=1)):
+        argv += [flag, draw(EXTRA_VALUES)]
+    # Now and then drop the last token, leaving a flag without its value.
+    return argv[:-1] if draw(st.integers(0, 7)) == 0 else argv
+
+
+class TestRandomArgv:
+    @settings(max_examples=80, deadline=None)
+    @given(argvs())
+    def test_always_a_documented_exit_and_a_json_document(self, argv):
+        code, doc = run_stdout(argv)
+        assert code in {EXIT_OK, EXIT_VERIFICATION_FAILED, EXIT_INVALID_PARAMETERS,
+                        EXIT_NOT_CONVERGED}
+        assert doc["schema"] == SCHEMA
+        if "error" in doc:
+            assert code != EXIT_OK
+        else:
+            assert code == (EXIT_OK if doc["pass"] else EXIT_VERIFICATION_FAILED)
 
 
 class TestLeafTagging:

@@ -13,13 +13,15 @@ from pathlib import Path
 
 import pytest
 
-from biwkit.cli import EXIT_OK, _parse_params, main
+from biwkit.cli import EXIT_OK, _parse_four, main
+from biwkit.exact import parse_complex_rational
 from biwkit.operators import (
     StructureConstants,
     structure_constants,
     verify_bi_algebra,
     verify_nc_algebra,
 )
+from biwkit.polyfam import ParameterSet
 
 GOLDEN = Path(__file__).parent / "data" / "golden"
 PARAMS = "1/2+1/3i,-1/4+1/2i,2/3-1/5i,1/7-2i"
@@ -39,7 +41,7 @@ CLI_CASES = {
 
 def control_documents() -> dict:
     """The two negative controls, as ``to_json()`` text."""
-    p = _parse_params(PARAMS)
+    p = _parse_four(PARAMS, "--params", parse_complex_rational, ParameterSet)
     sc = structure_constants(p)
     perturbed = StructureConstants(sc.omega1 + 1, sc.omega2, sc.omega3,
                                    sc.alpha1, sc.alpha2, sc.alpha3)

@@ -45,6 +45,9 @@ class TestBuild:
             build_rep(3, HALF_QUAD)
         with pytest.raises(InvalidParameters):
             build_rep(10, RealParameterQuad(Fraction(-1), Fraction(1), Fraction(1), Fraction(1)))
+        for digits in (0, 15):
+            with pytest.raises(InvalidParameters):
+                build_rep(10, HALF_QUAD, digits)
 
 
 class TestRelations:
