@@ -12,6 +12,7 @@ precision in digits).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import random
@@ -394,8 +395,25 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise InvalidParameters(f"{self.prog}: {message}")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    default_precision = int(os.environ.get("BIWKIT_PRECISION", DEFAULT_PRECISION))
+def _env_precision():
+    """The integer in BIWKIT_PRECISION, or None when it is unset."""
+    text = os.environ.get("BIWKIT_PRECISION")
+    if text is None:
+        return None
+    try:
+        return int(text)
+    except ValueError:
+        raise InvalidParameters(f"BIWKIT_PRECISION must be an integer, got {text!r}") from None
+
+
+@functools.lru_cache(maxsize=None)
+def build_parser(env_precision: Optional[int] = None) -> argparse.ArgumentParser:
+    """The parser for one BIWKIT_PRECISION value (None when unset).
+
+    Cached because argparse links each action back to its parser: a new
+    parser per ``main`` call is cyclic garbage until the collector runs.
+    """
+    default_precision = DEFAULT_PRECISION if env_precision is None else env_precision
     parser = _ArgumentParser(
         prog="biwkit",
         description="Exact construction and certification of Bannai-Ito type "
@@ -441,8 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("rep", help="tridiagonal representation residuals and positivity")
     common(sp, quad=True, precision=True)
-    sp.set_defaults(precision=30 if "BIWKIT_PRECISION" not in os.environ
-                    else int(os.environ["BIWKIT_PRECISION"]))
+    sp.set_defaults(precision=30 if env_precision is None else env_precision)
     sp.add_argument("--size", type=int, default=50, help="truncation size N")
 
     sp = sub.add_parser("ortho", help="Gram matrix of the modified family")
@@ -489,7 +506,7 @@ _EXIT_CODES = {
 def main(argv=None) -> int:
     digits, output, command = DEFAULT_PRECISION, None, None
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(_env_precision()).parse_args(argv)
         digits = getattr(args, "precision", DEFAULT_PRECISION)
         output, command = args.output, args.command
         _require_nonnegative_sizes(args)

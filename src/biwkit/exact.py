@@ -1,7 +1,8 @@
 """Exact arithmetic substrate: Gaussian rationals and dense polynomials.
 
-Scalars are pairs of ``fractions.Fraction`` (real and imaginary parts), so
-every operation in this module is exact; no floating point enters here.
+Scalars are Gaussian rationals (x + y*i)/d held as three ints in lowest
+terms; each operation is integer arithmetic followed by one gcd, so every
+operation in this module is exact and no floating point enters here.
 Polynomials are dense coefficient tuples in ascending powers with a single
 canonical zero representation (the empty tuple).
 """
@@ -10,6 +11,7 @@ from __future__ import annotations
 
 import re as _re
 from fractions import Fraction
+from math import gcd as _gcd, lcm as _lcm
 from typing import Iterable, Union
 
 from .errors import NonzeroRemainder
@@ -30,73 +32,96 @@ def fraction_from_str(s: str) -> Fraction:
 
 
 class ComplexRational:
-    """A Gaussian rational re + im*i with exact Fraction components."""
+    """A Gaussian rational (x + y*i)/d held as three ints.
 
-    __slots__ = ("re", "im")
+    The form is canonical: d > 0 and gcd(x, y, d) = 1, so zero is (0, 0, 1)
+    and equal values have equal fields.  ``re`` and ``im`` are the parts as
+    ``Fraction``; the arithmetic itself never builds one.
+    """
+
+    __slots__ = ("_x", "_y", "_d")
 
     def __init__(self, re=0, im=0):
-        object.__setattr__(self, "re", Fraction(re))
-        object.__setattr__(self, "im", Fraction(im))
+        """Accept for each part whatever ``Fraction()`` accepts."""
+        if type(re) is int and type(im) is int:
+            x, y, d = re, im, 1
+        else:
+            re, im = Fraction(re), Fraction(im)
+            q, s = re.denominator, im.denominator
+            # Over the lcm of two reduced denominators, gcd(x, y, d) = 1.
+            d = _lcm(q, s)
+            x, y = re.numerator * (d // q), im.numerator * (d // s)
+        _set_x(self, x)
+        _set_y(self, y)
+        _set_d(self, d)
 
     def __setattr__(self, name, value):
         raise AttributeError("ComplexRational is immutable")
 
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self._x, self._d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self._y, self._d)
+
     @staticmethod
     def coerce(v: ScalarLike) -> "ComplexRational":
-        if isinstance(v, ComplexRational):
+        if type(v) is ComplexRational:
             return v
-        if isinstance(v, (int, Fraction)):
-            return ComplexRational(v)
-        raise TypeError(f"cannot coerce {type(v).__name__} to ComplexRational")
-
-    @staticmethod
-    def _try_coerce(v):
-        if isinstance(v, ComplexRational):
-            return v
-        if isinstance(v, (int, Fraction)):
-            return ComplexRational(v)
-        return None
+        other = _from_rational(v)
+        if other is None:
+            raise TypeError(f"cannot coerce {type(v).__name__} to ComplexRational")
+        return other
 
     def __add__(self, other):
-        other = ComplexRational._try_coerce(other)
-        if other is None:
-            return NotImplemented
-        return ComplexRational(self.re + other.re, self.im + other.im)
+        if type(other) is not ComplexRational:
+            other = _from_rational(other)
+            if other is None:
+                return NotImplemented
+        d, f = self._d, other._d
+        if d == f:
+            return _reduced(self._x + other._x, self._y + other._y, d)
+        return _reduced(self._x * f + other._x * d, self._y * f + other._y * d, d * f)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = ComplexRational._try_coerce(other)
-        if other is None:
-            return NotImplemented
-        return ComplexRational(self.re - other.re, self.im - other.im)
+        if type(other) is not ComplexRational:
+            other = _from_rational(other)
+            if other is None:
+                return NotImplemented
+        d, f = self._d, other._d
+        if d == f:
+            return _reduced(self._x - other._x, self._y - other._y, d)
+        return _reduced(self._x * f - other._x * d, self._y * f - other._y * d, d * f)
 
     def __rsub__(self, other):
         return ComplexRational.coerce(other) - self
 
     def __neg__(self):
-        return ComplexRational(-self.re, -self.im)
+        return _make(-self._x, -self._y, self._d)
 
     def __mul__(self, other):
-        other = ComplexRational._try_coerce(other)
-        if other is None:
-            return NotImplemented
-        return ComplexRational(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        if type(other) is not ComplexRational:
+            other = _from_rational(other)
+            if other is None:
+                return NotImplemented
+        a, b, c, e = self._x, self._y, other._x, other._y
+        return _reduced(a * c - b * e, a * e + b * c, self._d * other._d)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
         other = ComplexRational.coerce(other)
-        n2 = other.norm_squared()
+        a, b, c, e = self._x, self._y, other._x, other._y
+        n2 = c * c + e * e
         if n2 == 0:
             raise ZeroDivisionError("division by zero ComplexRational")
-        return ComplexRational(
-            (self.re * other.re + self.im * other.im) / n2,
-            (self.im * other.re - self.re * other.im) / n2,
-        )
+        # (a+bi)/d / ((c+ei)/f) = (a+bi)(c-ei)*f / (d*(c^2+e^2))
+        f = other._d
+        return _reduced((a * c + b * e) * f, (b * c - a * e) * f, self._d * n2)
 
     def __rtruediv__(self, other):
         return ComplexRational.coerce(other) / self
@@ -115,36 +140,39 @@ class ComplexRational:
         return result
 
     def conjugate(self) -> "ComplexRational":
-        return ComplexRational(self.re, -self.im)
+        return _make(self._x, -self._y, self._d)
 
     def norm_squared(self) -> Fraction:
         """Exact squared modulus re^2 + im^2."""
-        return self.re * self.re + self.im * self.im
+        return Fraction(self._x * self._x + self._y * self._y, self._d * self._d)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self._x and not self._y
 
     def is_real(self) -> bool:
-        return self.im == 0
+        return not self._y
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction, ComplexRational)):
-            other = ComplexRational.coerce(other)
-            return self.re == other.re and self.im == other.im
+        if type(other) is ComplexRational:
+            return self._x == other._x and self._y == other._y and self._d == other._d
+        if isinstance(other, (int, Fraction)):
+            return not self._y and self._x == other.numerator and self._d == other.denominator
         return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        if not self._y:
+            return hash(Fraction(self._x, self._d))
+        return hash((self._x, self._y, self._d))
 
     def __repr__(self):
         return f"ComplexRational({self.re!r}, {self.im!r})"
 
     def __str__(self):
-        if self.im == 0:
+        if self.is_real():
             return fraction_to_str(self.re)
-        if self.re == 0:
+        if not self._x:
             return f"{fraction_to_str(self.im)}*i"
-        sign = "+" if self.im > 0 else "-"
+        sign = "+" if self._y > 0 else "-"
         return f"{fraction_to_str(self.re)}{sign}{fraction_to_str(abs(self.im))}*i"
 
     def to_json(self) -> dict:
@@ -153,6 +181,45 @@ class ComplexRational:
     @staticmethod
     def from_json(obj: dict) -> "ComplexRational":
         return ComplexRational(fraction_from_str(obj["re"]), fraction_from_str(obj["im"]))
+
+
+# The slot setters bypass __setattr__, which keeps instances immutable to callers.
+_new = object.__new__
+_set_x = ComplexRational._x.__set__
+_set_y = ComplexRational._y.__set__
+_set_d = ComplexRational._d.__set__
+
+
+def _make(x: int, y: int, d: int) -> ComplexRational:
+    """Build (x + y*i)/d from fields already in canonical form."""
+    z = _new(ComplexRational)
+    _set_x(z, x)
+    _set_y(z, y)
+    _set_d(z, d)
+    return z
+
+
+def _reduced(x: int, y: int, d: int) -> ComplexRational:
+    """Build (x + y*i)/d for d > 0, dividing out gcd(x, y, d)."""
+    g = _gcd(x, y, d)
+    if g != 1:
+        x, y, d = x // g, y // g, d // g
+    # _make inlined: every arithmetic result passes here, and the extra
+    # call costs a few percent of a multiplication.
+    z = _new(ComplexRational)
+    _set_x(z, x)
+    _set_y(z, y)
+    _set_d(z, d)
+    return z
+
+
+def _from_rational(v):
+    """An int or Fraction as a ComplexRational; None for any other type."""
+    if isinstance(v, int):
+        return _make(int(v), 0, 1)
+    if isinstance(v, Fraction):
+        return _make(v.numerator, 0, v.denominator)
+    return None
 
 
 _COMPLEX_RE = _re.compile(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Optional
 
-from .errors import DegenerateParameters
+from .errors import BiwkitError, DegenerateParameters
 from .exact import I, ONE, ComplexRational, Polynomial, fraction_to_str
 
 
@@ -207,9 +207,9 @@ def q_modified_coefficients(n_max: int, q: RealParameterQuad) -> RecurrenceData:
             mod2 = (Fraction(n) + 2 * (al + ga) + 1) ** 2 + (2 * (be - de)) ** 2
             u_n = (Fraction(n) + 4 * al + 1) * (n + 4 * ga + 1) * mod2 / (4 * d1 * d1)
         if ComplexRational(c_n) != data.c_mod[n]:
-            raise AssertionError(f"c_{n} closed form disagrees with recurrence route")
+            raise BiwkitError(f"c_{n} closed form disagrees with recurrence route")
         if n >= 1 and ComplexRational(u_n) != data.u_mod[n]:
-            raise AssertionError(f"u_{n} closed form disagrees with recurrence route")
+            raise BiwkitError(f"u_{n} closed form disagrees with recurrence route")
     return data
 
 

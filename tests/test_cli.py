@@ -8,6 +8,7 @@ from contextlib import redirect_stdout
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from biwkit import polyfam
 from biwkit.cli import (
     EXIT_INVALID_PARAMETERS,
     EXIT_NOT_CONVERGED,
@@ -161,6 +162,27 @@ class TestErrorPaths:
         assert code == EXIT_INVALID_PARAMETERS
         assert doc["schema"] == SCHEMA
         assert doc["error"]["kind"] == "InvalidParameters"
+
+    def test_malformed_precision_environment_exit_3(self, monkeypatch):
+        monkeypatch.setenv("BIWKIT_PRECISION", "abc")
+        code, doc = run_stdout(["poly", "--params", "0,0,0,0"])
+        assert code == EXIT_INVALID_PARAMETERS
+        assert doc["command"] is None
+        assert doc["error"]["kind"] == "InvalidParameters"
+
+    def test_closed_form_mismatch_exit_2(self, tmp_path, monkeypatch):
+        recurrence = polyfam.bi_coefficients
+
+        def perturbed(n_max, p):
+            data = recurrence(n_max, p)
+            data.u_mod[3] = data.u_mod[3] + 1
+            return data
+
+        monkeypatch.setattr(polyfam, "bi_coefficients", perturbed)
+        code, doc = run(["rep", "--quad", "1/2,1/2,1/2,1/2", "--size", "10"], tmp_path)
+        assert code == EXIT_VERIFICATION_FAILED
+        assert doc["error"]["kind"] == "BiwkitError"
+        assert "u_3" in doc["error"]["detail"]
 
     def test_help_exits_0(self):
         with pytest.raises(SystemExit) as info, redirect_stdout(io.StringIO()):

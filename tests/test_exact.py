@@ -1,6 +1,7 @@
 """Unit and property tests for the exact arithmetic substrate."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -23,6 +24,9 @@ small_fractions = st.builds(
 )
 scalars = st.builds(ComplexRational, small_fractions, small_fractions)
 nonzero_scalars = scalars.filter(lambda c: not c.is_zero())
+parts = st.fractions(max_denominator=60, min_value=-40, max_value=40)
+pairs = st.tuples(parts, parts)
+rationals = st.one_of(st.integers(-20, 20), st.fractions(max_denominator=60))
 polys = st.lists(scalars, min_size=0, max_size=6).map(Polynomial)
 nonzero_polys = polys.filter(lambda p: not p.is_zero())
 
@@ -72,6 +76,106 @@ class TestComplexRational:
     @given(scalars)
     def test_str_parse_roundtrip(self, a):
         assert parse_complex_rational(str(a)) == a
+
+
+# -- inline reference: a Gaussian rational as a (Fraction, Fraction) pair ----
+
+def ref_mul(a, b):
+    return (a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0])
+
+
+def ref_div(a, b):
+    n2 = b[0] * b[0] + b[1] * b[1]
+    return ((a[0] * b[0] + a[1] * b[1]) / n2, (a[1] * b[0] - a[0] * b[1]) / n2)
+
+
+def ref_pow(a, k):
+    out = (Fraction(1), Fraction(0))
+    for _ in range(abs(k)):
+        out = ref_mul(out, a)
+    return ref_div((Fraction(1), Fraction(0)), out) if k < 0 else out
+
+
+def assert_is(z, ref):
+    """z holds the value ref in the canonical (x, y, d) form."""
+    assert (z.re, z.im) == ref
+    assert type(z.re) is Fraction and type(z.im) is Fraction
+    x, y, d = z._x, z._y, z._d
+    assert d > 0 and gcd(x, y, d) == 1
+    assert ref != (0, 0) or (x, y, d) == (0, 0, 1)
+
+
+class TestArithmeticOracle:
+    @given(pairs, pairs)
+    def test_field_operations(self, a, b):
+        za, zb = ComplexRational(*a), ComplexRational(*b)
+        assert_is(za, a)
+        assert_is(za + zb, (a[0] + b[0], a[1] + b[1]))
+        assert_is(za - zb, (a[0] - b[0], a[1] - b[1]))
+        assert_is(za * zb, ref_mul(a, b))
+        if b != (0, 0):
+            assert_is(za / zb, ref_div(a, b))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                za / zb
+        assert_is(-za, (-a[0], -a[1]))
+        assert_is(za.conjugate(), (a[0], -a[1]))
+        n2 = za.norm_squared()
+        assert type(n2) is Fraction and n2 == a[0] ** 2 + a[1] ** 2
+        assert (za == zb) == (a == b)
+        if za == zb:
+            assert hash(za) == hash(zb)
+
+    @given(pairs, rationals)
+    def test_mixed_operands(self, a, r):
+        za, rr = ComplexRational(*a), (Fraction(r), Fraction(0))
+        assert_is(za + r, (a[0] + r, a[1]))
+        assert_is(r + za, (a[0] + r, a[1]))
+        assert_is(za - r, (a[0] - r, a[1]))
+        assert_is(r - za, (r - a[0], -a[1]))
+        assert_is(za * r, ref_mul(a, rr))
+        assert_is(r * za, ref_mul(a, rr))
+        if r != 0:
+            assert_is(za / r, ref_div(a, rr))
+        else:
+            with pytest.raises(ZeroDivisionError):
+                za / r
+        if a != (0, 0):
+            assert_is(r / za, ref_div(rr, a))
+        assert_is(ComplexRational.coerce(r), rr)
+        assert (za == r) == (a == rr)
+        assert (ComplexRational(r) == r) and hash(ComplexRational(r)) == hash(r)
+
+    @given(pairs, st.integers(-5, 5))
+    def test_powers(self, a, k):
+        za = ComplexRational(*a)
+        if k < 0 and a == (0, 0):
+            with pytest.raises(ZeroDivisionError):
+                za ** k
+        else:
+            assert_is(za ** k, ref_pow(a, k))
+
+    @given(pairs)
+    def test_immutable(self, a):
+        za = ComplexRational(*a)
+        for name in ("re", "im", "_x", "_y", "_d"):
+            with pytest.raises(AttributeError):
+                setattr(za, name, 1)
+        assert_is(za, a)
+
+    def test_zero_is_canonical(self):
+        for z in (ComplexRational(), ComplexRational(Fraction(0, 7), "0"),
+                  ComplexRational(3, -2) - ComplexRational(3, -2),
+                  ComplexRational(Fraction(1, 3)) * 0):
+            assert (z._x, z._y, z._d) == (0, 0, 1)
+
+    def test_equal_values_hash_equal(self):
+        for value in (3, -1, 0, Fraction(1, 2), Fraction(-7, 3)):
+            z = ComplexRational(value)
+            assert z == value and hash(z) == hash(value)
+            assert {value: "v"}.get(z) == "v"
+            assert {z: "v"}.get(value) == "v"
+        assert hash(ComplexRational(Fraction(2, 4), 1)) == hash(ComplexRational("1/2", 1))
 
 
 class TestParsing:
