@@ -315,6 +315,8 @@ def _cmd_all(args) -> tuple:
     quad = _parse_quad(args.quad) if args.quad else RealParameterQuad(
         Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)
     )
+    # Built before any stage: build_rep rejects a non-positive quad.
+    rep = build_rep(20, quad, 30)
     p = ParameterSet.from_quad(quad)
     t = param_map_bi_to_daha(p)
     rng = random.Random(args.seed)
@@ -366,7 +368,6 @@ def _cmd_all(args) -> tuple:
     add("q_symmetries", q_symmetry_check(8, p).to_json())
     add("positivity", positivity_scan(quad, 100).to_json())
 
-    rep = build_rep(20, quad, 30)
     add("representation", verify_rep_relations(rep).to_json())
 
     ortho = orthogonality_gram(

@@ -1,68 +1,67 @@
 """Finite truncations of the infinite-dimensional tridiagonal representation.
 
-The generator A1 acts diagonally with entries (-1)^n (n + 2*alpha + 2*gamma
-+ 3/2); A2 is the symmetric tridiagonal matrix with diagonal c_n and
-off-diagonal sqrt(u_n).  Truncation contaminates the last rows and columns
-(A2^2 and {A2, A3} reach index N), so the algebra relations are certified
-on the interior index block 0..N-4 only, where the residual is pure
-rounding noise at the working precision.
+The generator A1 acts diagonally with entries lambda_n = (-1)^n (n +
+2*alpha + 2*gamma + 3/2); A2 is the symmetric tridiagonal matrix with
+diagonal c_n and off-diagonal sqrt(u_n).  Conjugating by D = diag(sqrt(u_1
+... u_n)) turns A2 into the monic Jacobi matrix A2 e_n = e_{n+1} + c_n e_n +
+u_n e_{n-1} of the modified recurrence and keeps A1; the algebra relations
+are polynomials in A1, A2 and so are unchanged by the similarity, which
+needs u_n > 0 and c_n real.  The relations are therefore decided on the
+monic form in exact rational arithmetic.  Truncation contaminates the last
+rows and columns (A2^2 and {A2, A3} reach index N), so the relations are
+certified on the interior index block 0..N-4, where every residual must be
+exactly zero.  The square roots sqrt(u_n) appear only in the mpf
+rendering of the symmetric matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from mpmath import mp, mpf
 
 from .errors import InvalidParameters
-from .exact import ComplexRational
 from .polyfam import ParameterSet, RealParameterQuad, q_modified_coefficients
 from .operators import StructureConstants, casimir_scalar, structure_constants
 
-# Guard digits for matrix products so the reported residual reflects the
-# rounding of the stored entries, not of the products.
-_PRODUCT_GUARD_DPS = 10
 # Double precision, the least working precision a representation is built at.
 MIN_PRECISION = 16
+# The least truncation size: the interior block 0..N-4 then has three rows.
+MIN_SIZE = 6
 
 
 @dataclass
 class TridiagonalRep:
+    """Exact band data of A1 and the monic A2, and their mpf rendering.
+
+    ``lam[n]``, ``c[n]`` and ``u[n]`` are lambda_n, c_n and u_n for n =
+    0..size-1 (``u[0] = 0``); ``diag_a1``, ``diag_a2`` and ``offdiag_a2``
+    render the self-adjoint matrices at ``precision_digits``.
+    """
+
     size: int
     precision_digits: int
     params: RealParameterQuad
+    lam: List[Fraction]
+    c: List[Fraction]
+    u: List[Fraction]
     diag_a1: List[mpf]
     diag_a2: List[mpf]
     offdiag_a2: List[mpf]  # offdiag_a2[k] = sqrt(u_{k+1}), k = 0..size-2
 
-    def a1_matrix(self) -> list:
-        n = self.size
-        m = [[mpf(0)] * n for _ in range(n)]
-        for k in range(n):
-            m[k][k] = self.diag_a1[k]
-        return m
-
-    def a2_matrix(self) -> list:
-        n = self.size
-        m = [[mpf(0)] * n for _ in range(n)]
-        for k in range(n):
-            m[k][k] = self.diag_a2[k]
-        for k in range(n - 1):
-            m[k][k + 1] = self.offdiag_a2[k]
-            m[k + 1][k] = self.offdiag_a2[k]
-        return m
-
 
 def build_rep(N: int, q: RealParameterQuad, precision_digits: int = 30) -> TridiagonalRep:
-    """Truncated representation matrices at the requested precision.
+    """Truncated representation at the requested precision.
 
-    The recurrence data c_n, u_n are computed exactly and only then
-    rounded; square roots are taken at the working precision.
+    The recurrence data lambda_n, c_n, u_n are computed exactly and only
+    then rounded; square roots are taken at the working precision.  Raises
+    InvalidParameters naming n if some u_n <= 0 or c_n is not real, since
+    then A2 is not similar to the monic Jacobi matrix.
     """
-    if N < 4:
-        raise InvalidParameters("truncation size must be at least 4")
+    if N < MIN_SIZE:
+        raise InvalidParameters(f"truncation size must be at least {MIN_SIZE}, got {N}")
     if precision_digits < MIN_PRECISION:
         raise InvalidParameters(
             f"precision must be >= {MIN_PRECISION} digits, got {precision_digits}")
@@ -70,19 +69,27 @@ def build_rep(N: int, q: RealParameterQuad, precision_digits: int = 30) -> Tridi
         raise InvalidParameters(
             "alpha, beta, gamma, delta must all be positive (u_n > 0 is not guaranteed otherwise)"
         )
-    data = q_modified_coefficients(N, q)
+    data = q_modified_coefficients(N - 1, q)
+    for n in range(N):
+        if not data.c_mod[n].is_real():
+            raise InvalidParameters(f"c_{n} is not real")
+        if n >= 1 and not (data.u_mod[n].is_real() and data.u_mod[n].re > 0):
+            raise InvalidParameters(f"u_{n} is not positive")
+    two_ag = 2 * (q.alpha + q.gamma)
+    lam = [(-1) ** n * (n + two_ag + Fraction(3, 2)) for n in range(N)]
+    c = [data.c_mod[n].re for n in range(N)]
+    u = [data.u_mod[n].re for n in range(N)]
     with mp.workdps(precision_digits):
-        two_ag = 2 * (q.alpha + q.gamma)
-        diag_a1 = [
-            mpf(-1) ** n * _frac_to_mpf(Fraction(n) + two_ag + Fraction(3, 2))
-            for n in range(N)
-        ]
-        diag_a2 = [_frac_to_mpf(data.c_mod[n].re) for n in range(N)]
-        offdiag = [mp.sqrt(_frac_to_mpf(data.u_mod[n].re)) for n in range(1, N)]
+        diag_a1 = [_frac_to_mpf(x) for x in lam]
+        diag_a2 = [_frac_to_mpf(x) for x in c]
+        offdiag = [mp.sqrt(_frac_to_mpf(x)) for x in u[1:]]
     return TridiagonalRep(
         size=N,
         precision_digits=precision_digits,
         params=q,
+        lam=lam,
+        c=c,
+        u=u,
         diag_a1=diag_a1,
         diag_a2=diag_a2,
         offdiag_a2=offdiag,
@@ -93,50 +100,16 @@ def _frac_to_mpf(x: Fraction) -> mpf:
     return mpf(x.numerator) / mpf(x.denominator)
 
 
-def _matmul(a, b):
-    """Dense product with zero-skipping; matrices here are banded."""
-    n = len(a)
-    out = [[mpf(0)] * n for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        oi = out[i]
-        for k in range(n):
-            v = ai[k]
-            if v == 0:
-                continue
-            bk = b[k]
-            for j in range(n):
-                if bk[j] != 0:
-                    oi[j] += v * bk[j]
+Vector = Dict[int, Fraction]
+
+
+def _lincomb(*terms) -> Vector:
+    """The sparse vector sum of s*v over the (s, v) pairs in ``terms``."""
+    out: Vector = {}
+    for s, v in terms:
+        for n, x in v.items():
+            out[n] = out.get(n, 0) + s * x
     return out
-
-
-def _mat_lincomb(*pairs):
-    n = len(pairs[0][1])
-    out = [[mpf(0)] * n for _ in range(n)]
-    for coeff, m in pairs:
-        for i in range(n):
-            for j in range(n):
-                if m[i][j] != 0:
-                    out[i][j] += coeff * m[i][j]
-    return out
-
-
-def _add_scalar_diag(m, s):
-    for i in range(len(m)):
-        m[i][i] += s
-    return m
-
-
-def _interior_max_abs(m, top: int) -> mpf:
-    """Max |entry| over rows and columns 0..top inclusive."""
-    best = mpf(0)
-    for i in range(top + 1):
-        for j in range(top + 1):
-            v = abs(m[i][j])
-            if v > best:
-                best = v
-    return best
 
 
 @dataclass
@@ -167,7 +140,11 @@ class RepReport:
 
 
 def rep_tolerance(precision_digits: int) -> mpf:
-    """Acceptance threshold: 1e-25 at 30 digits, 1e-12 at double precision."""
+    """The printed ``tolerance``: 1e-25 at 30 digits, 1e-12 at double precision.
+
+    It is kept in the ``biwkit/1`` document only; ``passed`` asks for exact
+    zeros and does not read it.
+    """
     if precision_digits <= MIN_PRECISION:
         return mpf(10) ** (-12)
     return mpf(10) ** (-(precision_digits - 5))
@@ -175,14 +152,15 @@ def rep_tolerance(precision_digits: int) -> mpf:
 
 def verify_rep_relations(rep: TridiagonalRep,
                          constants: Optional[StructureConstants] = None) -> RepReport:
-    """Residuals of the two non-compact relations and the Casimir identity.
+    """Exact residuals of the two non-compact relations and the Casimir identity.
 
-    A3 := {A1, A2} - alpha3*I; residuals are measured on the interior
-    block 0..N-4.  ``constants`` overrides the structure constants (the
-    supported negative control).
+    With A3 := {A1, A2} - alpha3*I, the columns j = 0..N-4 of {A2,A3} + A1
+    - alpha1, {A3,A1} - A2 - alpha2 and A1^2 - A2^2 - A3^2 - casimir are
+    built on sparse vectors from the monic A2 and compared with zero on the
+    interior rows 0..N-4; ``passed`` means every entry is exactly zero.
+    ``constants`` overrides the structure constants (the supported negative
+    control).
     """
-    if rep.size < 6:
-        raise InvalidParameters("need N >= 6 for a nonempty interior block")
     p = ParameterSet.from_quad(rep.params)
     sc = constants if constants is not None else structure_constants(p)
     cas = casimir_scalar(p)
@@ -190,48 +168,46 @@ def verify_rep_relations(rep: TridiagonalRep,
                       (sc.alpha3, "alpha3"), (cas, "casimir")):
         if not val.is_real():
             raise InvalidParameters(f"{name} is not real for these parameters")
+    alpha1, alpha2, alpha3, cas_val = sc.alpha1.re, sc.alpha2.re, sc.alpha3.re, cas.re
+    size, lam, c, u = rep.size, rep.lam, rep.c, rep.u
 
-    with mp.workdps(rep.precision_digits + _PRODUCT_GUARD_DPS):
-        a1 = rep.a1_matrix()
-        a2 = rep.a2_matrix()
-        alpha1 = _frac_to_mpf(sc.alpha1.re)
-        alpha2 = _frac_to_mpf(sc.alpha2.re)
-        alpha3 = _frac_to_mpf(sc.alpha3.re)
-        cas_val = _frac_to_mpf(cas.re)
+    def a1(v: Vector) -> Vector:
+        return {n: lam[n] * x for n, x in v.items()}
 
-        a1a2 = _matmul(a1, a2)
-        a2a1 = _matmul(a2, a1)
-        a3 = _add_scalar_diag(_mat_lincomb((mpf(1), a1a2), (mpf(1), a2a1)), -alpha3)
+    def a2(v: Vector) -> Vector:
+        out: Vector = {}
+        for n, x in v.items():
+            for m, s in ((n - 1, u[n]), (n, c[n]), (n + 1, 1)):
+                if 0 <= m < size:
+                    out[m] = out.get(m, 0) + s * x
+        return out
 
-        rel2 = _add_scalar_diag(
-            _mat_lincomb((mpf(1), _matmul(a2, a3)), (mpf(1), _matmul(a3, a2)), (mpf(1), a1)),
-            -alpha1,
+    def a3(v: Vector) -> Vector:
+        return _lincomb((1, a1(a2(v))), (1, a2(a1(v))), (-alpha3, v))
+
+    top = size - 4
+    worst = [Fraction(0)] * 3
+    for j in range(top + 1):
+        e = {j: Fraction(1)}
+        a1e, a2e, a3e = a1(e), a2(e), a3(e)
+        columns = (
+            _lincomb((1, a2(a3e)), (1, a3(a2e)), (1, a1e), (-alpha1, e)),
+            _lincomb((1, a3(a1e)), (1, a1(a3e)), (-1, a2e), (-alpha2, e)),
+            _lincomb((1, a1(a1e)), (-1, a2(a2e)), (-1, a3(a3e)), (-cas_val, e)),
         )
-        rel3 = _add_scalar_diag(
-            _mat_lincomb((mpf(1), _matmul(a3, a1)), (mpf(1), _matmul(a1, a3)), (mpf(-1), a2)),
-            -alpha2,
-        )
-        casm = _add_scalar_diag(
-            _mat_lincomb((mpf(1), _matmul(a1, a1)), (mpf(-1), _matmul(a2, a2)),
-                         (mpf(-1), _matmul(a3, a3))),
-            -cas_val,
-        )
+        for k, col in enumerate(columns):
+            worst[k] = max([worst[k]] + [abs(x) for n, x in col.items() if n <= top])
 
-        top = rep.size - 4
-        r2 = _interior_max_abs(rel2, top)
-        r3 = _interior_max_abs(rel3, top)
-        rc = _interior_max_abs(casm, top)
-
-    tol = rep_tolerance(rep.precision_digits)
+    r2, r3, rc = (_frac_to_mpf(x) for x in worst)
     return RepReport(
-        size=rep.size,
+        size=size,
         precision_digits=rep.precision_digits,
         interior_block=top,
         residual_rel2=r2,
         residual_rel3=r3,
         residual_casimir=rc,
-        tolerance=tol,
-        passed=bool(max(r2, r3, rc) <= tol),
+        tolerance=rep_tolerance(rep.precision_digits),
+        passed=not any(worst),
     )
 
 

@@ -134,6 +134,7 @@ class TestErrorPaths:
         ["verify-daha", "--daha", "1,1,1,1", "--degree", "-1", "--n-max", "-1"],
         ["poly", "--params", "0,0,0,0", "--n-max", "-3"],
         ["rep", "--quad", "1/2,1/2,1/2,1/2", "--size", "-1"],
+        ["rep", "--quad", "1/2,1/2,1/2,1/2", "--size", "5"],
     ])
     def test_negative_size_exit_3(self, argv, tmp_path):
         code, doc = run(argv, tmp_path)
@@ -196,6 +197,16 @@ class TestErrorPaths:
         monkeypatch.setattr("biwkit.cli.verify_eigen_bi", stage)
         code, doc = run(["all", "--precision", "5", "--n-max", "1", "--truncation", "20"],
                         tmp_path)
+        assert code == EXIT_INVALID_PARAMETERS
+        assert doc["error"]["kind"] == "InvalidParameters"
+
+    def test_all_checks_quad_before_any_stage(self, tmp_path, monkeypatch):
+        def stage(*args):
+            raise AssertionError("a stage ran before --quad was checked")
+
+        monkeypatch.setattr("biwkit.cli.verify_eigen_bi", stage)
+        code, doc = run(["all", "--quad", "1/2,1/2,1/2,-1/2", "--n-max", "1",
+                         "--truncation", "20"], tmp_path)
         assert code == EXIT_INVALID_PARAMETERS
         assert doc["error"]["kind"] == "InvalidParameters"
 

@@ -5,7 +5,9 @@ that divided once at the root of each operator tree; any engine must
 reproduce them byte for byte: the verdicts, the ``biwkit/1`` JSON and the
 ``first_failure`` residuals of the two negative controls.  ``ortho.json``
 was written by the nested trapezoid Gram; its approximate digits pin the
-quadrature rule, so a change to ``measure`` shows here.
+quadrature rule, so a change to ``measure`` shows here.  ``rep.json`` was
+written by the exact banded representation check; its residuals are exact
+zeros, so it does not depend on the mpmath backend.
 """
 
 import json
@@ -36,6 +38,7 @@ CLI_CASES = {
     "verify-prop1": ["verify-prop1", "--params", PARAMS, "--n-max", "4", "--degree", "3"],
     "ortho": ["ortho", "--quad", "1/2,1/2,1/2,1/2", "--n-max", "1", "--precision", "30",
               "--truncation", "20", "--tol", "1e-6"],
+    "rep": ["rep", "--quad", "1/2,1/2,1/2,1/2", "--size", "20"],
 }
 
 

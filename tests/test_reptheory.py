@@ -1,12 +1,20 @@
 """Tests for the truncated tridiagonal representation."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
-from mpmath import mpf
+from mpmath import mp, mpf
 
+from biwkit import reptheory
 from biwkit.errors import InvalidParameters
-from biwkit.polyfam import ParameterSet, RealParameterQuad
+from biwkit.exact import ComplexRational
+from biwkit.polyfam import (
+    ParameterSet,
+    RealParameterQuad,
+    bi_eigenvalue,
+    q_modified_coefficients,
+)
 from biwkit.operators import StructureConstants, structure_constants
 from biwkit.reptheory import (
     build_rep,
@@ -23,15 +31,17 @@ OTHER_QUAD = RealParameterQuad(
 )
 
 
+def _to_mpf(x: Fraction) -> mpf:
+    return mpf(x.numerator) / mpf(x.denominator)
+
+
 class TestBuild:
     def test_matrix_shapes(self):
         rep = build_rep(8, HALF_QUAD)
-        a1, a2 = rep.a1_matrix(), rep.a2_matrix()
-        assert len(a1) == len(a2) == 8
-        # A1 diagonal, A2 symmetric tridiagonal.
-        assert all(a1[i][j] == 0 for i in range(8) for j in range(8) if i != j)
-        assert all(a2[i][j] == a2[j][i] for i in range(8) for j in range(8))
-        assert all(a2[i][j] == 0 for i in range(8) for j in range(8) if abs(i - j) > 1)
+        assert len(rep.diag_a1) == len(rep.diag_a2) == 8
+        assert len(rep.offdiag_a2) == 7
+        assert len(rep.lam) == len(rep.c) == len(rep.u) == 8
+        assert rep.u[0] == 0
 
     def test_first_entries_half_quad(self):
         rep = build_rep(6, HALF_QUAD)
@@ -40,14 +50,45 @@ class TestBuild:
         assert rep.diag_a2[0] == mpf(1)
         assert rep.offdiag_a2[0] == mpf(2)
 
+    @pytest.mark.parametrize("quad", [HALF_QUAD, OTHER_QUAD])
+    def test_rendering_matches_exact_data(self, quad):
+        N = 20
+        rep = build_rep(N, quad, 30)
+        data = q_modified_coefficients(N, quad)
+        p = ParameterSet.from_quad(quad)
+        lam = [bi_eigenvalue(n, p).re for n in range(N)]
+        assert rep.lam == lam
+        assert rep.c == [data.c_mod[n].re for n in range(N)]
+        assert rep.u == [data.u_mod[n].re for n in range(N)]
+        tol = mpf(10) ** -28
+        with mp.workdps(30):
+            for n in range(N):
+                assert abs(rep.diag_a1[n] - _to_mpf(lam[n])) <= tol
+                assert abs(rep.diag_a2[n] - _to_mpf(data.c_mod[n].re)) <= tol
+            for k in range(N - 1):
+                assert abs(rep.offdiag_a2[k] ** 2 - _to_mpf(data.u_mod[k + 1].re)) <= tol
+
     def test_rejects_small_and_nonpositive(self):
-        with pytest.raises(InvalidParameters):
-            build_rep(3, HALF_QUAD)
+        for size in (3, 5):
+            with pytest.raises(InvalidParameters):
+                build_rep(size, HALF_QUAD)
         with pytest.raises(InvalidParameters):
             build_rep(10, RealParameterQuad(Fraction(-1), Fraction(1), Fraction(1), Fraction(1)))
         for digits in (0, 15):
             with pytest.raises(InvalidParameters):
                 build_rep(10, HALF_QUAD, digits)
+
+    def test_rejects_nonpositive_u_naming_n(self, monkeypatch):
+        exact = reptheory.q_modified_coefficients
+
+        def negated_u3(n_max, q):
+            data = exact(n_max, q)
+            data.u_mod[3] = -data.u_mod[3]
+            return data
+
+        monkeypatch.setattr(reptheory, "q_modified_coefficients", negated_u3)
+        with pytest.raises(InvalidParameters, match="u_3"):
+            build_rep(10, HALF_QUAD)
 
 
 class TestRelations:
@@ -56,6 +97,12 @@ class TestRelations:
             rep = build_rep(20, quad, 30)
             report = verify_rep_relations(rep)
             assert report.passed, report.to_json()
+
+    @pytest.mark.parametrize("quad", [HALF_QUAD, OTHER_QUAD])
+    def test_residuals_exactly_zero(self, quad):
+        report = verify_rep_relations(build_rep(50, quad, 30))
+        assert report.passed
+        assert report.residual_rel2 == report.residual_rel3 == report.residual_casimir == 0
 
     def test_double_precision_tolerance(self):
         rep = build_rep(16, HALF_QUAD, 16)
@@ -69,7 +116,19 @@ class TestRelations:
             sc.omega1, sc.omega2, sc.omega3, -sc.alpha1, sc.alpha2, sc.alpha3
         )
         rep = build_rep(12, HALF_QUAD, 30)
-        assert not verify_rep_relations(rep, constants=bad).passed
+        report = verify_rep_relations(rep, constants=bad)
+        assert not report.passed
+        # The similarity keeps the diagonal: the residual is |2 alpha1| = 5.
+        assert report.residual_rel2 == 5
+
+    def test_negative_control_alpha1_shifted_below_print_digits(self):
+        sc = structure_constants(ParameterSet.from_quad(HALF_QUAD))
+        shift = Fraction(1, 10 ** 30)
+        bad = dataclasses.replace(sc, alpha1=sc.alpha1 + ComplexRational(shift))
+        report = verify_rep_relations(build_rep(50, HALF_QUAD, 30), constants=bad)
+        assert not report.passed
+        assert report.residual_rel2 == _to_mpf(shift)
+        assert report.residual_rel3 == report.residual_casimir == 0
 
     def test_tolerance_schedule(self):
         assert rep_tolerance(30) == mpf(10) ** -25
