@@ -312,6 +312,8 @@ def _cmd_all(args) -> tuple:
     if args.precision < MIN_PRECISION:
         raise InvalidParameters(
             f"--precision must be >= {MIN_PRECISION} digits, got {args.precision}")
+    if args.truncation is not None and args.truncation < 1:
+        raise InvalidParameters(f"--truncation must be >= 1, got {args.truncation}")
     quad = _parse_quad(args.quad) if args.quad else RealParameterQuad(
         Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)
     )

@@ -15,10 +15,11 @@ grown until the integrand bound W(X) X^(2 n_max) is negligible, so the
 truncation does not limit the accuracy.
 
 The weight takes the four numerator factors from mpmath.loggamma and the
-denominator from the identity |Gamma(1/2 + iz)|^2 = pi / cosh(pi z); the
-in-house log_gamma (upward recursion into the Stirling series) feeds the
-closed form of h0 only, so the diagonal certificate compares two
-independent Gamma implementations.
+denominator from the identity |Gamma(1/2 + iz)|^2 = pi / cosh(pi z).  The
+closed form of h0 is a ratio of seven Gamma values at sums of the
+parameters, taken through log_gamma (mpmath.loggamma as well), so the
+diagonal certificate compares a quadrature of W with h0 * prod(u_k) at
+different Gamma arguments.
 
 Precision is handled with mpmath work contexts: all entry points take a
 ``precision`` in significant decimal digits and run with guard digits
@@ -37,10 +38,9 @@ from __future__ import annotations
 import math as _math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import List, Optional
 
-from mpmath import bernoulli, loggamma, mp, mpc, mpf, pi
+from mpmath import loggamma, mp, mpc, mpf, pi
 
 from .errors import InvalidParameters, PoleError, QuadratureNotConverged
 from .exact import ComplexRational
@@ -57,11 +57,6 @@ _GUARD_DPS = 10
 _TAIL_STEP = 5
 _MAX_TAIL_STEPS = 12
 
-# Shift threshold for the Stirling series, in units of the current working
-# precision.
-_SHIFT_SLOPE = 0.4
-_SHIFT_OFFSET = 8
-
 
 def _is_nonpositive_integer(z) -> bool:
     if mp.im(z) != 0:
@@ -70,56 +65,18 @@ def _is_nonpositive_integer(z) -> bool:
     return x <= 0 and x == mp.floor(x)
 
 
-@lru_cache(maxsize=8)
-def _stirling_coefficients(dps: int, count: int = 120):
-    """B_{2k} / (2k (2k-1)) rounded at dps, for the asymptotic series."""
-    with mp.workdps(dps):
-        return tuple(+(bernoulli(2 * k) / (2 * k * (2 * k - 1))) for k in range(1, count + 1))
-
-
-def _stirling_log_gamma(z):
-    """Stirling series; caller guarantees |z| is above the shift threshold."""
-    eps = mpf(10) ** (-(mp.dps + 2))
-    result = (z - mpf(1) / 2) * mp.log(z) - z + mp.log(2 * pi) / 2
-    coeffs = _stirling_coefficients(mp.dps)
-    zinv2 = 1 / (z * z)
-    zpow = 1 / z
-    for c in coeffs:
-        term = c * zpow
-        result += term
-        if abs(term) < eps:
-            break
-        zpow *= zinv2
-    else:
-        raise ArithmeticError("Stirling series did not reach the requested precision")
-    return result
-
-
 def log_gamma(z, precision: Optional[int] = None):
     """Principal-branch log-Gamma at the requested decimal precision.
 
-    Implemented as upward argument recursion into the Stirling regime;
-    the reflection formula handles the remaining real z < 1/2.  Raises
-    PoleError at nonpositive integers.
+    mpmath.loggamma evaluated with five guard digits; raises PoleError at
+    nonpositive integers.
     """
     prec = precision if precision is not None else mp.dps
     with mp.workdps(prec + 5):
         z = mpc(z)
         if _is_nonpositive_integer(z):
             raise PoleError(f"log_gamma pole at z = {z}")
-        if mp.im(z) < 0:
-            return mp.conj(log_gamma(mp.conj(z), mp.dps))
-        if mp.im(z) == 0 and mp.re(z) < 0:
-            # Reflection in real arithmetic; complex log supplies the
-            # i*pi contributions when Gamma(z) < 0.
-            val = mp.log(pi) - mp.log(mp.sin(pi * mp.re(z)) + mpc(0)) - log_gamma(1 - z, mp.dps)
-            return +val
-        threshold = _SHIFT_SLOPE * mp.dps + _SHIFT_OFFSET
-        acc = mpc(0)
-        while abs(z) < threshold:
-            acc += mp.log(z)
-            z += 1
-        return +( _stirling_log_gamma(z) - acc )
+        return loggamma(z)
 
 
 def _to_mpf(q) -> mpf:
@@ -275,6 +232,8 @@ def orthogonality_gram(
         raise InvalidParameters(f"n_max must be >= 0, got {n_max}")
     if precision < MIN_PRECISION:
         raise InvalidParameters(f"precision must be >= {MIN_PRECISION} digits, got {precision}")
+    if truncation is not None and truncation < 1:
+        raise InvalidParameters(f"truncation must be >= 1, got {truncation}")
     if not isinstance(tol, mpf):
         tol = _to_mpf(Fraction(tol))
     if tol <= 0:

@@ -10,8 +10,8 @@ needs u_n > 0 and c_n real.  The relations are therefore decided on the
 monic form in exact rational arithmetic.  Truncation contaminates the last
 rows and columns (A2^2 and {A2, A3} reach index N), so the relations are
 certified on the interior index block 0..N-4, where every residual must be
-exactly zero.  The square roots sqrt(u_n) appear only in the mpf
-rendering of the symmetric matrices.
+exactly zero.  The representation is held as this exact band only: no
+square root sqrt(u_n) is ever taken.
 """
 
 from __future__ import annotations
@@ -26,7 +26,8 @@ from .errors import InvalidParameters
 from .polyfam import ParameterSet, RealParameterQuad, q_modified_coefficients
 from .operators import StructureConstants, casimir_scalar, structure_constants
 
-# Double precision, the least working precision a representation is built at.
+# Double precision, the least ``precision_digits`` accepted; it sets only the
+# printed tolerance (see rep_tolerance).
 MIN_PRECISION = 16
 # The least truncation size: the interior block 0..N-4 then has three rows.
 MIN_SIZE = 6
@@ -34,11 +35,10 @@ MIN_SIZE = 6
 
 @dataclass
 class TridiagonalRep:
-    """Exact band data of A1 and the monic A2, and their mpf rendering.
+    """Exact band data of A1 and the monic A2.
 
     ``lam[n]``, ``c[n]`` and ``u[n]`` are lambda_n, c_n and u_n for n =
-    0..size-1 (``u[0] = 0``); ``diag_a1``, ``diag_a2`` and ``offdiag_a2``
-    render the self-adjoint matrices at ``precision_digits``.
+    0..size-1 (``u[0] = 0``).
     """
 
     size: int
@@ -47,18 +47,14 @@ class TridiagonalRep:
     lam: List[Fraction]
     c: List[Fraction]
     u: List[Fraction]
-    diag_a1: List[mpf]
-    diag_a2: List[mpf]
-    offdiag_a2: List[mpf]  # offdiag_a2[k] = sqrt(u_{k+1}), k = 0..size-2
 
 
 def build_rep(N: int, q: RealParameterQuad, precision_digits: int = 30) -> TridiagonalRep:
-    """Truncated representation at the requested precision.
+    """Truncated representation: the exact band lambda_n, c_n, u_n, n < N.
 
-    The recurrence data lambda_n, c_n, u_n are computed exactly and only
-    then rounded; square roots are taken at the working precision.  Raises
-    InvalidParameters naming n if some u_n <= 0 or c_n is not real, since
-    then A2 is not similar to the monic Jacobi matrix.
+    ``precision_digits`` is carried to the report's printed tolerance.
+    Raises InvalidParameters naming n if some u_n <= 0 or c_n is not real,
+    since then A2 is not similar to the monic Jacobi matrix.
     """
     if N < MIN_SIZE:
         raise InvalidParameters(f"truncation size must be at least {MIN_SIZE}, got {N}")
@@ -79,10 +75,6 @@ def build_rep(N: int, q: RealParameterQuad, precision_digits: int = 30) -> Tridi
     lam = [(-1) ** n * (n + two_ag + Fraction(3, 2)) for n in range(N)]
     c = [data.c_mod[n].re for n in range(N)]
     u = [data.u_mod[n].re for n in range(N)]
-    with mp.workdps(precision_digits):
-        diag_a1 = [_frac_to_mpf(x) for x in lam]
-        diag_a2 = [_frac_to_mpf(x) for x in c]
-        offdiag = [mp.sqrt(_frac_to_mpf(x)) for x in u[1:]]
     return TridiagonalRep(
         size=N,
         precision_digits=precision_digits,
@@ -90,9 +82,6 @@ def build_rep(N: int, q: RealParameterQuad, precision_digits: int = 30) -> Tridi
         lam=lam,
         c=c,
         u=u,
-        diag_a1=diag_a1,
-        diag_a2=diag_a2,
-        offdiag_a2=offdiag,
     )
 
 

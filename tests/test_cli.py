@@ -200,6 +200,17 @@ class TestErrorPaths:
         assert code == EXIT_INVALID_PARAMETERS
         assert doc["error"]["kind"] == "InvalidParameters"
 
+    @pytest.mark.parametrize("truncation", ["-100", "0"])
+    def test_all_checks_truncation_before_any_stage(self, truncation, tmp_path, monkeypatch):
+        def stage(*args):
+            raise AssertionError("a stage ran before --truncation was checked")
+
+        monkeypatch.setattr("biwkit.cli.verify_eigen_bi", stage)
+        code, doc = run(["all", "--n-max", "1", "--truncation", truncation], tmp_path)
+        assert code == EXIT_INVALID_PARAMETERS
+        assert doc["error"]["kind"] == "InvalidParameters"
+        assert "--truncation" in doc["error"]["detail"]
+
     def test_all_checks_quad_before_any_stage(self, tmp_path, monkeypatch):
         def stage(*args):
             raise AssertionError("a stage ran before --quad was checked")
@@ -214,6 +225,8 @@ class TestErrorPaths:
         ORTHO + ["--tol", "abc"],
         ORTHO + ["--tol", "0"],
         ORTHO + ["--precision", "0"],
+        ORTHO + ["--precision", "20", "--truncation", "-100"],
+        ORTHO + ["--precision", "20", "--truncation", "0"],
         ["all", "--tol", "abc"],
     ])
     def test_ortho_invalid_input_exit_3(self, argv, tmp_path):

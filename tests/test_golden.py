@@ -7,7 +7,9 @@ reproduce them byte for byte: the verdicts, the ``biwkit/1`` JSON and the
 was written by the nested trapezoid Gram; its approximate digits pin the
 quadrature rule, so a change to ``measure`` shows here.  ``rep.json`` was
 written by the exact banded representation check; its residuals are exact
-zeros, so it does not depend on the mpmath backend.
+zeros, so it does not depend on the mpmath backend.  ``all.json`` pins
+every stage of the full suite at reduced settings, among them the
+``expected_diag`` digits of the closed-form norm h0.
 """
 
 import json
@@ -39,6 +41,8 @@ CLI_CASES = {
     "ortho": ["ortho", "--quad", "1/2,1/2,1/2,1/2", "--n-max", "1", "--precision", "30",
               "--truncation", "20", "--tol", "1e-6"],
     "rep": ["rep", "--quad", "1/2,1/2,1/2,1/2", "--size", "20"],
+    "all": ["all", "--quad", "1/2,1/2,1/2,1/2", "--n-max", "1", "--precision", "30",
+            "--truncation", "20", "--tol", "1e-6"],
 }
 
 

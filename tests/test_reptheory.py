@@ -4,7 +4,7 @@ import dataclasses
 from fractions import Fraction
 
 import pytest
-from mpmath import mp, mpf
+from mpmath import mpf
 
 from biwkit import reptheory
 from biwkit.errors import InvalidParameters
@@ -38,35 +38,25 @@ def _to_mpf(x: Fraction) -> mpf:
 class TestBuild:
     def test_matrix_shapes(self):
         rep = build_rep(8, HALF_QUAD)
-        assert len(rep.diag_a1) == len(rep.diag_a2) == 8
-        assert len(rep.offdiag_a2) == 7
         assert len(rep.lam) == len(rep.c) == len(rep.u) == 8
         assert rep.u[0] == 0
 
     def test_first_entries_half_quad(self):
         rep = build_rep(6, HALF_QUAD)
-        # (-1)^0 (0 + 2(alpha+gamma) + 3/2) = 7/2; c_0 = 1; sqrt(u_1) = 2.
-        assert rep.diag_a1[0] == mpf("3.5")
-        assert rep.diag_a2[0] == mpf(1)
-        assert rep.offdiag_a2[0] == mpf(2)
+        # (-1)^0 (0 + 2(alpha+gamma) + 3/2) = 7/2; c_0 = 1; u_1 = 4.
+        assert rep.lam[0] == Fraction(7, 2)
+        assert rep.c[0] == 1
+        assert rep.u[1] == 4
 
     @pytest.mark.parametrize("quad", [HALF_QUAD, OTHER_QUAD])
-    def test_rendering_matches_exact_data(self, quad):
+    def test_band_matches_exact_data(self, quad):
         N = 20
         rep = build_rep(N, quad, 30)
         data = q_modified_coefficients(N, quad)
         p = ParameterSet.from_quad(quad)
-        lam = [bi_eigenvalue(n, p).re for n in range(N)]
-        assert rep.lam == lam
+        assert rep.lam == [bi_eigenvalue(n, p).re for n in range(N)]
         assert rep.c == [data.c_mod[n].re for n in range(N)]
         assert rep.u == [data.u_mod[n].re for n in range(N)]
-        tol = mpf(10) ** -28
-        with mp.workdps(30):
-            for n in range(N):
-                assert abs(rep.diag_a1[n] - _to_mpf(lam[n])) <= tol
-                assert abs(rep.diag_a2[n] - _to_mpf(data.c_mod[n].re)) <= tol
-            for k in range(N - 1):
-                assert abs(rep.offdiag_a2[k] ** 2 - _to_mpf(data.u_mod[k + 1].re)) <= tol
 
     def test_rejects_small_and_nonpositive(self):
         for size in (3, 5):
