@@ -25,12 +25,10 @@ from .polyfam import (
     bi_eigenvalue,
     bi_polynomials,
     family_to_json,
-    nonsym_wilson,
     nonsym_wilson_family,
     param_map_bi_to_daha,
     param_map_daha_to_bi,
     q_modified_coefficients,
-    q_polynomial,
     q_polynomials,
     q_symmetry_check,
     wilson_eigenvalue,
@@ -95,7 +93,6 @@ __all__ = [
     "iso_forward",
     "iso_inverse",
     "log_gamma",
-    "nonsym_wilson",
     "nonsym_wilson_family",
     "orthogonality_gram",
     "param_map_bi_to_daha",
@@ -103,7 +100,6 @@ __all__ = [
     "parse_complex_rational",
     "positivity_scan",
     "q_modified_coefficients",
-    "q_polynomial",
     "q_polynomials",
     "q_symmetry_check",
     "rep_tolerance",

@@ -57,7 +57,7 @@ from .operators import (
     verify_prop1_operator_transform,
 )
 from .reptheory import build_rep, positivity_scan, verify_rep_relations
-from .measure import DEFAULT_PRECISION, MIN_PRECISION, orthogonality_gram
+from .measure import DEFAULT_PRECISION, MAX_TRUNCATION, MIN_PRECISION, orthogonality_gram
 
 SCHEMA = "biwkit/1"
 
@@ -314,6 +314,9 @@ def _cmd_all(args) -> tuple:
             f"--precision must be >= {MIN_PRECISION} digits, got {args.precision}")
     if args.truncation is not None and args.truncation < 1:
         raise InvalidParameters(f"--truncation must be >= 1, got {args.truncation}")
+    if args.truncation is not None and args.truncation > MAX_TRUNCATION:
+        raise InvalidParameters(
+            f"--truncation must be <= {MAX_TRUNCATION}, got {args.truncation}")
     quad = _parse_quad(args.quad) if args.quad else RealParameterQuad(
         Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)
     )

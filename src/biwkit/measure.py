@@ -49,6 +49,11 @@ from .polyfam import ParameterSet, bi_coefficients, q_polynomials
 DEFAULT_PRECISION = 50
 DEFAULT_TOL = Fraction(1, 10**8)
 DEFAULT_TRUNCATION = 40
+# Largest accepted starting L.  The default path never takes L above 100
+# (40 plus at most _MAX_TAIL_STEPS steps of _TAIL_STEP), and the outer
+# interval [-X, X], hence the node count, grows with L; a larger L buys no
+# accuracy and an unbounded one runs until it is killed.
+MAX_TRUNCATION = 200
 # Below this precision the fixed off-diagonal threshold (OFFDIAG_REL_EXPONENT)
 # cannot be resolved.
 MIN_PRECISION = 20
@@ -234,6 +239,8 @@ def orthogonality_gram(
         raise InvalidParameters(f"precision must be >= {MIN_PRECISION} digits, got {precision}")
     if truncation is not None and truncation < 1:
         raise InvalidParameters(f"truncation must be >= 1, got {truncation}")
+    if truncation is not None and truncation > MAX_TRUNCATION:
+        raise InvalidParameters(f"truncation must be <= {MAX_TRUNCATION}, got {truncation}")
     if not isinstance(tol, mpf):
         tol = _to_mpf(Fraction(tol))
     if tol <= 0:

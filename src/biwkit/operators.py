@@ -15,6 +15,10 @@ product applies its left factor to the image of its right factor.  Every
 relation is checked on the images of x^0..x^degree, column by column of
 its matrix.  A block whose division leaves a remainder was transcribed
 incorrectly and raises OperatorNotPolynomialPreserving naming that block.
+
+Each relation set (the involution relations of four generators, the
+Bannai-Ito anticommutator relations, the Casimir in both forms) is built
+once as residual operators, and the algebra and isomorphism checks reuse it.
 """
 
 from __future__ import annotations
@@ -157,10 +161,6 @@ def anticommutator(a: DifferenceOperator, b: DifferenceOperator) -> DifferenceOp
     return a * b + b * a
 
 
-def multiplication_by_x() -> DifferenceOperator:
-    return PolynomialMultiple(Polynomial.x())
-
-
 def build_L(p: ParameterSet) -> DifferenceOperator:
     """Dunkl shift operator with B_n as eigenfunctions."""
     x = Polynomial.x()
@@ -224,16 +224,40 @@ def structure_constants(p: ParameterSet) -> StructureConstants:
     )
 
 
-def compact_realization(p: ParameterSet, sc: StructureConstants):
-    """(K1, K2, K3): K1 = L, K2 = x, K3 defined by {K1,K2} = K3 + omega3."""
-    K1, K2 = build_L(p), multiplication_by_x()
-    return K1, K2, anticommutator(K1, K2) - sc.omega3
+def _realization(p: ParameterSet, sc: StructureConstants, which: str):
+    """(X1, X2, X3): X1 = L (compact) or M (noncompact), X2 = x, {X1,X2} = X3 + w3."""
+    if which == "compact":
+        X1, w3 = build_L(p), sc.omega3
+    elif which == "noncompact":
+        X1, w3 = build_M(p), sc.alpha3
+    else:
+        raise ValueError(f"unknown Casimir form {which!r}")
+    X2 = PolynomialMultiple(Polynomial.x())
+    return X1, X2, anticommutator(X1, X2) - w3
 
 
-def noncompact_realization(p: ParameterSet, sc: StructureConstants):
-    """(A1, A2, A3): A1 = M, A2 = x, A3 defined by {A1,A2} = A3 + alpha3."""
-    A1, A2 = build_M(p), multiplication_by_x()
-    return A1, A2, anticommutator(A1, A2) - sc.alpha3
+def _bannai_ito_residuals(X1, X2, X3, w1, w2, w3, sign=None):
+    """Residuals of {X2,X3} = sign*X1 + w1, {X3,X1} = X2 + w2, {X1,X2} = X3 + w3.
+
+    ``sign`` None is +X1 with no scalar multiple, as in the compact algebra.
+    """
+    first = X1 if sign is None else sign * X1
+    return (anticommutator(X2, X3) - first - w1,
+            anticommutator(X3, X1) - X2 - w2,
+            anticommutator(X1, X2) - X3 - w3)
+
+
+def _casimir(X1, X2, X3, which: str = "compact") -> DifferenceOperator:
+    """X1^2 + X2^2 + X3^2, or X1^2 - X2^2 - X3^2 for the non-compact form."""
+    if which == "compact":
+        return X1 * X1 + X2 * X2 + X3 * X3
+    return X1 * X1 - X2 * X2 - X3 * X3
+
+
+def _involution_residuals(gens, squares) -> List[DifferenceOperator]:
+    """Residuals of g_i^2 = s_i for the four generators and g0+g1+g2+g3 = -1/2."""
+    g0, g1, g2, g3 = gens
+    return [g * g - s for g, s in zip(gens, squares)] + [g0 + g1 + g2 + g3 + HALF]
 
 
 @dataclass
@@ -283,6 +307,12 @@ def _check_annihilates(op: DifferenceOperator, degree: int, relation: str) -> Re
                           (op.image(k) for k in range(degree + 1)))
 
 
+def _report(degree: int, relations: Iterable[str], residuals) -> VerificationReport:
+    """One _check_annihilates per (relation, residual) pair, in order."""
+    return VerificationReport([_check_annihilates(op, degree, relation)
+                               for relation, op in zip(relations, residuals)])
+
+
 def _check_eigen_pairs(op, polys, eigenvalues, relation, degree) -> RelationCheck:
     return _relation_check(relation, degree,
                           (op.apply(poly) - lam * poly for poly, lam in zip(polys, eigenvalues)))
@@ -317,7 +347,7 @@ def verify_nonsym_wilson_eigen(n_max: int, t: DAHAParameterSet) -> VerificationR
 def bi_realization(p: ParameterSet):
     """(K1, K2, K3, constants) with K3 defined by the first algebra relation."""
     sc = structure_constants(p)
-    return (*compact_realization(p, sc), sc)
+    return (*_realization(p, sc, "compact"), sc)
 
 
 def verify_bi_algebra(p: ParameterSet, degree: int,
@@ -328,13 +358,9 @@ def verify_bi_algebra(p: ParameterSet, degree: int,
     perturbed set is the supported negative control.
     """
     sc = constants if constants is not None else structure_constants(p)
-    K1, K2, K3 = compact_realization(p, sc)
-    return VerificationReport([
-        _check_annihilates(anticommutator(K2, K3) - K1 - sc.omega1, degree,
-                           "{K2,K3} = K1 + omega1"),
-        _check_annihilates(anticommutator(K3, K1) - K2 - sc.omega2, degree,
-                           "{K3,K1} = K2 + omega2"),
-    ])
+    residuals = _bannai_ito_residuals(*_realization(p, sc, "compact"),
+                                      sc.omega1, sc.omega2, sc.omega3)
+    return _report(degree, ["{K2,K3} = K1 + omega1", "{K3,K1} = K2 + omega2"], residuals[:2])
 
 
 def verify_nc_algebra(p: ParameterSet, degree: int,
@@ -347,15 +373,12 @@ def verify_nc_algebra(p: ParameterSet, degree: int,
     distinguishing the two algebras.
     """
     sc = constants if constants is not None else structure_constants(p)
-    A1, A2, A3 = noncompact_realization(p, sc)
     sign = ComplexRational(1 if flip_first_sign else -1)
     label = "+A1" if flip_first_sign else "-A1"
-    return VerificationReport([
-        _check_annihilates(anticommutator(A2, A3) - sign * A1 - sc.alpha1, degree,
-                           "{A2,A3} = %s + alpha1" % label),
-        _check_annihilates(anticommutator(A3, A1) - A2 - sc.alpha2, degree,
-                           "{A3,A1} = A2 + alpha2"),
-    ])
+    residuals = _bannai_ito_residuals(*_realization(p, sc, "noncompact"),
+                                      sc.alpha1, sc.alpha2, sc.alpha3, sign)
+    return _report(degree, ["{A2,A3} = %s + alpha1" % label, "{A3,A1} = A2 + alpha2"],
+                   residuals[:2])
 
 
 def casimir_scalar(p: ParameterSet) -> ComplexRational:
@@ -383,15 +406,7 @@ class CasimirReport:
 def verify_casimir(p: ParameterSet, degree: int, which: str = "compact") -> CasimirReport:
     """Check the Casimir element acts as the predicted scalar on monomials."""
     expected = casimir_scalar(p)
-    sc = structure_constants(p)
-    if which == "compact":
-        K1, K2, K3 = compact_realization(p, sc)
-        cas = K1 * K1 + K2 * K2 + K3 * K3
-    elif which == "noncompact":
-        A1, A2, A3 = noncompact_realization(p, sc)
-        cas = A1 * A1 - A2 * A2 - A3 * A3
-    else:
-        raise ValueError(f"unknown Casimir form {which!r}")
+    cas = _casimir(*_realization(p, structure_constants(p), which), which)
     check = _check_annihilates(cas - expected, degree, f"Casimir ({which})")
     return CasimirReport(expected=expected, realized_ok=check.passed,
                          max_degree_checked=degree, which=which)
@@ -410,16 +425,9 @@ class IsoForwardReport:
         return self.report.passed
 
     def to_json(self) -> dict:
-        out = {
-            "central_values": {
-                "t0_sq": self.t0_sq.to_json(),
-                "t1_sq": self.t1_sq.to_json(),
-                "u0_sq": self.u0_sq.to_json(),
-                "u1_sq": self.u1_sq.to_json(),
-            },
-        }
-        out.update(self.report.to_json())
-        return out
+        names = ("t0_sq", "t1_sq", "u0_sq", "u1_sq")
+        return {"central_values": {k: getattr(self, k).to_json() for k in names},
+                **self.report.to_json()}
 
 
 def iso_forward(K1, K2, K3, sc: StructureConstants, degree: int) -> IsoForwardReport:
@@ -429,29 +437,18 @@ def iso_forward(K1, K2, K3, sc: StructureConstants, degree: int) -> IsoForwardRe
     Casimir scalar, and verifies each square equals its predicted central
     value and that the four generators sum to -1/2 on monomials.
     """
-    cas = K1 * K1 + K2 * K2 + K3 * K3
-    q_scalar = cas.image(0).coefficient(0)
-
-    T0t = QUARTER * (K1 - K2 - K3 - HALF)
-    T1t = QUARTER * (K1 + K2 + K3 - HALF)
-    U0t = QUARTER * (-K1 - K2 + K3 - HALF)
-    U1t = QUARTER * (-K1 + K2 - K3 - HALF)
-
+    q_scalar = _casimir(K1, K2, K3).image(0).coefficient(0)
+    gens = (QUARTER * (K1 - K2 - K3 - HALF), QUARTER * (K1 + K2 + K3 - HALF),
+            QUARTER * (-K1 - K2 + K3 - HALF), QUARTER * (-K1 + K2 - K3 - HALF))
     sixteenth = ComplexRational(Fraction(1, 16))
-    t0_sq = sixteenth * (q_scalar + sc.omega1 - sc.omega2 - sc.omega3 + QUARTER)
-    t1_sq = sixteenth * (q_scalar + sc.omega1 + sc.omega2 + sc.omega3 + QUARTER)
-    u0_sq = sixteenth * (q_scalar - sc.omega1 - sc.omega2 + sc.omega3 + QUARTER)
-    u1_sq = sixteenth * (q_scalar - sc.omega1 + sc.omega2 - sc.omega3 + QUARTER)
-
-    checks = [
-        _check_annihilates(T0t * T0t - t0_sq, degree, "Ttilde0^2 = t0~"),
-        _check_annihilates(T1t * T1t - t1_sq, degree, "Ttilde1^2 = t1~"),
-        _check_annihilates(U0t * U0t - u0_sq, degree, "Utilde0^2 = u0~"),
-        _check_annihilates(U1t * U1t - u1_sq, degree, "Utilde1^2 = u1~"),
-        _check_annihilates(T0t + T1t + U0t + U1t + HALF, degree,
-                           "Ttilde0+Ttilde1+Utilde0+Utilde1 = -1/2"),
-    ]
-    return IsoForwardReport(t0_sq, t1_sq, u0_sq, u1_sq, VerificationReport(checks))
+    squares = [sixteenth * (q_scalar + sc.omega1 - sc.omega2 - sc.omega3 + QUARTER),
+               sixteenth * (q_scalar + sc.omega1 + sc.omega2 + sc.omega3 + QUARTER),
+               sixteenth * (q_scalar - sc.omega1 - sc.omega2 + sc.omega3 + QUARTER),
+               sixteenth * (q_scalar - sc.omega1 + sc.omega2 - sc.omega3 + QUARTER)]
+    report = _report(degree, ["Ttilde0^2 = t0~", "Ttilde1^2 = t1~", "Utilde0^2 = u0~",
+                              "Utilde1^2 = u1~", "Ttilde0+Ttilde1+Utilde0+Utilde1 = -1/2"],
+                     _involution_residuals(gens, squares))
+    return IsoForwardReport(*squares, report)
 
 
 def iso_inverse(t: DAHAParameterSet, degree: int) -> VerificationReport:
@@ -466,37 +463,26 @@ def iso_inverse(t: DAHAParameterSet, degree: int) -> VerificationReport:
     A2 = -(2 * T0) - 2 * U0 - HALF
     A3 = 2 * T1 + 2 * U0 + HALF
 
-    t0s, t1s = t.t0 * t.t0, t.t1 * t.t1
-    u0s, u1s = t.u0 * t.u0, t.u1 * t.u1
+    t0s, t1s, u0s, u1s = (v * v for v in (t.t0, t.t1, t.u0, t.u1))
     w3 = 4 * (t1s - t0s + u0s - u1s)
     w1 = 4 * (t1s + t0s - u0s - u1s)
     w2 = 4 * (t1s - t0s - u0s + u1s)
     cas_value = 4 * (t0s + t1s + u0s + u1s) - QUARTER
 
-    checks = [
-        _check_annihilates(anticommutator(A1, A2) - A3 - w3, degree,
-                           "{A1,A2} = A3 + 4(t1^2-t0^2+u0^2-u1^2)"),
-        _check_annihilates(anticommutator(A2, A3) - A1 - w1, degree,
-                           "{A2,A3} = A1 + 4(t1^2+t0^2-u0^2-u1^2)"),
-        _check_annihilates(anticommutator(A3, A1) - A2 - w2, degree,
-                           "{A3,A1} = A2 + 4(t1^2-t0^2-u0^2+u1^2)"),
-        _check_annihilates(A1 * A1 + A2 * A2 + A3 * A3 - cas_value, degree,
-                           "A1^2+A2^2+A3^2 = 4(t0^2+t1^2+u0^2+u1^2) - 1/4"),
-    ]
-    return VerificationReport(checks)
+    r1, r2, r3 = _bannai_ito_residuals(A1, A2, A3, w1, w2, w3)
+    return _report(degree, ["{A1,A2} = A3 + 4(t1^2-t0^2+u0^2-u1^2)",
+                            "{A2,A3} = A1 + 4(t1^2+t0^2-u0^2-u1^2)",
+                            "{A3,A1} = A2 + 4(t1^2-t0^2-u0^2+u1^2)",
+                            "A1^2+A2^2+A3^2 = 4(t0^2+t1^2+u0^2+u1^2) - 1/4"],
+                   [r3, r1, r2, _casimir(A1, A2, A3) - cas_value])
 
 
 def verify_daha_relations(t: DAHAParameterSet, degree: int) -> VerificationReport:
     """T_i^2 = t_i^2, U_i^2 = u_i^2, T0+T1+U0+U1 = -1/2, on monomials."""
-    T0, T1, U0, U1 = build_daha_generators(t)
-    checks = [
-        _check_annihilates(T0 * T0 - t.t0 * t.t0, degree, "T0^2 = t0^2"),
-        _check_annihilates(T1 * T1 - t.t1 * t.t1, degree, "T1^2 = t1^2"),
-        _check_annihilates(U0 * U0 - t.u0 * t.u0, degree, "U0^2 = u0^2"),
-        _check_annihilates(U1 * U1 - t.u1 * t.u1, degree, "U1^2 = u1^2"),
-        _check_annihilates(T0 + T1 + U0 + U1 + HALF, degree, "T0+T1+U0+U1 = -1/2"),
-    ]
-    return VerificationReport(checks)
+    squares = [v * v for v in (t.t0, t.t1, t.u0, t.u1)]
+    return _report(degree, ["T0^2 = t0^2", "T1^2 = t1^2", "U0^2 = u0^2", "U1^2 = u1^2",
+                            "T0+T1+U0+U1 = -1/2"],
+                   _involution_residuals(build_daha_generators(t), squares))
 
 
 def verify_prop1_coefficients(n_max: int, p: ParameterSet) -> VerificationReport:

@@ -171,12 +171,8 @@ def bi_eigenvalue(n: int, p: ParameterSet) -> ComplexRational:
     return ComplexRational(sign) * (ComplexRational(n) + p.total + ComplexRational(Fraction(3, 2)))
 
 
-def q_polynomial(n: int, p: ParameterSet) -> Polynomial:
-    """Modified polynomial Q_n(x) = (-i)^n B_n(ix), monic of degree n."""
-    return q_polynomials(n, p)[n]
-
-
 def q_polynomials(n_max: int, p: ParameterSet) -> List[Polynomial]:
+    """Modified polynomials Q_n(x) = (-i)^n B_n(ix), monic of degree n <= n_max."""
     out = []
     for n, bn in enumerate(bi_polynomials(n_max, p)):
         out.append(((-I) ** n) * bn.affine_substitute(I, ComplexRational(0)))
@@ -236,12 +232,8 @@ def param_map_daha_to_bi(t: DAHAParameterSet) -> ParameterSet:
     )
 
 
-def nonsym_wilson(n: int, t: DAHAParameterSet) -> Polynomial:
-    """Non-symmetric Wilson p_n(z) = (-2)^{-n} B_n(1/2 - 2z), monic in z."""
-    return nonsym_wilson_family(n, t)[n]
-
-
 def nonsym_wilson_family(n_max: int, t: DAHAParameterSet) -> List[Polynomial]:
+    """Non-symmetric Wilson p_n(z) = (-2)^{-n} B_n(1/2 - 2z), monic in z, n <= n_max."""
     p = param_map_daha_to_bi(t)
     scale = ComplexRational(Fraction(-1, 2))
     out = []

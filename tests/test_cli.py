@@ -200,7 +200,7 @@ class TestErrorPaths:
         assert code == EXIT_INVALID_PARAMETERS
         assert doc["error"]["kind"] == "InvalidParameters"
 
-    @pytest.mark.parametrize("truncation", ["-100", "0"])
+    @pytest.mark.parametrize("truncation", ["-100", "0", "1000000000"])
     def test_all_checks_truncation_before_any_stage(self, truncation, tmp_path, monkeypatch):
         def stage(*args):
             raise AssertionError("a stage ran before --truncation was checked")
@@ -227,6 +227,7 @@ class TestErrorPaths:
         ORTHO + ["--precision", "0"],
         ORTHO + ["--precision", "20", "--truncation", "-100"],
         ORTHO + ["--precision", "20", "--truncation", "0"],
+        ORTHO + ["--precision", "20", "--truncation", "1000000000"],
         ["all", "--tol", "abc"],
     ])
     def test_ortho_invalid_input_exit_3(self, argv, tmp_path):

@@ -3,7 +3,7 @@
 The files under ``tests/data/golden/`` were written by the operator engine
 that divided once at the root of each operator tree; any engine must
 reproduce them byte for byte: the verdicts, the ``biwkit/1`` JSON and the
-``first_failure`` residuals of the two negative controls.  ``ortho.json``
+``first_failure`` residuals of the three negative controls.  ``ortho.json``
 was written by the nested trapezoid Gram; its approximate digits pin the
 quadrature rule, so a change to ``measure`` shows here.  ``rep.json`` was
 written by the exact banded representation check; its residuals are exact
@@ -21,6 +21,8 @@ from biwkit.cli import EXIT_OK, _parse_four, main
 from biwkit.exact import parse_complex_rational
 from biwkit.operators import (
     StructureConstants,
+    bi_realization,
+    iso_forward,
     structure_constants,
     verify_bi_algebra,
     verify_nc_algebra,
@@ -47,7 +49,7 @@ CLI_CASES = {
 
 
 def control_documents() -> dict:
-    """The two negative controls, as ``to_json()`` text."""
+    """The three negative controls, as ``to_json()`` text."""
     p = _parse_four(PARAMS, "--params", parse_complex_rational, ParameterSet)
     sc = structure_constants(p)
     perturbed = StructureConstants(sc.omega1 + 1, sc.omega2, sc.omega3,
@@ -55,6 +57,7 @@ def control_documents() -> dict:
     reports = {
         "control-omega1": verify_bi_algebra(p, CONTROL_DEGREE, constants=perturbed),
         "control-flip-sign": verify_nc_algebra(p, CONTROL_DEGREE, flip_first_sign=True),
+        "control-iso-omega1": iso_forward(*bi_realization(p)[:3], perturbed, CONTROL_DEGREE),
     }
     return {name: json.dumps(r.to_json(), indent=2) + "\n" for name, r in reports.items()}
 

@@ -187,7 +187,7 @@ class TestGram:
 
     @pytest.mark.parametrize("kwargs", [
         {"tol": 0}, {"tol": Fraction(-1, 10)}, {"precision": 19}, {"n_max": -1},
-        {"truncation": 0}, {"truncation": -100},
+        {"truncation": 0}, {"truncation": -100}, {"truncation": 201}, {"truncation": 10 ** 9},
     ])
     def test_rejects_invalid_input(self, kwargs):
         args = {"n_max": 1, "p": HALF_PARAMS, "precision": 30, **kwargs}
