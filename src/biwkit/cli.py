@@ -144,13 +144,20 @@ def _require_nondegenerate(p: ParameterSet, n_max: int) -> None:
     bi_coefficients(n_max, p)
 
 
-def _require_nonnegative_sizes(args) -> None:
-    """A negative --n-max, --degree or --size would check nothing and pass."""
-    for name in ("n_max", "degree", "size"):
+# The largest accepted --n-max, --degree and --size.  Exact work grows
+# polynomially in each: at the caps the slowest commands (verify-prop1 at
+# --n-max 100 --degree 100, verify-iso at --degree 100, rep at --size 1000)
+# end in seconds, while a value such as 100000 runs until it is killed.
+_MAX_SIZES = {"n_max": 100, "degree": 100, "size": 1000}
+
+
+def _require_bounded_sizes(args) -> None:
+    """Each size flag in 0..cap: a negative one would check nothing and pass."""
+    for name, cap in _MAX_SIZES.items():
         value = getattr(args, name, None)
-        if value is not None and value < 0:
+        if value is not None and not 0 <= value <= cap:
             flag = "--" + name.replace("_", "-")
-            raise InvalidParameters(f"{flag} must be >= 0, got {value}")
+            raise InvalidParameters(f"{flag} must be in 0..{cap}, got {value}")
 
 
 def random_parameter_set(rng: random.Random, n_max: int) -> ParameterSet:
@@ -515,7 +522,7 @@ def main(argv=None) -> int:
         args = build_parser(_env_precision()).parse_args(argv)
         digits = getattr(args, "precision", DEFAULT_PRECISION)
         output, command = args.output, args.command
-        _require_nonnegative_sizes(args)
+        _require_bounded_sizes(args)
         doc, passed = _DISPATCH[args.command](args)
     except BiwkitError as exc:
         _emit({"schema": SCHEMA, "command": command,

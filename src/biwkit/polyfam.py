@@ -187,24 +187,23 @@ def q_modified_coefficients(n_max: int, q: RealParameterQuad) -> RecurrenceData:
     c_n = -i(2a+1-A_n-C_n) and u_n = -A_{n-1}C_n under the conjugate
     pairing; any mismatch means a transcription bug and raises.
     """
-    al, be, ga, de = q.alpha, q.beta, q.gamma, q.delta
+    al, be, ga, de = (ComplexRational.coerce(v) for v in (q.alpha, q.beta, q.gamma, q.delta))
     data = bi_coefficients(n_max, ParameterSet.from_quad(q))
     for n in range(n_max + 1):
-        d1 = Fraction(n) + 2 * al + 2 * ga + 1
-        d2 = Fraction(n) + 2 * al + 2 * ga + 2
-        if d1 == 0 or d2 == 0:
-            raise DegenerateParameters(f"modified-recurrence denominator vanishes at n={n}", n=n)
+        # d1 = n+a+b+c+d+1 and d2 = n+a+b+c+d+2: bi_coefficients has rejected their zeros.
+        d1 = n + 2 * (al + ga) + 1
+        d2 = d1 + 1
         if n % 2 == 0:
             c_n = 2 * be - (n + 4 * al + 2) * (be - de) / d2 - n * (be + de) / d1
-            mod2 = (Fraction(n) + 2 * (al + ga) + 1) ** 2 + (2 * (be + de)) ** 2
-            u_n = Fraction(n) * (n + 4 * al + 4 * ga + 2) * mod2 / (4 * d1 * d1)
+            mod2 = d1 * d1 + (2 * (be + de)) ** 2
+            u_n = n * (n + 4 * al + 4 * ga + 2) * mod2 / (4 * d1 * d1)
         else:
             c_n = 2 * be - (n + 4 * al + 4 * ga + 3) * (be + de) / d2 - (n + 4 * ga + 1) * (be - de) / d1
-            mod2 = (Fraction(n) + 2 * (al + ga) + 1) ** 2 + (2 * (be - de)) ** 2
-            u_n = (Fraction(n) + 4 * al + 1) * (n + 4 * ga + 1) * mod2 / (4 * d1 * d1)
-        if ComplexRational(c_n) != data.c_mod[n]:
+            mod2 = d1 * d1 + (2 * (be - de)) ** 2
+            u_n = (n + 4 * al + 1) * (n + 4 * ga + 1) * mod2 / (4 * d1 * d1)
+        if c_n != data.c_mod[n]:
             raise BiwkitError(f"c_{n} closed form disagrees with recurrence route")
-        if n >= 1 and ComplexRational(u_n) != data.u_mod[n]:
+        if n >= 1 and u_n != data.u_mod[n]:
             raise BiwkitError(f"u_{n} closed form disagrees with recurrence route")
     return data
 

@@ -7,7 +7,8 @@ diagonal c_n and off-diagonal sqrt(u_n).  Conjugating by D = diag(sqrt(u_1
 u_n e_{n-1} of the modified recurrence and keeps A1; the algebra relations
 are polynomials in A1, A2 and so are unchanged by the similarity, which
 needs u_n > 0 and c_n real.  The relations are therefore decided on the
-monic form in exact rational arithmetic.  Truncation contaminates the last
+monic form in exact arithmetic, on sparse ``ComplexRational`` vectors
+built from the recurrence's own values.  Truncation contaminates the last
 rows and columns (A2^2 and {A2, A3} reach index N), so the relations are
 certified on the interior index block 0..N-4, where every residual must be
 exactly zero.  The representation is held as this exact band only: no
@@ -23,7 +24,8 @@ from typing import Dict, List, Optional
 from mpmath import mp, mpf
 
 from .errors import InvalidParameters
-from .polyfam import ParameterSet, RealParameterQuad, q_modified_coefficients
+from .exact import ONE, ZERO, ComplexRational
+from .polyfam import ParameterSet, RealParameterQuad, bi_eigenvalue, q_modified_coefficients
 from .operators import StructureConstants, casimir_scalar, structure_constants
 
 # Double precision, the least ``precision_digits`` accepted; it sets only the
@@ -38,15 +40,16 @@ class TridiagonalRep:
     """Exact band data of A1 and the monic A2.
 
     ``lam[n]``, ``c[n]`` and ``u[n]`` are lambda_n, c_n and u_n for n =
-    0..size-1 (``u[0] = 0``).
+    0..size-1 (``u[0] = 0``): the real ``ComplexRational`` values of
+    ``bi_eigenvalue`` and of the modified recurrence.
     """
 
     size: int
     precision_digits: int
     params: RealParameterQuad
-    lam: List[Fraction]
-    c: List[Fraction]
-    u: List[Fraction]
+    lam: List[ComplexRational]
+    c: List[ComplexRational]
+    u: List[ComplexRational]
 
 
 def build_rep(N: int, q: RealParameterQuad, precision_digits: int = 30) -> TridiagonalRep:
@@ -71,17 +74,14 @@ def build_rep(N: int, q: RealParameterQuad, precision_digits: int = 30) -> Tridi
             raise InvalidParameters(f"c_{n} is not real")
         if n >= 1 and not (data.u_mod[n].is_real() and data.u_mod[n].re > 0):
             raise InvalidParameters(f"u_{n} is not positive")
-    two_ag = 2 * (q.alpha + q.gamma)
-    lam = [(-1) ** n * (n + two_ag + Fraction(3, 2)) for n in range(N)]
-    c = [data.c_mod[n].re for n in range(N)]
-    u = [data.u_mod[n].re for n in range(N)]
+    p = ParameterSet.from_quad(q)
     return TridiagonalRep(
         size=N,
         precision_digits=precision_digits,
         params=q,
-        lam=lam,
-        c=c,
-        u=u,
+        lam=[bi_eigenvalue(n, p) for n in range(N)],
+        c=data.c_mod[:N],
+        u=data.u_mod[:N],
     )
 
 
@@ -89,7 +89,7 @@ def _frac_to_mpf(x: Fraction) -> mpf:
     return mpf(x.numerator) / mpf(x.denominator)
 
 
-Vector = Dict[int, Fraction]
+Vector = Dict[int, ComplexRational]
 
 
 def _lincomb(*terms) -> Vector:
@@ -97,7 +97,7 @@ def _lincomb(*terms) -> Vector:
     out: Vector = {}
     for s, v in terms:
         for n, x in v.items():
-            out[n] = out.get(n, 0) + s * x
+            out[n] = out.get(n, ZERO) + s * x
     return out
 
 
@@ -145,10 +145,11 @@ def verify_rep_relations(rep: TridiagonalRep,
 
     With A3 := {A1, A2} - alpha3*I, the columns j = 0..N-4 of {A2,A3} + A1
     - alpha1, {A3,A1} - A2 - alpha2 and A1^2 - A2^2 - A3^2 - casimir are
-    built on sparse vectors from the monic A2 and compared with zero on the
-    interior rows 0..N-4; ``passed`` means every entry is exactly zero.
-    ``constants`` overrides the structure constants (the supported negative
-    control).
+    built on sparse ``ComplexRational`` vectors from the monic A2 and
+    compared with zero on the interior rows 0..N-4; every entry is real, a
+    residual is the largest |re|, and ``passed`` means every entry is exactly
+    zero.  ``constants`` overrides the structure constants (the supported
+    negative control).
     """
     p = ParameterSet.from_quad(rep.params)
     sc = constants if constants is not None else structure_constants(p)
@@ -157,7 +158,6 @@ def verify_rep_relations(rep: TridiagonalRep,
                       (sc.alpha3, "alpha3"), (cas, "casimir")):
         if not val.is_real():
             raise InvalidParameters(f"{name} is not real for these parameters")
-    alpha1, alpha2, alpha3, cas_val = sc.alpha1.re, sc.alpha2.re, sc.alpha3.re, cas.re
     size, lam, c, u = rep.size, rep.lam, rep.c, rep.u
 
     def a1(v: Vector) -> Vector:
@@ -166,26 +166,26 @@ def verify_rep_relations(rep: TridiagonalRep,
     def a2(v: Vector) -> Vector:
         out: Vector = {}
         for n, x in v.items():
-            for m, s in ((n - 1, u[n]), (n, c[n]), (n + 1, 1)):
+            for m, s in ((n - 1, u[n]), (n, c[n]), (n + 1, ONE)):
                 if 0 <= m < size:
-                    out[m] = out.get(m, 0) + s * x
+                    out[m] = out.get(m, ZERO) + s * x
         return out
 
     def a3(v: Vector) -> Vector:
-        return _lincomb((1, a1(a2(v))), (1, a2(a1(v))), (-alpha3, v))
+        return _lincomb((1, a1(a2(v))), (1, a2(a1(v))), (-sc.alpha3, v))
 
     top = size - 4
     worst = [Fraction(0)] * 3
     for j in range(top + 1):
-        e = {j: Fraction(1)}
+        e = {j: ONE}
         a1e, a2e, a3e = a1(e), a2(e), a3(e)
         columns = (
-            _lincomb((1, a2(a3e)), (1, a3(a2e)), (1, a1e), (-alpha1, e)),
-            _lincomb((1, a3(a1e)), (1, a1(a3e)), (-1, a2e), (-alpha2, e)),
-            _lincomb((1, a1(a1e)), (-1, a2(a2e)), (-1, a3(a3e)), (-cas_val, e)),
+            _lincomb((1, a2(a3e)), (1, a3(a2e)), (1, a1e), (-sc.alpha1, e)),
+            _lincomb((1, a3(a1e)), (1, a1(a3e)), (-1, a2e), (-sc.alpha2, e)),
+            _lincomb((1, a1(a1e)), (-1, a2(a2e)), (-1, a3(a3e)), (-cas, e)),
         )
         for k, col in enumerate(columns):
-            worst[k] = max([worst[k]] + [abs(x) for n, x in col.items() if n <= top])
+            worst[k] = max([worst[k]] + [abs(x.re) for n, x in col.items() if n <= top])
 
     r2, r3, rc = (_frac_to_mpf(x) for x in worst)
     return RepReport(

@@ -135,11 +135,28 @@ class TestErrorPaths:
         ["poly", "--params", "0,0,0,0", "--n-max", "-3"],
         ["rep", "--quad", "1/2,1/2,1/2,1/2", "--size", "-1"],
         ["rep", "--quad", "1/2,1/2,1/2,1/2", "--size", "5"],
+        ["verify-algebra", "--degree", "100000"],
+        ["poly", "--n-max", "100000"],
+        ["rep", "--quad", "1/2,1/2,1/2,1/2", "--size", "100000"],
     ])
     def test_negative_size_exit_3(self, argv, tmp_path):
         code, doc = run(argv, tmp_path)
         assert code == EXIT_INVALID_PARAMETERS
         assert doc["error"]["kind"] == "InvalidParameters"
+
+    @pytest.mark.parametrize("argv, detail", [
+        (["verify-prop1", "--n-max", "101"], "--n-max must be in 0..100, got 101"),
+        (["verify-iso", "--degree", "101"], "--degree must be in 0..100, got 101"),
+        (["rep", "--size", "1001"], "--size must be in 0..1000, got 1001"),
+    ])
+    def test_size_over_cap_names_flag(self, argv, detail, tmp_path):
+        code, doc = run(argv, tmp_path)
+        assert code == EXIT_INVALID_PARAMETERS
+        assert doc["error"]["detail"] == detail
+
+    def test_n_max_at_cap_exit_0(self, tmp_path):
+        code, _ = run(["poly", "--params", "0,0,0,0", "--n-max", "100"], tmp_path)
+        assert code == EXIT_OK
 
     @pytest.mark.parametrize("argv", [
         ["poly", "--params", "1/0,0,0,0"],

@@ -7,7 +7,7 @@ import pytest
 from mpmath import mpf
 
 from biwkit import reptheory
-from biwkit.errors import InvalidParameters
+from biwkit.errors import DegenerateParameters, InvalidParameters
 from biwkit.exact import ComplexRational
 from biwkit.polyfam import (
     ParameterSet,
@@ -57,6 +57,11 @@ class TestBuild:
         assert rep.lam == [bi_eigenvalue(n, p).re for n in range(N)]
         assert rep.c == [data.c_mod[n].re for n in range(N)]
         assert rep.u == [data.u_mod[n].re for n in range(N)]
+
+    def test_band_is_real_complex_rational(self):
+        rep = build_rep(12, OTHER_QUAD)
+        for v in rep.lam + rep.c + rep.u:
+            assert type(v) is ComplexRational and v.is_real()
 
     def test_rejects_small_and_nonpositive(self):
         for size in (3, 5):
@@ -120,6 +125,28 @@ class TestRelations:
         assert report.residual_rel2 == _to_mpf(shift)
         assert report.residual_rel3 == report.residual_casimir == 0
 
+    @pytest.mark.parametrize("quad", [HALF_QUAD, OTHER_QUAD])
+    def test_negative_control_alpha2_shifted(self, quad):
+        sc = structure_constants(ParameterSet.from_quad(quad))
+        bad = dataclasses.replace(sc, alpha2=sc.alpha2 + 1)
+        report = verify_rep_relations(build_rep(12, quad, 30), constants=bad)
+        assert not report.passed
+        # alpha2 enters only {A3,A1} - A2 - alpha2, on the diagonal.
+        assert (report.residual_rel2, report.residual_rel3, report.residual_casimir) == (0, 1, 0)
+
+    @pytest.mark.parametrize("quad, rel2_casimir, rel3", [
+        (HALF_QUAD, Fraction(7000, 121), Fraction(23)),
+        (OTHER_QUAD, Fraction(954773548, 16497075), Fraction(70, 3)),
+    ])
+    def test_negative_control_alpha3_shifted(self, quad, rel2_casimir, rel3):
+        sc = structure_constants(ParameterSet.from_quad(quad))
+        bad = dataclasses.replace(sc, alpha3=sc.alpha3 + 1)
+        report = verify_rep_relations(build_rep(12, quad, 30), constants=bad)
+        assert not report.passed
+        # alpha3 enters A3 itself, so every relation fails.
+        assert report.residual_rel2 == report.residual_casimir == _to_mpf(rel2_casimir)
+        assert report.residual_rel3 == _to_mpf(rel3)
+
     def test_tolerance_schedule(self):
         assert rep_tolerance(30) == mpf(10) ** -25
         assert rep_tolerance(16) == mpf(10) ** -12
@@ -131,6 +158,13 @@ class TestPositivity:
             report = positivity_scan(quad, 100)
             assert report.passed
             assert report.first_nonpositive is None
+
+    def test_vanishing_denominator_names_n(self):
+        # 2(alpha+gamma) = -1 makes n+a+b+c+d+1 vanish at n = 0.
+        quad = RealParameterQuad(Fraction(-1, 2), Fraction(1), Fraction(0), Fraction(1))
+        with pytest.raises(DegenerateParameters) as info:
+            positivity_scan(quad, 4)
+        assert info.value.n == 0
 
     def test_report_shape(self):
         doc = positivity_scan(HALF_QUAD, 10).to_json()
