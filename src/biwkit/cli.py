@@ -3,10 +3,14 @@ subcommand with deterministic JSON output.
 
 Exit codes: 0 all verifications pass; 2 a verification failed; 3 invalid
 or degenerate parameters or a usage error; 4 numerical non-convergence.
-Errors are reported as JSON documents too.  Every JSON leaf
-carrying a numeric value is tagged ``exact`` (rational string or
-``{re, im}`` pair) or ``approx`` (decimal string plus the working
-precision in digits).
+Errors are reported as JSON documents too.
+
+A verifying command's document is its header fields (parameters and
+sizes), then one entry per report it ran, then ``pass``: true only if
+every report passed.  Each stage of ``all`` is ``{report, pass}``.
+Every JSON leaf carrying a numeric value is tagged ``exact`` (rational
+string or ``{re, im}`` pair) or ``approx`` (decimal string plus the
+working precision in digits).
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ import os
 import random
 import re
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -41,7 +45,6 @@ from .polyfam import (
     wilson_eigenvalue,
 )
 from .operators import (
-    StructureConstants,
     bi_realization,
     iso_forward,
     iso_inverse,
@@ -57,7 +60,13 @@ from .operators import (
     verify_prop1_operator_transform,
 )
 from .reptheory import build_rep, positivity_scan, verify_rep_relations
-from .measure import DEFAULT_PRECISION, MAX_TRUNCATION, MIN_PRECISION, orthogonality_gram
+from .measure import (
+    DEFAULT_PRECISION,
+    MAX_PRECISION,
+    MAX_TRUNCATION,
+    MIN_PRECISION,
+    orthogonality_gram,
+)
 
 SCHEMA = "biwkit/1"
 
@@ -213,18 +222,20 @@ def _cmd_wilson(args) -> tuple:
     }, True
 
 
+def _document(header: dict, reports: dict) -> tuple:
+    """``(document, passed)``: the header's fields, then each named report's
+    JSON in the order given; it passes only if every report passed."""
+    doc = {**header, **{name: r.to_json() for name, r in reports.items()}}
+    return doc, all(r.passed for r in reports.values())
+
+
 def _cmd_verify_eigen(args) -> tuple:
     p = _resolve_bi_params(args)
     _require_nondegenerate(p, args.n_max)
-    bi = verify_eigen_bi(args.n_max, p)
-    q = verify_eigen_q(args.n_max, p)
-    doc = {
-        "params": p.to_json(),
-        "n_max": args.n_max,
-        "bi_eigen": bi.to_json(),
-        "q_eigen": q.to_json(),
-    }
-    return doc, bi.passed and q.passed
+    return _document({"params": p.to_json(), "n_max": args.n_max}, {
+        "bi_eigen": verify_eigen_bi(args.n_max, p),
+        "q_eigen": verify_eigen_q(args.n_max, p),
+    })
 
 
 def _cmd_verify_algebra(args) -> tuple:
@@ -232,86 +243,67 @@ def _cmd_verify_algebra(args) -> tuple:
     _require_nondegenerate(p, args.degree)
     compact = verify_bi_algebra(p, args.degree)
     noncompact = verify_nc_algebra(p, args.degree)
-    doc = {
-        "params": p.to_json(),
-        "degree": args.degree,
-        "structure_constants": structure_constants(p).to_json(),
-        "compact": compact.to_json(),
-        "noncompact": noncompact.to_json(),
-    }
-    return doc, compact.passed and noncompact.passed
+    header = {"params": p.to_json(), "degree": args.degree,
+              "structure_constants": structure_constants(p).to_json()}
+    return _document(header, {"compact": compact, "noncompact": noncompact})
 
 
 def _cmd_verify_daha(args) -> tuple:
     t = _parse_daha(args.daha)
     wilson = verify_nonsym_wilson_eigen(args.n_max, t)
-    relations = verify_daha_relations(t, args.degree)
-    doc = {
-        "params": t.to_json(),
-        "degree": args.degree,
-        "relations": relations.to_json(),
-        "wilson_eigen": wilson.to_json(),
-    }
-    return doc, relations.passed and wilson.passed
+    return _document({"params": t.to_json(), "degree": args.degree}, {
+        "relations": verify_daha_relations(t, args.degree),
+        "wilson_eigen": wilson,
+    })
 
 
 def _cmd_verify_iso(args) -> tuple:
     p = _resolve_bi_params(args)
     _require_nondegenerate(p, args.degree)
     t = param_map_bi_to_daha(p)
-    k1, k2, k3, sc = bi_realization(p)
-    forward = iso_forward(k1, k2, k3, sc, args.degree)
-    inverse = iso_inverse(t, args.degree)
-    doc = {
-        "params": p.to_json(),
-        "daha_params": t.to_json(),
-        "degree": args.degree,
-        "forward": forward.to_json(),
-        "inverse": inverse.to_json(),
-    }
-    return doc, forward.passed and inverse.passed
+    header = {"params": p.to_json(), "daha_params": t.to_json(), "degree": args.degree}
+    return _document(header, {
+        "forward": iso_forward(*bi_realization(p), args.degree),
+        "inverse": iso_inverse(t, args.degree),
+    })
 
 
 def _cmd_verify_prop1(args) -> tuple:
     p = _resolve_bi_params(args)
     _require_nondegenerate(p, max(args.n_max, args.degree))
-    coeffs = verify_prop1_coefficients(args.n_max, p)
-    operator = verify_prop1_operator_transform(p, args.degree)
-    doc = {
-        "params": p.to_json(),
-        "n_max": args.n_max,
-        "degree": args.degree,
-        "coefficient_identity": coeffs.to_json(),
-        "operator_transform": operator.to_json(),
-    }
-    return doc, coeffs.passed and operator.passed
+    header = {"params": p.to_json(), "n_max": args.n_max, "degree": args.degree}
+    return _document(header, {
+        "coefficient_identity": verify_prop1_coefficients(args.n_max, p),
+        "operator_transform": verify_prop1_operator_transform(p, args.degree),
+    })
 
 
 def _cmd_rep(args) -> tuple:
     q = _parse_quad(args.quad)
-    rep = build_rep(args.size, q, args.precision)
-    report = verify_rep_relations(rep)
-    positivity = positivity_scan(q, args.size)
-    doc = {
-        "params": q.to_json(),
-        "relations": report.to_json(),
-        "positivity": positivity.to_json(),
-    }
-    return doc, report.passed and positivity.passed
+    return _document({"params": q.to_json()}, {
+        "relations": verify_rep_relations(build_rep(args.size, q, args.precision)),
+        "positivity": positivity_scan(q, args.size),
+    })
 
 
 def _cmd_ortho(args) -> tuple:
     q = _parse_quad(args.quad)
-    p = ParameterSet.from_quad(q)
-    report = orthogonality_gram(
-        args.n_max,
-        p,
-        tol=_parse_tol(args.tol),
-        precision=args.precision,
-        truncation=args.truncation,
-    )
-    doc = {"params": q.to_json(), "orthogonality": report.to_json()}
-    return doc, report.passed
+    report = orthogonality_gram(args.n_max, ParameterSet.from_quad(q), tol=_parse_tol(args.tol),
+                                precision=args.precision, truncation=args.truncation)
+    return _document({"params": q.to_json()}, {"orthogonality": report})
+
+
+def _random_eigen_stage(rng: random.Random) -> dict:
+    """Eigenvalue equations at three random parameter sets, as one ``all`` stage."""
+    checks = []
+    for _ in range(3):
+        rp = random_parameter_set(rng, 10)
+        checks.append({"params": rp.to_json(), **verify_eigen_bi(10, rp).to_json()})
+    return {"report": {"checks": checks}, "pass": all(c["pass"] for c in checks)}
+
+
+def _stage(report) -> dict:
+    return {"report": report.to_json(), "pass": report.passed}
 
 
 def _cmd_all(args) -> tuple:
@@ -319,6 +311,9 @@ def _cmd_all(args) -> tuple:
     if args.precision < MIN_PRECISION:
         raise InvalidParameters(
             f"--precision must be >= {MIN_PRECISION} digits, got {args.precision}")
+    if args.precision > MAX_PRECISION:
+        raise InvalidParameters(
+            f"--precision must be <= {MAX_PRECISION} digits, got {args.precision}")
     if args.truncation is not None and args.truncation < 1:
         raise InvalidParameters(f"--truncation must be >= 1, got {args.truncation}")
     if args.truncation is not None and args.truncation > MAX_TRUNCATION:
@@ -331,73 +326,32 @@ def _cmd_all(args) -> tuple:
     rep = build_rep(20, quad, 30)
     p = ParameterSet.from_quad(quad)
     t = param_map_bi_to_daha(p)
-    rng = random.Random(args.seed)
-
-    stages = {}
-
-    def add(name, report, passed=None):
-        stages[name] = {
-            "report": report,
-            "pass": bool(passed if passed is not None else report.get("pass")),
-        }
-
-    bi = verify_eigen_bi(10, p)
-    add("bi_eigen", bi.to_json())
-    qe = verify_eigen_q(10, p)
-    add("q_eigen", qe.to_json())
-    we = verify_nonsym_wilson_eigen(10, t)
-    add("wilson_eigen", we.to_json())
-
-    random_checks = []
-    for _ in range(3):
-        rp = random_parameter_set(rng, 10)
-        rep_r = verify_eigen_bi(10, rp)
-        random_checks.append({"params": rp.to_json(), **rep_r.to_json()})
-    add("random_eigen", {"checks": random_checks},
-        all(c["pass"] for c in random_checks))
-
     sc = structure_constants(p)
     if args.tamper:
-        sc = StructureConstants(
-            sc.omega1 + 1, sc.omega2, sc.omega3,
-            sc.alpha1, sc.alpha2, sc.alpha3,
-        )
-    compact = verify_bi_algebra(p, 10, constants=sc)
-    add("compact_algebra", compact.to_json())
-    noncompact = verify_nc_algebra(p, 10)
-    add("noncompact_algebra", noncompact.to_json())
-    cas_c = verify_casimir(p, 8, "compact")
-    add("casimir_compact", cas_c.to_json(), cas_c.realized_ok)
-    cas_nc = verify_casimir(p, 8, "noncompact")
-    add("casimir_noncompact", cas_nc.to_json(), cas_nc.realized_ok)
-    add("daha_relations", verify_daha_relations(t, 10).to_json())
-
-    k1, k2, k3, sc_true = bi_realization(p)
-    add("iso_forward", iso_forward(k1, k2, k3, sc_true, 8).to_json())
-    add("iso_inverse", iso_inverse(t, 8).to_json())
-    add("prop1_coefficients", verify_prop1_coefficients(10, p).to_json())
-    add("prop1_operator", verify_prop1_operator_transform(p, 8).to_json())
-    add("q_symmetries", q_symmetry_check(8, p).to_json())
-    add("positivity", positivity_scan(quad, 100).to_json())
-
-    add("representation", verify_rep_relations(rep).to_json())
-
-    ortho = orthogonality_gram(
-        args.n_max, p,
-        tol=tol,
-        precision=args.precision,
-        truncation=args.truncation,
-    )
-    add("orthogonality", ortho.to_json())
-
-    passed = all(s["pass"] for s in stages.values())
-    doc = {
-        "params": quad.to_json(),
-        "seed": args.seed,
-        "tamper": bool(args.tamper),
-        "stages": stages,
-        "pass": passed,
+        sc = replace(sc, omega1=sc.omega1 + 1)
+    stages = {
+        "bi_eigen": _stage(verify_eigen_bi(10, p)),
+        "q_eigen": _stage(verify_eigen_q(10, p)),
+        "wilson_eigen": _stage(verify_nonsym_wilson_eigen(10, t)),
+        "random_eigen": _random_eigen_stage(random.Random(args.seed)),
+        "compact_algebra": _stage(verify_bi_algebra(p, 10, constants=sc)),
+        "noncompact_algebra": _stage(verify_nc_algebra(p, 10)),
+        "casimir_compact": _stage(verify_casimir(p, 8, "compact")),
+        "casimir_noncompact": _stage(verify_casimir(p, 8, "noncompact")),
+        "daha_relations": _stage(verify_daha_relations(t, 10)),
+        "iso_forward": _stage(iso_forward(*bi_realization(p), 8)),
+        "iso_inverse": _stage(iso_inverse(t, 8)),
+        "prop1_coefficients": _stage(verify_prop1_coefficients(10, p)),
+        "prop1_operator": _stage(verify_prop1_operator_transform(p, 8)),
+        "q_symmetries": _stage(q_symmetry_check(8, p)),
+        "positivity": _stage(positivity_scan(quad, 100)),
+        "representation": _stage(verify_rep_relations(rep)),
+        "orthogonality": _stage(orthogonality_gram(
+            args.n_max, p, tol=tol, precision=args.precision, truncation=args.truncation)),
     }
+    passed = all(s["pass"] for s in stages.values())
+    doc = {"params": quad.to_json(), "seed": args.seed, "tamper": bool(args.tamper),
+           "stages": stages, "pass": passed}
     return doc, passed
 
 

@@ -57,6 +57,11 @@ MAX_TRUNCATION = 200
 # Below this precision the fixed off-diagonal threshold (OFFDIAG_REL_EXPONENT)
 # cannot be resolved.
 MIN_PRECISION = 20
+# Largest accepted precision.  Both the cost of a node and the node count grow
+# with the digits: at n_max 6, 100 digits end in 5-17 s (half quad, narrow
+# strip, truncation 200) and 200 digits in 16-57 s, while 1000 did not end
+# in 30 s even at n_max 0.
+MAX_PRECISION = 100
 _GUARD_DPS = 10
 # Truncation L grows by _TAIL_STEP at most _MAX_TAIL_STEPS times.
 _TAIL_STEP = 5
@@ -237,6 +242,8 @@ def orthogonality_gram(
         raise InvalidParameters(f"n_max must be >= 0, got {n_max}")
     if precision < MIN_PRECISION:
         raise InvalidParameters(f"precision must be >= {MIN_PRECISION} digits, got {precision}")
+    if precision > MAX_PRECISION:
+        raise InvalidParameters(f"precision must be <= {MAX_PRECISION} digits, got {precision}")
     if truncation is not None and truncation < 1:
         raise InvalidParameters(f"truncation must be >= 1, got {truncation}")
     if truncation is not None and truncation > MAX_TRUNCATION:

@@ -394,6 +394,10 @@ class CasimirReport:
     max_degree_checked: int
     which: str = "compact"
 
+    @property
+    def passed(self) -> bool:
+        return self.realized_ok
+
     def to_json(self) -> dict:
         return {
             "which": self.which,

@@ -3,7 +3,11 @@ determinism, and the exactness tagging of leaves."""
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -217,6 +221,16 @@ class TestErrorPaths:
         assert code == EXIT_INVALID_PARAMETERS
         assert doc["error"]["kind"] == "InvalidParameters"
 
+    def test_all_checks_precision_cap_before_any_stage(self, tmp_path, monkeypatch):
+        def stage(*args):
+            raise AssertionError("a stage ran before --precision was checked")
+
+        monkeypatch.setattr("biwkit.cli.verify_eigen_bi", stage)
+        code, doc = run(["all", "--precision", "100000"], tmp_path)
+        assert code == EXIT_INVALID_PARAMETERS
+        assert doc["error"]["kind"] == "InvalidParameters"
+        assert "--precision" in doc["error"]["detail"]
+
     @pytest.mark.parametrize("truncation", ["-100", "0", "1000000000"])
     def test_all_checks_truncation_before_any_stage(self, truncation, tmp_path, monkeypatch):
         def stage(*args):
@@ -246,11 +260,18 @@ class TestErrorPaths:
         ORTHO + ["--precision", "20", "--truncation", "0"],
         ORTHO + ["--precision", "20", "--truncation", "1000000000"],
         ["all", "--tol", "abc"],
+        ORTHO + ["--precision", "100000"],
     ])
     def test_ortho_invalid_input_exit_3(self, argv, tmp_path):
         code, doc = run(argv, tmp_path)
         assert code == EXIT_INVALID_PARAMETERS
         assert doc["error"]["kind"] == "InvalidParameters"
+
+    def test_precision_environment_over_cap_exit_3(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("BIWKIT_PRECISION", "100000")
+        code, doc = run(ORTHO, tmp_path)
+        assert code == EXIT_INVALID_PARAMETERS
+        assert "precision" in doc["error"]["detail"]
 
     def test_ortho_not_converged_exit_4(self, tmp_path):
         # 1e-40 is below what 30 working digits resolve: the halving cap is hit.
@@ -354,3 +375,21 @@ class TestRunAll:
         # Other stages still ran and passed: failures accumulate.
         assert doc["stages"]["noncompact_algebra"]["pass"] is True
         assert doc["stages"]["orthogonality"]["pass"] is True
+
+
+class TestProcessEntryPoint:
+    """``python -m biwkit`` as the shell sees it: exit status and stdout."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["verify-eigen", "--params", "0,0,0,0", "--n-max", "4"], EXIT_OK),
+        (["all", "--tamper"] + FAST_ALL, EXIT_VERIFICATION_FAILED),
+    ])
+    def test_exit_status_matches_document(self, argv, expected):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-m", "biwkit"] + argv, capture_output=True,
+                              text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        assert proc.returncode == expected
+        doc = json.loads(proc.stdout)  # exactly one JSON document
+        assert doc["schema"] == SCHEMA
+        assert doc["pass"] is (proc.returncode == EXIT_OK)

@@ -9,7 +9,9 @@ quadrature rule, so a change to ``measure`` shows here.  ``rep.json`` was
 written by the exact banded representation check; its residuals are exact
 zeros, so it does not depend on the mpmath backend.  ``all.json`` pins
 every stage of the full suite at reduced settings, among them the
-``expected_diag`` digits of the closed-form norm h0.
+``expected_diag`` digits of the closed-form norm h0, and ``all-tamper.json``
+pins the same run with its negative control, which exits 2.  ``poly.json``,
+``q-poly.json`` and ``wilson.json`` pin the three construction commands.
 """
 
 import json
@@ -17,7 +19,7 @@ from pathlib import Path
 
 import pytest
 
-from biwkit.cli import EXIT_OK, _parse_four, main
+from biwkit.cli import EXIT_OK, EXIT_VERIFICATION_FAILED, _parse_four, main
 from biwkit.exact import parse_complex_rational
 from biwkit.operators import (
     StructureConstants,
@@ -34,17 +36,25 @@ PARAMS = "1/2+1/3i,-1/4+1/2i,2/3-1/5i,1/7-2i"
 DAHA = "1/3,1/5+1/2i,-1/4,2/7i"
 CONTROL_DEGREE = 3
 
+ALL = ["all", "--quad", "1/2,1/2,1/2,1/2", "--n-max", "1", "--precision", "30",
+       "--truncation", "20", "--tol", "1e-6"]
+
+# name -> (expected exit code, argv)
 CLI_CASES = {
-    "verify-eigen": ["verify-eigen", "--params", PARAMS, "--n-max", "4"],
-    "verify-algebra": ["verify-algebra", "--params", PARAMS, "--degree", "3"],
-    "verify-daha": ["verify-daha", "--daha", DAHA, "--n-max", "4", "--degree", "4"],
-    "verify-iso": ["verify-iso", "--params", PARAMS, "--degree", "1"],
-    "verify-prop1": ["verify-prop1", "--params", PARAMS, "--n-max", "4", "--degree", "3"],
-    "ortho": ["ortho", "--quad", "1/2,1/2,1/2,1/2", "--n-max", "1", "--precision", "30",
-              "--truncation", "20", "--tol", "1e-6"],
-    "rep": ["rep", "--quad", "1/2,1/2,1/2,1/2", "--size", "20"],
-    "all": ["all", "--quad", "1/2,1/2,1/2,1/2", "--n-max", "1", "--precision", "30",
-            "--truncation", "20", "--tol", "1e-6"],
+    "poly": (EXIT_OK, ["poly", "--params", PARAMS, "--n-max", "4"]),
+    "q-poly": (EXIT_OK, ["q-poly", "--params", PARAMS, "--n-max", "4"]),
+    "wilson": (EXIT_OK, ["wilson", "--daha", DAHA, "--n-max", "4"]),
+    "verify-eigen": (EXIT_OK, ["verify-eigen", "--params", PARAMS, "--n-max", "4"]),
+    "verify-algebra": (EXIT_OK, ["verify-algebra", "--params", PARAMS, "--degree", "3"]),
+    "verify-daha": (EXIT_OK, ["verify-daha", "--daha", DAHA, "--n-max", "4", "--degree", "4"]),
+    "verify-iso": (EXIT_OK, ["verify-iso", "--params", PARAMS, "--degree", "1"]),
+    "verify-prop1": (EXIT_OK, ["verify-prop1", "--params", PARAMS, "--n-max", "4",
+                               "--degree", "3"]),
+    "ortho": (EXIT_OK, ["ortho", "--quad", "1/2,1/2,1/2,1/2", "--n-max", "1",
+                        "--precision", "30", "--truncation", "20", "--tol", "1e-6"]),
+    "rep": (EXIT_OK, ["rep", "--quad", "1/2,1/2,1/2,1/2", "--size", "20"]),
+    "all": (EXIT_OK, ALL),
+    "all-tamper": (EXIT_VERIFICATION_FAILED, ALL + ["--tamper"]),
 }
 
 
@@ -64,8 +74,9 @@ def control_documents() -> dict:
 
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
 def test_cli_document_is_byte_identical(name, tmp_path):
+    code, argv = CLI_CASES[name]
     out = tmp_path / f"{name}.json"
-    assert main(CLI_CASES[name] + ["--output", str(out)]) == EXIT_OK
+    assert main(argv + ["--output", str(out)]) == code
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
 
 

@@ -14,6 +14,7 @@ from mpmath import mp, mpc, mpf
 from biwkit.errors import InvalidParameters, PoleError, QuadratureNotConverged
 from biwkit.measure import (
     DEFAULT_PRECISION,
+    MAX_PRECISION,
     h0,
     log_gamma,
     orthogonality_gram,
@@ -188,6 +189,7 @@ class TestGram:
     @pytest.mark.parametrize("kwargs", [
         {"tol": 0}, {"tol": Fraction(-1, 10)}, {"precision": 19}, {"n_max": -1},
         {"truncation": 0}, {"truncation": -100}, {"truncation": 201}, {"truncation": 10 ** 9},
+        {"precision": MAX_PRECISION + 1},
     ])
     def test_rejects_invalid_input(self, kwargs):
         args = {"n_max": 1, "p": HALF_PARAMS, "precision": 30, **kwargs}

@@ -9,6 +9,7 @@ from biwkit.cli import random_parameter_set
 from biwkit.errors import InvalidParameters, OperatorNotPolynomialPreserving
 from biwkit.exact import I, ComplexRational, Polynomial
 from biwkit.operators import (
+    CasimirReport,
     DividedDifference,
     StructureConstants,
     Substitution,
@@ -206,6 +207,16 @@ class TestAlgebras:
             noncompact = verify_casimir(p, 8, "noncompact")
             assert compact.realized_ok and noncompact.realized_ok
             assert compact.expected == expected == noncompact.expected
+
+    def test_casimir_passed_is_realized_ok(self):
+        report = verify_casimir(ZERO_PARAMS, 4, "noncompact")
+        failed = CasimirReport(expected=report.expected, realized_ok=False,
+                               max_degree_checked=4)
+        for r in (report, failed):
+            assert r.passed is r.realized_ok
+            assert r.to_json()["realized_ok"] is r.realized_ok
+            assert "pass" not in r.to_json()
+        assert report.passed and not failed.passed
 
     def test_casimir_value_at_zero(self):
         assert casimir_scalar(ZERO_PARAMS) == ComplexRational(Fraction(1, 4))
