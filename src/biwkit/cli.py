@@ -60,13 +60,7 @@ from .operators import (
     verify_prop1_operator_transform,
 )
 from .reptheory import build_rep, positivity_scan, verify_rep_relations
-from .measure import (
-    DEFAULT_PRECISION,
-    MAX_PRECISION,
-    MAX_TRUNCATION,
-    MIN_PRECISION,
-    orthogonality_gram,
-)
+from .measure import DEFAULT_PRECISION, DEFAULT_TOL, check_gram_inputs, orthogonality_gram
 
 SCHEMA = "biwkit/1"
 
@@ -115,22 +109,24 @@ def _parse_four(text: Optional[str], flag: str, parse, cls):
             f"{flag}: cannot read {text!r}: {type(exc).__name__}: {exc}") from exc
 
 
-def _parse_tol(text: str) -> Fraction:
+def _parse_tol(text) -> Fraction:
     try:
-        tol = Fraction(text)
+        return Fraction(text)
     except (ValueError, ZeroDivisionError) as exc:
         raise InvalidParameters(f"--tol: {exc}") from exc
-    if tol <= 0:
-        raise InvalidParameters(f"--tol must be > 0, got {text}")
-    return tol
+
+
+def _parameter_style(args) -> str:
+    """The one parameter flag given, among those the command offers."""
+    offered = [s for s in ("params", "quad", "daha") if hasattr(args, s)]
+    given = [s for s in offered if getattr(args, s)]
+    if len(given) != 1:
+        raise InvalidParameters("give exactly one of " + " or ".join(f"--{s}" for s in offered))
+    return given[0]
 
 
 def _resolve_bi_params(args) -> ParameterSet:
-    """One parameter style per invocation: --params or --quad."""
-    given = [s for s in ("params", "quad") if getattr(args, s, None)]
-    if len(given) != 1:
-        raise InvalidParameters("give exactly one of --params or --quad")
-    if given[0] == "params":
+    if _parameter_style(args) == "params":
         return _parse_four(args.params, "--params", parse_complex_rational, ParameterSet)
     return ParameterSet.from_quad(_parse_quad(args.quad))
 
@@ -191,14 +187,20 @@ def random_parameter_set(rng: random.Random, n_max: int) -> ParameterSet:
         return p
 
 
-def _emit(doc: dict, digits: int, output_path: Optional[str]) -> None:
-    tagged = _tag_leaves(doc, digits)
-    text = json.dumps(tagged, indent=2, sort_keys=False) + "\n"
-    if output_path:
-        with open(output_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _open_output(path: Optional[str]):
+    """The --output file, opened before any work runs; stdout without a path."""
+    if not path:
+        return sys.stdout
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise InvalidParameters(f"--output: cannot write {path!r}: {exc.strerror}") from None
+
+
+def _emit(doc: dict, digits: int, out) -> None:
+    out.write(json.dumps(_tag_leaves(doc, digits), indent=2, sort_keys=False) + "\n")
+    if out is not sys.stdout:
+        out.close()
 
 
 def _cmd_poly(args, kind: str) -> tuple:
@@ -208,7 +210,7 @@ def _cmd_poly(args, kind: str) -> tuple:
 
 
 def _cmd_wilson(args) -> tuple:
-    if getattr(args, "daha", None):
+    if _parameter_style(args) == "daha":
         t = _parse_daha(args.daha)
     else:
         t = param_map_bi_to_daha(_resolve_bi_params(args))
@@ -308,23 +310,11 @@ def _stage(report) -> dict:
 
 def _cmd_all(args) -> tuple:
     tol = _parse_tol(args.tol)
-    if args.precision < MIN_PRECISION:
-        raise InvalidParameters(
-            f"--precision must be >= {MIN_PRECISION} digits, got {args.precision}")
-    if args.precision > MAX_PRECISION:
-        raise InvalidParameters(
-            f"--precision must be <= {MAX_PRECISION} digits, got {args.precision}")
-    if args.truncation is not None and args.truncation < 1:
-        raise InvalidParameters(f"--truncation must be >= 1, got {args.truncation}")
-    if args.truncation is not None and args.truncation > MAX_TRUNCATION:
-        raise InvalidParameters(
-            f"--truncation must be <= {MAX_TRUNCATION}, got {args.truncation}")
     quad = _parse_quad(args.quad) if args.quad else RealParameterQuad(
         Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)
     )
-    # Built before any stage: build_rep rejects a non-positive quad.
-    rep = build_rep(20, quad, 30)
     p = ParameterSet.from_quad(quad)
+    check_gram_inputs(p, args.n_max, args.precision, args.truncation, tol)
     t = param_map_bi_to_daha(p)
     sc = structure_constants(p)
     if args.tamper:
@@ -345,7 +335,7 @@ def _cmd_all(args) -> tuple:
         "prop1_operator": _stage(verify_prop1_operator_transform(p, 8)),
         "q_symmetries": _stage(q_symmetry_check(8, p)),
         "positivity": _stage(positivity_scan(quad, 100)),
-        "representation": _stage(verify_rep_relations(rep)),
+        "representation": _stage(verify_rep_relations(build_rep(20, quad, 30))),
         "orthogonality": _stage(orthogonality_gram(
             args.n_max, p, tol=tol, precision=args.precision, truncation=args.truncation)),
     }
@@ -431,13 +421,13 @@ def build_parser(env_precision: Optional[int] = None) -> argparse.ArgumentParser
 
     sp = sub.add_parser("ortho", help="Gram matrix of the modified family")
     common(sp, quad=True, n_max=6, precision=True)
-    sp.add_argument("--tol", default="1e-8", help="relative tolerance (exact decimal)")
+    sp.add_argument("--tol", default=DEFAULT_TOL, help="relative tolerance (exact decimal)")
     sp.add_argument("--truncation", type=int, default=None,
                     help="initial half-width L of the integration interval")
 
     sp = sub.add_parser("all", help="run the full certification suite")
     common(sp, quad=True, n_max=4, precision=True)
-    sp.add_argument("--tol", default="1e-8")
+    sp.add_argument("--tol", default=DEFAULT_TOL)
     sp.add_argument("--truncation", type=int, default=None)
     sp.add_argument("--seed", type=int, default=0,
                     help="seed for the randomized property stage")
@@ -471,18 +461,18 @@ _EXIT_CODES = {
 
 
 def main(argv=None) -> int:
-    digits, output, command = DEFAULT_PRECISION, None, None
+    digits, out, command = DEFAULT_PRECISION, sys.stdout, None
     try:
         args = build_parser(_env_precision()).parse_args(argv)
-        digits = getattr(args, "precision", DEFAULT_PRECISION)
-        output, command = args.output, args.command
+        digits, command = getattr(args, "precision", DEFAULT_PRECISION), args.command
+        out = _open_output(args.output)
         _require_bounded_sizes(args)
         doc, passed = _DISPATCH[args.command](args)
     except BiwkitError as exc:
         _emit({"schema": SCHEMA, "command": command,
-               "error": {"kind": type(exc).__name__, "detail": str(exc)}}, digits, output)
+               "error": {"kind": type(exc).__name__, "detail": str(exc)}}, digits, out)
         return _EXIT_CODES.get(type(exc), EXIT_VERIFICATION_FAILED)
-    _emit({"schema": SCHEMA, "command": command, **doc, "pass": bool(passed)}, digits, output)
+    _emit({"schema": SCHEMA, "command": command, **doc, "pass": bool(passed)}, digits, out)
     return EXIT_OK if passed else EXIT_VERIFICATION_FAILED
 
 

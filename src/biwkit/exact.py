@@ -260,7 +260,7 @@ class Polynomial:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs: Iterable[ScalarLike] = ()):
-        cs = [ComplexRational.coerce(c) for c in coeffs]
+        cs = [c if type(c) is ComplexRational else ComplexRational.coerce(c) for c in coeffs]
         while cs and cs[-1].is_zero():
             cs.pop()
         object.__setattr__(self, "coeffs", tuple(cs))
@@ -282,7 +282,7 @@ class Polynomial:
 
     @staticmethod
     def monomial(k: int, coeff: ScalarLike = 1) -> "Polynomial":
-        return Polynomial([0] * k + [coeff])
+        return Polynomial([ZERO] * k + [coeff])
 
     @property
     def degree(self) -> int:

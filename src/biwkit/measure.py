@@ -49,10 +49,9 @@ from .polyfam import ParameterSet, bi_coefficients, q_polynomials
 DEFAULT_PRECISION = 50
 DEFAULT_TOL = Fraction(1, 10**8)
 DEFAULT_TRUNCATION = 40
-# Largest accepted starting L.  The default path never takes L above 100
-# (40 plus at most _MAX_TAIL_STEPS steps of _TAIL_STEP), and the outer
-# interval [-X, X], hence the node count, grows with L; a larger L buys no
-# accuracy and an unbounded one runs until it is killed.
+# Largest accepted starting L.  The outer interval [-X, X], hence the node
+# count, grows with L; a larger L buys no accuracy and an unbounded one runs
+# until it is killed.
 MAX_TRUNCATION = 200
 # Below this precision the fixed off-diagonal threshold (OFFDIAG_REL_EXPONENT)
 # cannot be resolved.
@@ -63,9 +62,8 @@ MIN_PRECISION = 20
 # in 30 s even at n_max 0.
 MAX_PRECISION = 100
 _GUARD_DPS = 10
-# Truncation L grows by _TAIL_STEP at most _MAX_TAIL_STEPS times.
+# Truncations L and X grow in steps of _TAIL_STEP.
 _TAIL_STEP = 5
-_MAX_TAIL_STEPS = 12
 
 
 def _is_nonpositive_integer(z) -> bool:
@@ -106,7 +104,28 @@ def _check_weight_hypotheses(p: ParameterSet):
     for name in ("a", "b"):
         v = getattr(p, name)
         if v.re <= 0 or v.im <= 0:
-            raise InvalidParameters(f"parameter {name} must have positive real and imaginary parts")
+            raise InvalidParameters(f"parameter {name} must have positive real and imaginary "
+                                    "parts: every --quad entry must be positive")
+
+
+def check_gram_inputs(p: ParameterSet, n_max: int, precision: int,
+                      truncation: Optional[int], tol) -> None:
+    """Raise InvalidParameters unless ``orthogonality_gram`` accepts these inputs.
+
+    Each message names the command-line flag that sets the value; a
+    truncation of None selects DEFAULT_TRUNCATION.
+    """
+    _check_weight_hypotheses(p)
+    if n_max < 0:
+        raise InvalidParameters(f"--n-max must be >= 0, got {n_max}")
+    if not MIN_PRECISION <= precision <= MAX_PRECISION:
+        raise InvalidParameters(
+            f"--precision must be in {MIN_PRECISION}..{MAX_PRECISION} digits, got {precision}")
+    if truncation is not None and not 1 <= truncation <= MAX_TRUNCATION:
+        raise InvalidParameters(f"--truncation must be in 1..{MAX_TRUNCATION}, got {truncation}")
+    # A tolerance of 1 or more makes the diagonal and ratio checks vacuous.
+    if not 0 < tol < 1:
+        raise InvalidParameters(f"--tol must be in (0, 1), got {mp.nstr(_to_mpf(tol), 6)}")
 
 
 def _weight(z, pa, pb, pc, pd):
@@ -179,7 +198,6 @@ class OrthogonalityReport:
             self.max_offdiag_rel <= mpf(10) ** OFFDIAG_REL_EXPONENT
             and self.max_diag_rel_err <= self.tol
             and self.max_ratio_err <= self.tol
-            and self.l_stability <= self.tol / 10
         )
 
     def to_json(self) -> dict:
@@ -234,24 +252,12 @@ def orthogonality_gram(
     * |h0| from one level to the next; QuadratureNotConverged is raised one
     halving past the a-priori step.  L is grown from ``truncation`` until
     the tail bound falls to tol * 1e-3 * |h0|; the report carries the change
-    when the interval is cut from [-X, X] to [-L, L], which certifies tail
-    convergence.
+    when the interval is cut from [-X, X] to [-L, L].  That change certifies
+    tail convergence: above tol/10 it raises QuadratureNotConverged, since
+    the tail test at the single point L missed a later rise of W.
     """
-    _check_weight_hypotheses(p)
-    if n_max < 0:
-        raise InvalidParameters(f"n_max must be >= 0, got {n_max}")
-    if precision < MIN_PRECISION:
-        raise InvalidParameters(f"precision must be >= {MIN_PRECISION} digits, got {precision}")
-    if precision > MAX_PRECISION:
-        raise InvalidParameters(f"precision must be <= {MAX_PRECISION} digits, got {precision}")
-    if truncation is not None and truncation < 1:
-        raise InvalidParameters(f"truncation must be >= 1, got {truncation}")
-    if truncation is not None and truncation > MAX_TRUNCATION:
-        raise InvalidParameters(f"truncation must be <= {MAX_TRUNCATION}, got {truncation}")
-    if not isinstance(tol, mpf):
-        tol = _to_mpf(Fraction(tol))
-    if tol <= 0:
-        raise InvalidParameters(f"tol must be > 0, got {tol}")
+    check_gram_inputs(p, n_max, precision, truncation, tol)
+    tol = _to_mpf(tol)
 
     polys = q_polynomials(n_max, p)
     for n, poly in enumerate(polys):
@@ -277,9 +283,7 @@ def orthogonality_gram(
             return _weight(mpf(x), *params) * mpf(x) ** (2 * n_max)
 
         L = int(truncation) if truncation is not None else DEFAULT_TRUNCATION
-        for _ in range(_MAX_TAIL_STEPS):
-            if tail(L) <= tol * mpf(10) ** (-3) * abs(h0_val):
-                break
+        while tail(L) > tol * mpf(10) ** (-3) * abs(h0_val):
             L += _TAIL_STEP
         # Past X the integrand is negligible, so the half-weighted endpoints
         # leave no O(h^2) floor.
@@ -350,6 +354,11 @@ def orthogonality_gram(
         l_stab = max(
             abs(gram[n][m] - gram_l[n][m]) / scale for n in range(k) for m in range(k)
         )
+        if l_stab > tol / 10:
+            raise QuadratureNotConverged(
+                f"cutting the Gram to [-L, L], L = {L}, changes it by {mp.nstr(l_stab, 6)} "
+                f"relative to its (0, 0) entry: W rises again past L"
+            )
 
         report = OrthogonalityReport(
             n_max=n_max,

@@ -393,3 +393,71 @@ class TestProcessEntryPoint:
         doc = json.loads(proc.stdout)  # exactly one JSON document
         assert doc["schema"] == SCHEMA
         assert doc["pass"] is (proc.returncode == EXIT_OK)
+
+
+class TestGramContract:
+    """One input contract for the Gram: ``ortho`` and ``all`` word each
+    rejection alike, and ``all`` rejects before its first stage."""
+
+    @pytest.mark.parametrize("flags", [
+        ["--precision", "19"], ["--precision", "101"],
+        ["--truncation", "0"], ["--truncation", "201"],
+        ["--tol", "0"], ["--tol", "1"],
+    ])
+    def test_ortho_and_all_reject_alike_before_any_stage(self, flags, tmp_path, monkeypatch):
+        code, ortho = run(ORTHO + flags, tmp_path, "ortho.json")
+        assert code == EXIT_INVALID_PARAMETERS
+
+        def stage(*args):
+            raise AssertionError(f"a stage ran before {flags[0]} was checked")
+
+        monkeypatch.setattr("biwkit.cli.verify_eigen_bi", stage)
+        code, doc = run(["all", "--n-max", "1"] + flags, tmp_path, "all.json")
+        assert code == EXIT_INVALID_PARAMETERS
+        assert doc["error"] == ortho["error"]
+        assert flags[0] in doc["error"]["detail"]
+
+    def test_tolerance_of_one_or_more_exit_3(self, tmp_path):
+        # At tol >= 1 the diagonal and ratio checks would pass any Gram.
+        code, doc = run(ORTHO + ["--precision", "20", "--tol", "1e400"], tmp_path)
+        assert code == EXIT_INVALID_PARAMETERS
+        assert doc["error"]["detail"] == "--tol must be in (0, 1), got 1.0e+400"
+
+    def test_unconverged_tail_exit_4(self, tmp_path):
+        # W / h0 is 1.8e-17 at z = 40, so the tail test stops L there, but
+        # W rises to 0.49 h0 at z = 80: the Gram cut to [-40, 40] is wrong.
+        argv = ["ortho", "--quad", "30,30,30,30", "--n-max", "1", "--precision", "20"]
+        code, doc = run(argv, tmp_path)
+        assert code == EXIT_NOT_CONVERGED
+        assert doc["error"]["kind"] == "QuadratureNotConverged"
+        assert "L = 40" in doc["error"]["detail"]
+
+    def test_tail_past_one_hundred_passes(self, tmp_path):
+        # The tail test first holds past L = 100, where a cap of twelve
+        # steps from the default L = 40 used to stop it.
+        argv = ["ortho", "--quad", "28,37,15,37/2", "--n-max", "1", "--precision", "20"]
+        code, doc = run(argv, tmp_path)
+        assert code == EXIT_OK
+        assert doc["orthogonality"]["truncation_L"] > 100
+
+
+class TestParameterStyle:
+    @pytest.mark.parametrize("other", [["--quad", "1/2,1/2,1/2,1/2"], ["--params", "0,0,0,0"]])
+    def test_wilson_rejects_daha_with_another_style(self, other, tmp_path):
+        code, doc = run(["wilson", "--daha", "1/4,1/4,0,0"] + other, tmp_path)
+        assert code == EXIT_INVALID_PARAMETERS
+        assert doc["error"]["detail"] == "give exactly one of --params or --quad or --daha"
+
+
+class TestOutputPath:
+    @pytest.mark.parametrize("target", ["missing/x.json", "."])
+    def test_unwritable_output_exit_3_before_any_work(self, target, tmp_path, monkeypatch):
+        def work(*args, **kwargs):
+            raise AssertionError("the family was built before --output was checked")
+
+        monkeypatch.setattr("biwkit.cli.family_to_json", work)
+        path = os.path.normpath(tmp_path / target)
+        code, doc = run_stdout(["poly", "--params", "0,0,0,0", "--output", path])
+        assert code == EXIT_INVALID_PARAMETERS
+        assert doc["error"]["kind"] == "InvalidParameters"
+        assert doc["error"]["detail"].startswith("--output: cannot write")

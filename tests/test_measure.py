@@ -196,5 +196,10 @@ class TestGram:
         with pytest.raises(InvalidParameters):
             orthogonality_gram(**args)
 
+    @pytest.mark.parametrize("tol", [1, Fraction(3, 2), 10 ** 400], ids=["1", "3/2", "1e400"])
+    def test_rejects_tolerance_of_one_or_more(self, tol):
+        with pytest.raises(InvalidParameters, match="--tol"):
+            orthogonality_gram(1, HALF_PARAMS, tol=tol, precision=30)
+
     def test_default_precision_constant(self):
         assert DEFAULT_PRECISION == 50
