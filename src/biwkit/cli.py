@@ -8,9 +8,11 @@ Errors are reported as JSON documents too.
 A verifying command's document is its header fields (parameters and
 sizes), then one entry per report it ran, then ``pass``: true only if
 every report passed.  Each stage of ``all`` is ``{report, pass}``.
-Every JSON leaf carrying a numeric value is tagged ``exact`` (rational
-string or ``{re, im}`` pair) or ``approx`` (decimal string plus the
-working precision in digits).
+Reports hand over their numbers as values; ``_tagged`` alone writes them,
+choosing each tag by the value's type: a ``Fraction`` is ``{"exact":
+"p/q"}``, a ``ComplexRational`` is ``{"exact": {"re", "im"}}``, a
+``Polynomial`` is the list of its coefficients, and an ``Approx`` is
+``{"approx": decimal string, "precision_digits": the digits printed}``.
 """
 
 from __future__ import annotations
@@ -20,11 +22,12 @@ import functools
 import json
 import os
 import random
-import re
 import sys
 from dataclasses import fields, replace
 from fractions import Fraction
 from typing import Optional
+
+from mpmath import mp
 
 from .errors import (
     BiwkitError,
@@ -32,7 +35,7 @@ from .errors import (
     InvalidParameters,
     QuadratureNotConverged,
 )
-from .exact import ComplexRational, parse_complex_rational
+from .exact import ComplexRational, Polynomial, parse_complex_rational
 from .polyfam import (
     DAHAParameterSet,
     ParameterSet,
@@ -60,40 +63,44 @@ from .operators import (
     verify_prop1_operator_transform,
 )
 from .reptheory import build_rep, positivity_scan, verify_rep_relations
-from .measure import DEFAULT_PRECISION, DEFAULT_TOL, check_gram_inputs, orthogonality_gram
+from .measure import (
+    DEFAULT_PRECISION,
+    DEFAULT_TOL,
+    Approx,
+    check_gram_inputs,
+    orthogonality_gram,
+)
 
-SCHEMA = "biwkit/1"
+SCHEMA = "biwkit/2"
 
 EXIT_OK = 0
 EXIT_VERIFICATION_FAILED = 2
 EXIT_INVALID_PARAMETERS = 3
 EXIT_NOT_CONVERGED = 4
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
-# Keys whose string values are labels, not numbers; never tagged.
-_LABEL_KEYS = {
-    "schema", "command", "relation", "identity", "kind", "detail",
-    "which", "stage", "error", "family",
-}
 
+def _tagged(node):
+    """The document tree with every number as its tagged leaf (see module docstring).
 
-def _tag_leaves(node, digits: int, key: Optional[str] = None):
-    """Tag every numeric leaf as exact or approx (see module docstring)."""
-    if isinstance(node, dict):
-        if set(node) == {"re", "im"}:
-            return {"exact": dict(node)}
-        return {k: _tag_leaves(v, digits, k) for k, v in node.items()}
-    if isinstance(node, list):
-        return [_tag_leaves(v, digits, key) for v in node]
-    if isinstance(node, bool) or node is None or isinstance(node, int):
+    Strings (labels), ints (sizes and counts), booleans and None stay as
+    they are; any other leaf, such as a bare mpf, raises TypeError.
+    """
+    kind = type(node)
+    if kind is dict:
+        return {k: _tagged(v) for k, v in node.items()}
+    if kind is list:
+        return [_tagged(v) for v in node]
+    if kind is ComplexRational:
+        return {"exact": {"re": str(node.re), "im": str(node.im)}}
+    if kind is Fraction:
+        return {"exact": str(node)}
+    if kind is Polynomial:
+        return [_tagged(c) for c in node.coeffs]
+    if kind is Approx:
+        return {"approx": mp.nstr(node.value, node.digits), "precision_digits": node.digits}
+    if node is None or kind in (bool, int, str):
         return node
-    if isinstance(node, str):
-        if key in _LABEL_KEYS:
-            return node
-        if _RATIONAL_RE.match(node):
-            return {"exact": node}
-        return {"approx": node, "precision_digits": digits}
-    raise TypeError(f"unserializable leaf of type {type(node).__name__}")
+    raise TypeError(f"unserializable leaf of type {kind.__name__}")
 
 
 def _parse_four(text: Optional[str], flag: str, parse, cls):
@@ -197,8 +204,8 @@ def _open_output(path: Optional[str]):
         raise InvalidParameters(f"--output: cannot write {path!r}: {exc.strerror}") from None
 
 
-def _emit(doc: dict, digits: int, out) -> None:
-    out.write(json.dumps(_tag_leaves(doc, digits), indent=2, sort_keys=False) + "\n")
+def _emit(doc: dict, out) -> None:
+    out.write(json.dumps(_tagged(doc), indent=2) + "\n")
     if out is not sys.stdout:
         out.close()
 
@@ -219,8 +226,8 @@ def _cmd_wilson(args) -> tuple:
         "family": "nonsym-wilson",
         "params": t.to_json(),
         "n_max": args.n_max,
-        "polynomials": [poly.to_json() for poly in polys],
-        "gamma": [wilson_eigenvalue(n, t).to_json() for n in range(args.n_max + 1)],
+        "polynomials": polys,
+        "gamma": [wilson_eigenvalue(n, t) for n in range(args.n_max + 1)],
     }, True
 
 
@@ -461,18 +468,18 @@ _EXIT_CODES = {
 
 
 def main(argv=None) -> int:
-    digits, out, command = DEFAULT_PRECISION, sys.stdout, None
+    out, command = sys.stdout, None
     try:
         args = build_parser(_env_precision()).parse_args(argv)
-        digits, command = getattr(args, "precision", DEFAULT_PRECISION), args.command
+        command = args.command
         out = _open_output(args.output)
         _require_bounded_sizes(args)
         doc, passed = _DISPATCH[args.command](args)
     except BiwkitError as exc:
         _emit({"schema": SCHEMA, "command": command,
-               "error": {"kind": type(exc).__name__, "detail": str(exc)}}, digits, out)
+               "error": {"kind": type(exc).__name__, "detail": str(exc)}}, out)
         return _EXIT_CODES.get(type(exc), EXIT_VERIFICATION_FAILED)
-    _emit({"schema": SCHEMA, "command": command, **doc, "pass": bool(passed)}, digits, out)
+    _emit({"schema": SCHEMA, "command": command, **doc, "pass": bool(passed)}, out)
     return EXIT_OK if passed else EXIT_VERIFICATION_FAILED
 
 

@@ -19,18 +19,6 @@ from .errors import NonzeroRemainder
 ScalarLike = Union[int, Fraction, "ComplexRational"]
 
 
-def fraction_to_str(q: Fraction) -> str:
-    """Serialize a Fraction as "p" or "p/q" in lowest terms."""
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
-def fraction_from_str(s: str) -> Fraction:
-    """Parse "p/q", integer, or finite decimal strings exactly."""
-    return Fraction(s.strip())
-
-
 class ComplexRational:
     """A Gaussian rational (x + y*i)/d held as three ints.
 
@@ -169,18 +157,11 @@ class ComplexRational:
 
     def __str__(self):
         if self.is_real():
-            return fraction_to_str(self.re)
+            return str(self.re)
         if not self._x:
-            return f"{fraction_to_str(self.im)}*i"
+            return f"{self.im}*i"
         sign = "+" if self._y > 0 else "-"
-        return f"{fraction_to_str(self.re)}{sign}{fraction_to_str(abs(self.im))}*i"
-
-    def to_json(self) -> dict:
-        return {"re": fraction_to_str(self.re), "im": fraction_to_str(self.im)}
-
-    @staticmethod
-    def from_json(obj: dict) -> "ComplexRational":
-        return ComplexRational(fraction_from_str(obj["re"]), fraction_from_str(obj["im"]))
+        return f"{self.re}{sign}{abs(self.im)}*i"
 
 
 # The slot setters bypass __setattr__, which keeps instances immutable to callers.
@@ -413,10 +394,3 @@ class Polynomial:
 
     def __repr__(self):
         return f"Polynomial({[str(c) for c in self.coeffs]})"
-
-    def to_json(self) -> list:
-        return [c.to_json() for c in self.coeffs]
-
-    @staticmethod
-    def from_json(arr: list) -> "Polynomial":
-        return Polynomial([ComplexRational.from_json(c) for c in arr])

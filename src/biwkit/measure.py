@@ -64,6 +64,16 @@ MAX_PRECISION = 100
 _GUARD_DPS = 10
 # Truncations L and X grow in steps of _TAIL_STEP.
 _TAIL_STEP = 5
+# Significant digits of a report's summary figures (errors, residuals, tolerances).
+SUMMARY_DIGITS = 6
+
+
+@dataclass(frozen=True)
+class Approx:
+    """An approximate number in a report, printed to ``digits`` significant digits."""
+
+    value: mpf
+    digits: int
 
 
 def _is_nonpositive_integer(z) -> bool:
@@ -201,19 +211,19 @@ class OrthogonalityReport:
         )
 
     def to_json(self) -> dict:
-        d = self.precision_digits
+        d, s = self.precision_digits, SUMMARY_DIGITS
         return {
             "n_max": self.n_max,
-            "gram": [[mp.nstr(v, d) for v in row] for row in self.gram],
-            "expected_diag": [mp.nstr(v, d) for v in self.expected_diag],
-            "max_offdiag_rel": mp.nstr(self.max_offdiag_rel, 6),
-            "max_diag_rel_err": mp.nstr(self.max_diag_rel_err, 6),
-            "max_ratio_err": mp.nstr(self.max_ratio_err, 6),
+            "gram": [[Approx(v, d) for v in row] for row in self.gram],
+            "expected_diag": [Approx(v, d) for v in self.expected_diag],
+            "max_offdiag_rel": Approx(self.max_offdiag_rel, s),
+            "max_diag_rel_err": Approx(self.max_diag_rel_err, s),
+            "max_ratio_err": Approx(self.max_ratio_err, s),
             "truncation_L": self.truncation_L,
             "panels": self.panels,
-            "l_stability": mp.nstr(self.l_stability, 6),
+            "l_stability": Approx(self.l_stability, s),
             "precision_digits": d,
-            "tol": mp.nstr(self.tol, 6),
+            "tol": Approx(self.tol, s),
             "pass": self.passed,
         }
 

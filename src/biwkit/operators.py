@@ -205,7 +205,7 @@ class StructureConstants:
     alpha3: ComplexRational
 
     def to_json(self) -> dict:
-        return {k: getattr(self, k).to_json()
+        return {k: getattr(self, k)
                 for k in ("omega1", "omega2", "omega3", "alpha1", "alpha2", "alpha3")}
 
 
@@ -296,7 +296,7 @@ def _relation_check(relation: str, degree: int, residuals: Iterable[Polynomial])
         if not residual.is_zero():
             return RelationCheck(
                 relation, degree, False,
-                first_failure={"monomial_degree": k, "residual_poly": residual.to_json()},
+                first_failure={"monomial_degree": k, "residual_poly": residual},
             )
     return RelationCheck(relation, degree, True)
 
@@ -401,7 +401,7 @@ class CasimirReport:
     def to_json(self) -> dict:
         return {
             "which": self.which,
-            "expected": self.expected.to_json(),
+            "expected": self.expected,
             "realized_ok": self.realized_ok,
             "max_degree_checked": self.max_degree_checked,
         }
@@ -430,7 +430,7 @@ class IsoForwardReport:
 
     def to_json(self) -> dict:
         names = ("t0_sq", "t1_sq", "u0_sq", "u1_sq")
-        return {"central_values": {k: getattr(self, k).to_json() for k in names},
+        return {"central_values": {k: getattr(self, k) for k in names},
                 **self.report.to_json()}
 
 

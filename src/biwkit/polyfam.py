@@ -14,7 +14,7 @@ from fractions import Fraction
 from typing import List, Optional
 
 from .errors import BiwkitError, DegenerateParameters
-from .exact import I, ONE, ComplexRational, Polynomial, fraction_to_str
+from .exact import I, ONE, ComplexRational, Polynomial
 
 
 @dataclass(frozen=True)
@@ -34,12 +34,7 @@ class RealParameterQuad:
         return min(self.alpha, self.beta, self.gamma, self.delta) > 0
 
     def to_json(self) -> dict:
-        return {
-            "alpha": fraction_to_str(self.alpha),
-            "beta": fraction_to_str(self.beta),
-            "gamma": fraction_to_str(self.gamma),
-            "delta": fraction_to_str(self.delta),
-        }
+        return {k: getattr(self, k) for k in ("alpha", "beta", "gamma", "delta")}
 
 
 @dataclass(frozen=True)
@@ -72,7 +67,7 @@ class ParameterSet:
         return (self.c == ca and self.d == cb) or (self.c == cb and self.d == ca)
 
     def to_json(self) -> dict:
-        return {k: getattr(self, k).to_json() for k in "abcd"}
+        return {k: getattr(self, k) for k in "abcd"}
 
 
 @dataclass(frozen=True)
@@ -89,7 +84,7 @@ class DAHAParameterSet:
             object.__setattr__(self, name, ComplexRational.coerce(getattr(self, name)))
 
     def to_json(self) -> dict:
-        return {k: getattr(self, k).to_json() for k in ("t0", "t1", "u0", "u1")}
+        return {k: getattr(self, k) for k in ("t0", "t1", "u0", "u1")}
 
 
 @dataclass
@@ -110,12 +105,7 @@ class RecurrenceData:
     u_mod: List[ComplexRational] = field(default_factory=list)
 
     def to_json(self) -> dict:
-        return {
-            "A": [v.to_json() for v in self.A],
-            "C": [v.to_json() for v in self.C],
-            "c": [v.to_json() for v in self.c_mod],
-            "u": [v.to_json() for v in self.u_mod],
-        }
+        return {"A": self.A, "C": self.C, "c": self.c_mod, "u": self.u_mod}
 
 
 def bi_coefficients(n_max: int, p: ParameterSet) -> RecurrenceData:
@@ -298,7 +288,7 @@ def q_symmetry_check(n_max: int, p: ParameterSet) -> SymmetryReport:
 
 
 def family_to_json(n_max: int, p: ParameterSet, kind: str = "bi") -> dict:
-    """JSON document for a constructed family: coefficients, eigenvalues, recurrence."""
+    """Document tree for a constructed family: polynomials, eigenvalues, recurrence."""
     if kind == "bi":
         polys = bi_polynomials(n_max, p)
     elif kind == "q":
@@ -309,7 +299,7 @@ def family_to_json(n_max: int, p: ParameterSet, kind: str = "bi") -> dict:
     return {
         "params": p.to_json(),
         "n_max": n_max,
-        "polynomials": [poly.to_json() for poly in polys],
-        "lambda": [bi_eigenvalue(n, p).to_json() for n in range(n_max + 1)],
+        "polynomials": polys,
+        "lambda": [bi_eigenvalue(n, p) for n in range(n_max + 1)],
         "recurrence": data.to_json(),
     }

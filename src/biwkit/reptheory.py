@@ -21,10 +21,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional
 
-from mpmath import mp, mpf
+from mpmath import mpf
 
 from .errors import InvalidParameters
 from .exact import ONE, ZERO, ComplexRational
+from .measure import SUMMARY_DIGITS, Approx, _to_mpf
 from .polyfam import ParameterSet, RealParameterQuad, bi_eigenvalue, q_modified_coefficients
 from .operators import StructureConstants, casimir_scalar, structure_constants
 
@@ -85,10 +86,6 @@ def build_rep(N: int, q: RealParameterQuad, precision_digits: int = 30) -> Tridi
     )
 
 
-def _frac_to_mpf(x: Fraction) -> mpf:
-    return mpf(x.numerator) / mpf(x.denominator)
-
-
 Vector = Dict[int, ComplexRational]
 
 
@@ -113,17 +110,17 @@ class RepReport:
     passed: bool
 
     def to_json(self) -> dict:
-        digits = self.precision_digits
+        s = SUMMARY_DIGITS
         return {
             "N": self.size,
-            "precision_digits": digits,
+            "precision_digits": self.precision_digits,
             "interior_block": self.interior_block,
             "residuals": {
-                "rel2": mp.nstr(self.residual_rel2, 6),
-                "rel3": mp.nstr(self.residual_rel3, 6),
-                "casimir": mp.nstr(self.residual_casimir, 6),
+                "rel2": Approx(self.residual_rel2, s),
+                "rel3": Approx(self.residual_rel3, s),
+                "casimir": Approx(self.residual_casimir, s),
             },
-            "tolerance": mp.nstr(self.tolerance, 6),
+            "tolerance": Approx(self.tolerance, s),
             "pass": self.passed,
         }
 
@@ -131,7 +128,7 @@ class RepReport:
 def rep_tolerance(precision_digits: int) -> mpf:
     """The printed ``tolerance``: 1e-25 at 30 digits, 1e-12 at double precision.
 
-    It is kept in the ``biwkit/1`` document only; ``passed`` asks for exact
+    It is kept in the ``biwkit/2`` document only; ``passed`` asks for exact
     zeros and does not read it.
     """
     if precision_digits <= MIN_PRECISION:
@@ -187,7 +184,7 @@ def verify_rep_relations(rep: TridiagonalRep,
         for k, col in enumerate(columns):
             worst[k] = max([worst[k]] + [abs(x.re) for n, x in col.items() if n <= top])
 
-    r2, r3, rc = (_frac_to_mpf(x) for x in worst)
+    r2, r3, rc = (_to_mpf(x) for x in worst)
     return RepReport(
         size=size,
         precision_digits=rep.precision_digits,

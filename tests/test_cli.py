@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from mpmath import mpf
 
 from biwkit import polyfam
 from biwkit.cli import (
@@ -19,6 +20,7 @@ from biwkit.cli import (
     EXIT_OK,
     EXIT_VERIFICATION_FAILED,
     SCHEMA,
+    _tagged,
     main,
 )
 
@@ -338,12 +340,24 @@ class TestRandomArgv:
             assert code == (EXIT_OK if doc["pass"] else EXIT_VERIFICATION_FAILED)
 
 
-class TestLeafTagging:
-    def test_every_leaf_tagged_or_structural(self, tmp_path):
-        _, doc = run(
-            ["rep", "--quad", "1/2,1/2,1/2,1/2", "--size", "8"], tmp_path
-        )
+GRAM_SUMMARIES = ("max_offdiag_rel", "max_diag_rel_err", "max_ratio_err", "l_stability", "tol")
 
+
+class TestLeafTagging:
+    """Every number is a tagged leaf, and an ``approx`` tag states the digits
+    printed: 6 for the summaries, ``--precision`` for the Gram entries."""
+
+    @pytest.fixture(scope="class")
+    def documents(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("tagging")
+        argvs = {
+            "rep": ["rep", "--quad", "1/2,1/2,1/2,1/2", "--size", "8"],
+            "ortho": ["ortho"] + FAST_ALL,
+            "all": ["all"] + FAST_ALL,
+        }
+        return {name: run(argv, tmp_path, f"{name}.json")[1] for name, argv in argvs.items()}
+
+    def test_every_leaf_tagged_or_structural(self, documents):
         def walk(node, key=None):
             if isinstance(node, dict):
                 if set(node) == {"exact"} or set(node) == {"approx", "precision_digits"}:
@@ -358,7 +372,23 @@ class TestLeafTagging:
                 assert key in {"schema", "command", "relation", "identity",
                                "kind", "detail", "which", "family"}, (key, node)
 
-        walk(doc)
+        for doc in documents.values():
+            walk(doc)
+
+    def test_approx_digits_are_the_printed_digits(self, documents):
+        stages = documents["all"]["stages"]
+        for gram in (documents["ortho"]["orthogonality"], stages["orthogonality"]["report"]):
+            for key in GRAM_SUMMARIES:
+                assert gram[key]["precision_digits"] == 6, key
+            entries = [v for row in gram["gram"] for v in row] + gram["expected_diag"]
+            assert {v["precision_digits"] for v in entries} == {30}  # FAST_ALL's --precision
+        for rep in (documents["rep"]["relations"], stages["representation"]["report"]):
+            for leaf in [*rep["residuals"].values(), rep["tolerance"]]:
+                assert leaf["precision_digits"] == 6
+
+    def test_encoder_rejects_a_bare_mpf(self):
+        with pytest.raises(TypeError, match="mpf"):
+            _tagged({"gram": [[mpf(1)]]})
 
 
 class TestRunAll:

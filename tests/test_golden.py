@@ -1,8 +1,9 @@
 """Byte-identity of the exact certificates against stored documents.
 
 The files under ``tests/data/golden/`` were written by the operator engine
-that divided once at the root of each operator tree; any engine must
-reproduce them byte for byte: the verdicts, the ``biwkit/1`` JSON and the
+that divided once at the root of each operator tree, and rewritten for the
+``biwkit/2`` schema with every value string unchanged; any engine must
+reproduce them byte for byte: the verdicts, the JSON and the
 ``first_failure`` residuals of the three negative controls.  ``ortho.json``
 was written by the nested trapezoid Gram; its approximate digits pin the
 quadrature rule, so a change to ``measure`` shows here.  ``rep.json`` was
@@ -19,7 +20,7 @@ from pathlib import Path
 
 import pytest
 
-from biwkit.cli import EXIT_OK, EXIT_VERIFICATION_FAILED, _parse_four, main
+from biwkit.cli import EXIT_OK, EXIT_VERIFICATION_FAILED, _parse_four, _tagged, main
 from biwkit.exact import parse_complex_rational
 from biwkit.operators import (
     StructureConstants,
@@ -59,7 +60,7 @@ CLI_CASES = {
 
 
 def control_documents() -> dict:
-    """The three negative controls, as ``to_json()`` text."""
+    """The three negative controls, as ``to_json()`` written by the CLI's encoder."""
     p = _parse_four(PARAMS, "--params", parse_complex_rational, ParameterSet)
     sc = structure_constants(p)
     perturbed = StructureConstants(sc.omega1 + 1, sc.omega2, sc.omega3,
@@ -69,7 +70,8 @@ def control_documents() -> dict:
         "control-flip-sign": verify_nc_algebra(p, CONTROL_DEGREE, flip_first_sign=True),
         "control-iso-omega1": iso_forward(*bi_realization(p)[:3], perturbed, CONTROL_DEGREE),
     }
-    return {name: json.dumps(r.to_json(), indent=2) + "\n" for name, r in reports.items()}
+    return {name: json.dumps(_tagged(r.to_json()), indent=2) + "\n"
+            for name, r in reports.items()}
 
 
 @pytest.mark.parametrize("name", sorted(CLI_CASES))
