@@ -5,14 +5,13 @@ the (real-coefficient) modified polynomials against W dz / (4*pi) on the
 real line is computed by a nested trapezoid rule and compared with the
 exact norms h0 * prod(u_k).
 
-W is analytic in the strip |Im z| < d, d = 2*min(Re a + 1, Re b + 1,
-Re c + 1/2, Re d + 1/2), and decays like exp(-pi |z|) times a power, so
-the trapezoid rule on the real line converges like exp(-2*pi*d/h)
-(Trefethen & Weideman, SIAM Review 56, 2014).  The rule samples z = j*h
-on [-X, X], starting at h = 1; each halving of h evaluates only the new
-odd nodes and reuses every earlier sample through running sums.  X is
-grown until the integrand bound W(X) X^(2 n_max) is negligible, so the
-truncation does not limit the accuracy.
+The rule is the trapezoid rule in t with z = c*sinh(t), dz = c*cosh(t) dt
+(Takahasi & Mori, Publ. RIMS 9, 1974; Trefethen & Weideman, SIAM Review
+56, 2014).  W decays like exp(-pi |z|) times a power, so in t the integrand
+decays double-exponentially and the nodes thin out in its tail.  The rule
+converges like exp(-2*pi*tau/h), tau the half-width of a strip in t clear
+of the poles' images (see _strip_halvings).  Each halving of h evaluates
+only the new odd nodes and reuses every earlier sample through running sums.
 
 The weight takes the four numerator factors from mpmath.loggamma and the
 denominator from the identity |Gamma(1/2 + iz)|^2 = pi / cosh(pi z).  The
@@ -35,10 +34,11 @@ h0 * prod(u_k); this module integrates that family.
 
 from __future__ import annotations
 
+import itertools
 import math as _math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from mpmath import loggamma, mp, mpc, mpf, pi
 
@@ -49,21 +49,15 @@ from .polyfam import ParameterSet, bi_coefficients, q_polynomials
 DEFAULT_PRECISION = 50
 DEFAULT_TOL = Fraction(1, 10**8)
 DEFAULT_TRUNCATION = 40
-# Largest accepted starting L.  The outer interval [-X, X], hence the node
-# count, grows with L; a larger L buys no accuracy and an unbounded one runs
-# until it is killed.
+# Largest accepted starting L.  A larger L buys no accuracy.
 MAX_TRUNCATION = 200
 # Below this precision the fixed off-diagonal threshold (OFFDIAG_REL_EXPONENT)
 # cannot be resolved.
 MIN_PRECISION = 20
-# Largest accepted precision.  Both the cost of a node and the node count grow
-# with the digits: at n_max 6, 100 digits end in 5-17 s (half quad, narrow
-# strip, truncation 200) and 200 digits in 16-57 s, while 1000 did not end
-# in 30 s even at n_max 0.
+# Largest accepted precision.  At n_max 6 (half quad, narrow strip, truncation
+# 200) 100 digits end in 1.4-2.7 s, 200 in 4.0-7.3 s; 1000 ran past 60 s at n_max 0.
 MAX_PRECISION = 100
 _GUARD_DPS = 10
-# Truncations L and X grow in steps of _TAIL_STEP.
-_TAIL_STEP = 5
 # Significant digits of a report's summary figures (errors, residuals, tolerances).
 SUMMARY_DIGITS = 6
 
@@ -76,13 +70,6 @@ class Approx:
     digits: int
 
 
-def _is_nonpositive_integer(z) -> bool:
-    if mp.im(z) != 0:
-        return False
-    x = mp.re(z)
-    return x <= 0 and x == mp.floor(x)
-
-
 def log_gamma(z, precision: Optional[int] = None):
     """Principal-branch log-Gamma at the requested decimal precision.
 
@@ -92,7 +79,7 @@ def log_gamma(z, precision: Optional[int] = None):
     prec = precision if precision is not None else mp.dps
     with mp.workdps(prec + 5):
         z = mpc(z)
-        if _is_nonpositive_integer(z):
+        if mp.im(z) == 0 and mp.re(z) <= 0 and mp.re(z) == mp.floor(mp.re(z)):
             raise PoleError(f"log_gamma pole at z = {z}")
         return loggamma(z)
 
@@ -142,12 +129,8 @@ def _weight(z, pa, pb, pc, pd):
     """W(z) for real z: |Gamma products|^2, with 1/|Gamma(1/2+iz)|^2 = cosh(pi z)/pi."""
     izh = mpc(0, z / 2)
     half = mpf(1) / 2
-    s = (
-        mp.re(loggamma(pa + izh + 1))
-        + mp.re(loggamma(pb + izh + 1))
-        + mp.re(loggamma(pc + izh + half))
-        + mp.re(loggamma(pd + izh + half))
-    )
+    s = sum(mp.re(loggamma(v + izh + shift))
+            for v, shift in ((pa, 1), (pb, 1), (pc, half), (pd, half)))
     return mp.exp(2 * s) * mp.cosh(pi * z) / pi
 
 
@@ -165,15 +148,9 @@ def h0(p: ParameterSet, precision: int = DEFAULT_PRECISION):
     with mp.workdps(precision + _GUARD_DPS):
         a, b, c, d = (_param_to_mpc(getattr(p, n)) for n in "abcd")
         three_half = mpf(3) / 2
-        s = (
-            log_gamma(a + b + three_half, mp.dps)
-            + log_gamma(a + c + 1, mp.dps)
-            + log_gamma(b + c + 1, mp.dps)
-            + log_gamma(a + d + 1, mp.dps)
-            + log_gamma(b + d + 1, mp.dps)
-            + log_gamma(c + d + three_half, mp.dps)
-            - log_gamma(a + b + c + d + 2, mp.dps)
-        )
+        s = sum(log_gamma(w, mp.dps) for w in (a + b + three_half, a + c + 1, b + c + 1,
+                                               a + d + 1, b + d + 1, c + d + three_half))
+        s -= log_gamma(a + b + c + d + 2, mp.dps)
         val = mp.exp(s)
         # Conjugate pairing makes the Gamma factors pair off; the value is real.
         if abs(mp.im(val)) > abs(val) * mpf(10) ** (-(precision - 2)):
@@ -228,15 +205,32 @@ class OrthogonalityReport:
         }
 
 
-def _strip_halvings(p: ParameterSet, dps: int) -> int:
-    """Halvings of h = 1 down to the a-priori step 2*pi*d / (ln 10 * dps).
+def _map_scale(p: ParameterSet) -> float:
+    """The scale c of the map z = c*sinh(t): the outermost pole line of W, and at least 1."""
+    return max(1.0, 2 * float(max(p.a.im, p.b.im)))
 
-    At that step the trapezoid error exp(-2*pi*d/h) reaches 10^-dps, where
-    d is the distance from the real line to the nearest pole of W.
+
+def _strip_halvings(p: ParameterSet, n_max: int, dps: int) -> Tuple[int, int]:
+    """The first and the last halving of h = 1 taken by the trapezoid rule in t.
+
+    The poles of W lie on the lines Re z = -+2 Im a and -+2 Im b, at least
+    d = 2*min(Re a + 1, Re b + 1, Re c + 1/2, Re d + 1/2) from the real line.
+    z = c*sinh(t) maps the strip |Im t| < delta onto |Im z| < c sin(delta)
+    sqrt(1 + (Re z / (c cos delta))^2), clear of every pole while
+    c^2 sin(delta)^2 + x^2 tan(delta)^2 <= d^2 on the outermost line
+    x = 2*max(Im a, Im b).  In t the integrand's peak, z^q exp(-pi z) with
+    q = 2 Re(a+b+c+d) + 2 + 2 n_max, has width 1/sqrt(q).  The rule starts at
+    the first step below tau = min(delta, 1/sqrt(q)), so no level steps over a
+    peak, and stops one halving past the step where exp(-2*pi*tau/h) = 10^-dps.
     """
-    d = 2 * min(p.a.re + 1, p.b.re + 1, p.c.re + Fraction(1, 2), p.d.re + Fraction(1, 2))
-    step = 2 * _math.pi * float(d) / (_math.log(10) * dps)
-    return max(0, _math.ceil(_math.log2(1 / step)))
+    d = float(2 * min(p.a.re + 1, p.b.re + 1, p.c.re + Fraction(1, 2), p.d.re + Fraction(1, 2)))
+    x, c = 2 * float(max(p.a.im, p.b.im)), _map_scale(p)
+    # sin(delta)^2 is the smaller root u of c^2 u^2 - (c^2 + x^2 + d^2) u + d^2.
+    s = c * c + x * x + d * d
+    delta = _math.asin(_math.sqrt(2 * d * d / (s + _math.sqrt(s * s - 4 * c * c * d * d))))
+    tau = min(delta, 1 / _math.sqrt(2 * float(p.total.re) + 2 + 2 * n_max))
+    first = _math.ceil(_math.log2(1 / tau))
+    return first, max(first, _math.ceil(_math.log2(_math.log(10) * dps / (2 * _math.pi * tau)))) + 1
 
 
 def _accumulate(acc, vals, scale):
@@ -257,14 +251,15 @@ def orthogonality_gram(
 ) -> OrthogonalityReport:
     """Gram matrix of the modified family against W dz / (4*pi).
 
-    Nested trapezoid rule on [-X, X] (see the module docstring), halving h
-    until the matrix changes by at most min(tol/10, 10^(OFFDIAG_REL_EXPONENT-1))
-    * |h0| from one level to the next; QuadratureNotConverged is raised one
-    halving past the a-priori step.  L is grown from ``truncation`` until
-    the tail bound falls to tol * 1e-3 * |h0|; the report carries the change
-    when the interval is cut from [-X, X] to [-L, L].  That change certifies
-    tail convergence: above tol/10 it raises QuadratureNotConverged, since
-    the tail test at the single point L missed a later rise of W.
+    Nested trapezoid rule in t (see the module docstring), halving h until
+    the matrix changes by at most min(tol/10, 10^(OFFDIAG_REL_EXPONENT-1)) *
+    |h0| between levels; QuadratureNotConverged is raised past the cap of
+    _strip_halvings.  L starts at ``truncation`` or past the peak of the
+    integrand bound W(z) z^(2 n_max), if larger, and grows by 1 until that
+    bound at -+L is below tol * 1e-3 * |h0|.  The report carries the change
+    when the sum is cut to [-L, L]; above tol/10 it raises
+    QuadratureNotConverged, as W rises again past L.  ``panels`` counts the
+    evaluations of W.
     """
     check_gram_inputs(p, n_max, precision, truncation, tol)
     tol = _to_mpf(tol)
@@ -282,88 +277,92 @@ def orthogonality_gram(
     with mp.workdps(precision + _GUARD_DPS):
         params = [_param_to_mpc(getattr(p, n)) for n in "abcd"]
         h0_val = h0(p, mp.dps)
+        u = [_to_mpf(v.re) for v in data.u_mod]
         expected = [h0_val]
         for n in range(1, n_max + 1):
-            expected.append(expected[-1] * _to_mpf(data.u_mod[n].re))
+            expected.append(expected[-1] * u[n])
 
         polys_mpf = [[_to_mpf(c.re) for c in poly.coeffs] for poly in polys]
 
-        def tail(x):
-            """Bound on the integrand at |z| = x: W decays like exp(-pi |z|)."""
-            return _weight(mpf(x), *params) * mpf(x) ** (2 * n_max)
+        evaluations = 0
 
-        L = int(truncation) if truncation is not None else DEFAULT_TRUNCATION
-        while tail(L) > tol * mpf(10) ** (-3) * abs(h0_val):
-            L += _TAIL_STEP
-        # Past X the integrand is negligible, so the half-weighted endpoints
-        # leave no O(h^2) floor.
-        X = L + _TAIL_STEP
-        while tail(X) > min(tol * mpf(10) ** (-3), mpf(10) ** -22) * abs(h0_val):
-            X += _TAIL_STEP
+        def weight(z):
+            nonlocal evaluations
+            evaluations += 1
+            return _weight(z, *params)
 
+        # Past |z| = 2*max(Im a, Im b) every Gamma factor of W decays, and
+        # Stirling's formula gives W(z) z^(2 n_max) ~ |z|^q exp(-pi |z|), which
+        # peaks q/pi further out.
+        q = 2 * float(p.total.re) + 2 + 2 * n_max
+        L = max(truncation or DEFAULT_TRUNCATION,
+                _math.ceil(2 * float(max(p.a.im, p.b.im)) + q / _math.pi))
+        cut_bound = tol * mpf(10) ** -3 * abs(h0_val)
+        while max(weight(mpf(L)), weight(mpf(-L))) * mpf(L) ** (2 * n_max) > cut_bound:
+            L += 1
+        # Past the last node the integrand is negligible: ending the rule there leaves no floor.
+        end_bound = min(cut_bound, mpf(10) ** -22 * abs(h0_val))
+
+        c = mpf(_map_scale(p))
         k = n_max + 1
         full = [[mpf(0)] * k for _ in range(k)]
         inner = [[mpf(0)] * k for _ in range(k)]  # nodes with |z| <= L
 
-        def add(z, endpoint_weight):
-            w = _weight(z, *params)
+        def add(t):
+            """Add the node z = c*sinh(t) with weight dz/dt; return |z| and its integrand bound."""
+            z = c * mp.sinh(t)
+            w = weight(z) * c * mp.cosh(t)
             vals = []
             for coeffs in polys_mpf:
                 v = mpf(0)
-                for c in reversed(coeffs):
-                    v = v * z + c
+                for coeff in reversed(coeffs):
+                    v = v * z + coeff
                 vals.append(v)
-            _accumulate(full, vals, w * endpoint_weight)
-            if abs(z) < L:
+            _accumulate(full, vals, w)
+            if abs(z) <= L:
                 _accumulate(inner, vals, w)
-            elif abs(z) == L:
-                _accumulate(inner, vals, w / 2)
+            return abs(z), w * abs(z) ** (2 * n_max)
 
         threshold = min(tol / 10, mpf(10) ** (OFFDIAG_REL_EXPONENT - 1)) * abs(h0_val)
-        max_halvings = _strip_halvings(p, mp.dps) + 1
+        first, last = _strip_halvings(p, n_max, mp.dps)
         prev = None
-        for level in range(max_halvings + 1):
-            if level == 0:
-                for j in range(-X, X + 1):
-                    add(mpf(j), mpf(1) / 2 if abs(j) == X else 1)
-            else:
-                # The new nodes are the odd multiples of h = 2^-level.
-                for j in range(-X * 2 ** (level - 1), X * 2 ** (level - 1)):
-                    add(mp.ldexp(mpf(2 * j + 1), -level), 1)
+        for level in range(first, last + 1):
             h = mp.ldexp(mpf(1), -level)
-            current = [[h * v for v in row] for row in full]
-            if prev is not None and max(
-                abs(current[n][m] - prev[n][m]) for n in range(k) for m in range(n, k)
-            ) <= threshold:
+            if level == first:
+                # Walk out from t = 0 on each side to the first node past L
+                # whose integrand bound is negligible; the rule ends there.
+                add(mpf(0))
+                ends = []
+                for sign in (1, -1):
+                    for j in itertools.count(1):
+                        z, size = add(sign * j * h)
+                        if z > L and size <= end_bound:
+                            ends.append(j)
+                            break
+            else:
+                # The new nodes are the odd multiples of h.
+                half = 2 ** (level - first - 1)
+                for j in range(-ends[1] * half, ends[0] * half):
+                    add(mp.ldexp(mpf(2 * j + 1), -level))
+            current = [h * v for row in full for v in row]
+            if prev is not None and max(abs(a - b) for a, b in zip(current, prev)) <= threshold:
                 break
             prev = current
         else:
             raise QuadratureNotConverged(
-                f"Gram matrix did not stabilize after {max_halvings} halvings of the step"
+                f"Gram matrix did not stabilize after {last - first} halvings of the step"
             )
 
-        four_pi = 4 * pi
-        gram = [[current[min(n, m)][max(n, m)] / four_pi for m in range(k)] for n in range(k)]
-        gram_l = [[h * inner[min(n, m)][max(n, m)] / four_pi for m in range(k)]
-                  for n in range(k)]
+        gram, gram_l = ([[h * acc[min(n, m)][max(n, m)] / (4 * pi) for m in range(k)]
+                         for n in range(k)] for acc in (full, inner))
 
         scale = abs(gram[0][0])
-        max_off = mpf(0)
-        max_diag = mpf(0)
-        for n in range(k):
-            for m in range(k):
-                if n == m:
-                    err = abs(gram[n][n] - expected[n]) / abs(expected[n])
-                    max_diag = max(max_diag, err)
-                else:
-                    max_off = max(max_off, abs(gram[n][m]) / scale)
-        max_ratio = mpf(0)
-        for n in range(1, k):
-            u_val = _to_mpf(data.u_mod[n].re)
-            max_ratio = max(max_ratio, abs(gram[n][n] / gram[n - 1][n - 1] - u_val) / u_val)
-        l_stab = max(
-            abs(gram[n][m] - gram_l[n][m]) / scale for n in range(k) for m in range(k)
-        )
+        max_off = max([abs(gram[n][m]) / scale for n in range(k) for m in range(k) if n != m],
+                      default=mpf(0))
+        max_diag = max(abs(gram[n][n] - expected[n]) / abs(expected[n]) for n in range(k))
+        max_ratio = max([abs(gram[n][n] / gram[n - 1][n - 1] - u[n]) / u[n] for n in range(1, k)],
+                        default=mpf(0))
+        l_stab = max(abs(gram[n][m] - gram_l[n][m]) / scale for n in range(k) for m in range(k))
         if l_stab > tol / 10:
             raise QuadratureNotConverged(
                 f"cutting the Gram to [-L, L], L = {L}, changes it by {mp.nstr(l_stab, 6)} "
@@ -378,7 +377,7 @@ def orthogonality_gram(
             max_diag_rel_err=+max_diag,
             max_ratio_err=+max_ratio,
             truncation_L=L,
-            panels=2 * X * 2 ** level,
+            panels=evaluations,
             l_stability=+l_stab,
             precision_digits=precision,
             tol=+tol,

@@ -11,9 +11,9 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from mpmath import mpf
+from mpmath import mp, mpf
 
-from biwkit import polyfam
+from biwkit import measure, polyfam
 from biwkit.cli import (
     EXIT_INVALID_PARAMETERS,
     EXIT_NOT_CONVERGED,
@@ -453,14 +453,34 @@ class TestGramContract:
         assert code == EXIT_INVALID_PARAMETERS
         assert doc["error"]["detail"] == "--tol must be in (0, 1), got 1.0e+400"
 
-    def test_unconverged_tail_exit_4(self, tmp_path):
-        # W / h0 is 1.8e-17 at z = 40, so the tail test stops L there, but
-        # W rises to 0.49 h0 at z = 80: the Gram cut to [-40, 40] is wrong.
+    def test_cut_past_the_last_rise_passes(self, tmp_path):
+        # W / h0 is 1.8e-17 at z = 40 but rises to 0.78 near z = 85; the decay
+        # scan starts past the Stirling estimate of that peak, 138.
         argv = ["ortho", "--quad", "30,30,30,30", "--n-max", "1", "--precision", "20"]
         code, doc = run(argv, tmp_path)
+        assert code == EXIT_OK
+        assert doc["orthogonality"]["truncation_L"] > 90
+
+    def test_rise_past_the_cut_exit_4(self, tmp_path, monkeypatch):
+        # W plus a bump at z = 88, 2e-22 at z = 40: the decay test at L = 40
+        # holds, and only the [-L, L] cut certificate sees the mass past L.
+        weight = measure._weight
+        monkeypatch.setattr(measure, "_weight", lambda z, *params: (
+            weight(z, *params) + mp.exp(-((z - 88) / 8) ** 2) / 10 ** 6))
+        code, doc = run(ORTHO + ["--precision", "20"], tmp_path)
         assert code == EXIT_NOT_CONVERGED
         assert doc["error"]["kind"] == "QuadratureNotConverged"
         assert "L = 40" in doc["error"]["detail"]
+
+    @pytest.mark.parametrize("quad, uniform_panels", [("1/2,20,1/2,20", 2080),
+                                                       ("28,37,15,37/2", 540)])
+    def test_large_imaginary_quads_stay_affordable(self, quad, uniform_panels, tmp_path):
+        # Their mass lies out near the pole lines Re z = -+2 Im a, -+2 Im b, where
+        # the sinh map spreads its nodes; uniform_panels is what the uniform
+        # rule on [-X, X] took.
+        code, doc = run(["ortho", "--quad", quad, "--n-max", "1", "--precision", "20"], tmp_path)
+        assert code == EXIT_OK
+        assert doc["orthogonality"]["panels"] <= 1.5 * uniform_panels
 
     def test_tail_past_one_hundred_passes(self, tmp_path):
         # The tail test first holds past L = 100, where a cap of twelve

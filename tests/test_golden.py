@@ -5,8 +5,8 @@ that divided once at the root of each operator tree, and rewritten for the
 ``biwkit/2`` schema with every value string unchanged; any engine must
 reproduce them byte for byte: the verdicts, the JSON and the
 ``first_failure`` residuals of the three negative controls.  ``ortho.json``
-was written by the nested trapezoid Gram; its approximate digits pin the
-quadrature rule, so a change to ``measure`` shows here.  ``rep.json`` was
+was written by the sinh-mapped nested trapezoid Gram; its approximate digits
+pin the quadrature rule, so a change to ``measure`` shows here.  ``rep.json`` was
 written by the exact banded representation check; its residuals are exact
 zeros, so it does not depend on the mpmath backend.  ``all.json`` pins
 every stage of the full suite at reduced settings, among them the

@@ -11,6 +11,7 @@ import mpmath
 import pytest
 from mpmath import mp, mpc, mpf
 
+from biwkit import measure
 from biwkit.errors import InvalidParameters, PoleError, QuadratureNotConverged
 from biwkit.measure import (
     DEFAULT_PRECISION,
@@ -170,10 +171,29 @@ class TestGram:
         assert doc["precision_digits"] == 30
 
     def test_narrow_strip_passes(self):
-        # The poles of W sit at |Im z| = 1.2 here, the trapezoid rule's
-        # slowest case among the tested parameters.
+        # The poles of W sit 1.2 from the real line, on the lines Re z = -+2/3
+        # and -+4/3, next to the origin where most of the mass of W lies.
         report = orthogonality_gram(1, NARROW_PARAMS, precision=30, truncation=20)
         assert report.passed
+
+    def test_first_step_resolves_the_peaks(self):
+        # W has its mass in peaks at z = -+200, 3 wide; a rule that started at
+        # h = 1/2 would step over them on two levels and stop on a matrix near 0.
+        p = ParameterSet.from_quad(RealParameterQuad(*map(Fraction, (1, 100, 1, 100))))
+        assert orthogonality_gram(0, p, precision=20).passed
+
+    def test_panels_count_weight_evaluations(self, monkeypatch):
+        calls = []
+        weight = measure._weight
+
+        def counted(z, *params):
+            calls.append(z)
+            return weight(z, *params)
+
+        monkeypatch.setattr(measure, "_weight", counted)
+        report = orthogonality_gram(1, HALF_PARAMS, tol=Fraction(1, 10 ** 6), precision=30,
+                                    truncation=15)
+        assert report.panels == len(calls)
 
     def test_halving_cap_raises(self):
         # A level change of 1e-41 * h0 is below what 30 working digits
