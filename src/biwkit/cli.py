@@ -20,7 +20,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import random
 import sys
 from dataclasses import fields, replace
@@ -62,7 +61,8 @@ from .operators import (
     verify_prop1_coefficients,
     verify_prop1_operator_transform,
 )
-from .reptheory import build_rep, positivity_scan, verify_rep_relations
+from .reptheory import (MIN_SIZE, build_rep, build_rep_and_scan, positivity_scan,
+                        verify_rep_relations)
 from .measure import (
     DEFAULT_PRECISION,
     DEFAULT_TOL,
@@ -156,20 +156,20 @@ def _require_nondegenerate(p: ParameterSet, n_max: int) -> None:
     bi_coefficients(n_max, p)
 
 
-# The largest accepted --n-max, --degree and --size.  Exact work grows
+# The accepted range of --n-max, --degree and --size.  Exact work grows
 # polynomially in each: at the caps the slowest commands (verify-prop1 at
 # --n-max 100 --degree 100, verify-iso at --degree 100, rep at --size 1000)
 # end in seconds, while a value such as 100000 runs until it is killed.
-_MAX_SIZES = {"n_max": 100, "degree": 100, "size": 1000}
+_SIZE_RANGES = {"n_max": (0, 100), "degree": (0, 100), "size": (MIN_SIZE, 1000)}
 
 
 def _require_bounded_sizes(args) -> None:
-    """Each size flag in 0..cap: a negative one would check nothing and pass."""
-    for name, cap in _MAX_SIZES.items():
+    """Each size flag in its range: a negative one would check nothing and pass."""
+    for name, (low, cap) in _SIZE_RANGES.items():
         value = getattr(args, name, None)
-        if value is not None and not 0 <= value <= cap:
+        if value is not None and not low <= value <= cap:
             flag = "--" + name.replace("_", "-")
-            raise InvalidParameters(f"{flag} must be in 0..{cap}, got {value}")
+            raise InvalidParameters(f"{flag} must be in {low}..{cap}, got {value}")
 
 
 def random_parameter_set(rng: random.Random, n_max: int) -> ParameterSet:
@@ -289,9 +289,10 @@ def _cmd_verify_prop1(args) -> tuple:
 
 def _cmd_rep(args) -> tuple:
     q = _parse_quad(args.quad)
+    rep, positivity = build_rep_and_scan(args.size, q)
     return _document({"params": q.to_json()}, {
-        "relations": verify_rep_relations(build_rep(args.size, q, args.precision)),
-        "positivity": positivity_scan(q, args.size),
+        "relations": verify_rep_relations(rep),
+        "positivity": positivity,
     })
 
 
@@ -342,7 +343,7 @@ def _cmd_all(args) -> tuple:
         "prop1_operator": _stage(verify_prop1_operator_transform(p, 8)),
         "q_symmetries": _stage(q_symmetry_check(8, p)),
         "positivity": _stage(positivity_scan(quad, 100)),
-        "representation": _stage(verify_rep_relations(build_rep(20, quad, 30))),
+        "representation": _stage(verify_rep_relations(build_rep(20, quad))),
         "orthogonality": _stage(orthogonality_gram(
             args.n_max, p, tol=tol, precision=args.precision, truncation=args.truncation)),
     }
@@ -359,25 +360,11 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise InvalidParameters(f"{self.prog}: {message}")
 
 
-def _env_precision():
-    """The integer in BIWKIT_PRECISION, or None when it is unset."""
-    text = os.environ.get("BIWKIT_PRECISION")
-    if text is None:
-        return None
-    try:
-        return int(text)
-    except ValueError:
-        raise InvalidParameters(f"BIWKIT_PRECISION must be an integer, got {text!r}") from None
-
-
 @functools.lru_cache(maxsize=None)
-def build_parser(env_precision: Optional[int] = None) -> argparse.ArgumentParser:
-    """The parser for one BIWKIT_PRECISION value (None when unset).
-
-    Cached because argparse links each action back to its parser: a new
-    parser per ``main`` call is cyclic garbage until the collector runs.
-    """
-    default_precision = DEFAULT_PRECISION if env_precision is None else env_precision
+def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, cached because argparse links each action back
+    to its parser: a new parser per ``main`` call is cyclic garbage until the
+    collector runs."""
     parser = _ArgumentParser(
         prog="biwkit",
         description="Exact construction and certification of Bannai-Ito type "
@@ -386,7 +373,7 @@ def build_parser(env_precision: Optional[int] = None) -> argparse.ArgumentParser
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(sp, params=False, quad=False, daha=False, n_max=None,
-               degree=None, precision=False):
+               degree=None, gram=False):
         if params:
             sp.add_argument("--params", help="a,b,c,d as exact rationals, e.g. '0,0,0,0' or '1/2+1/2i,...'")
         if quad:
@@ -397,9 +384,12 @@ def build_parser(env_precision: Optional[int] = None) -> argparse.ArgumentParser
             sp.add_argument("--n-max", type=int, default=n_max, dest="n_max")
         if degree is not None:
             sp.add_argument("--degree", type=int, default=degree)
-        if precision:
-            sp.add_argument("--precision", type=int, default=default_precision,
+        if gram:  # the Gram's flags, bounded by measure.check_gram_inputs
+            sp.add_argument("--precision", type=int, default=DEFAULT_PRECISION,
                             help="working precision in decimal digits")
+            sp.add_argument("--tol", default=DEFAULT_TOL, help="relative tolerance (exact decimal)")
+            sp.add_argument("--truncation", type=int, default=None,
+                            help="initial half-width L of the integration interval")
         sp.add_argument("--output", dest="output", default=None,
                         help="write the JSON document to this path instead of stdout")
 
@@ -422,20 +412,14 @@ def build_parser(env_precision: Optional[int] = None) -> argparse.ArgumentParser
     common(sp, params=True, quad=True, n_max=12, degree=8)
 
     sp = sub.add_parser("rep", help="tridiagonal representation residuals and positivity")
-    common(sp, quad=True, precision=True)
-    sp.set_defaults(precision=30 if env_precision is None else env_precision)
+    common(sp, quad=True)
     sp.add_argument("--size", type=int, default=50, help="truncation size N")
 
     sp = sub.add_parser("ortho", help="Gram matrix of the modified family")
-    common(sp, quad=True, n_max=6, precision=True)
-    sp.add_argument("--tol", default=DEFAULT_TOL, help="relative tolerance (exact decimal)")
-    sp.add_argument("--truncation", type=int, default=None,
-                    help="initial half-width L of the integration interval")
+    common(sp, quad=True, n_max=6, gram=True)
 
     sp = sub.add_parser("all", help="run the full certification suite")
-    common(sp, quad=True, n_max=4, precision=True)
-    sp.add_argument("--tol", default=DEFAULT_TOL)
-    sp.add_argument("--truncation", type=int, default=None)
+    common(sp, quad=True, n_max=4, gram=True)
     sp.add_argument("--seed", type=int, default=0,
                     help="seed for the randomized property stage")
     sp.add_argument("--tamper", action="store_true",
@@ -470,7 +454,7 @@ _EXIT_CODES = {
 def main(argv=None) -> int:
     out, command = sys.stdout, None
     try:
-        args = build_parser(_env_precision()).parse_args(argv)
+        args = build_parser().parse_args(argv)
         command = args.command
         out = _open_output(args.output)
         _require_bounded_sizes(args)

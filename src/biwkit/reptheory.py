@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from mpmath import mpf
 
@@ -29,9 +29,9 @@ from .measure import SUMMARY_DIGITS, Approx, _to_mpf
 from .polyfam import ParameterSet, RealParameterQuad, bi_eigenvalue, q_modified_coefficients
 from .operators import StructureConstants, casimir_scalar, structure_constants
 
-# Double precision, the least ``precision_digits`` accepted; it sets only the
-# printed tolerance (see rep_tolerance).
+# The least (double) and the default precision_digits: they set only rep_tolerance.
 MIN_PRECISION = 16
+PRINTED_PRECISION = 30
 # The least truncation size: the interior block 0..N-4 then has three rows.
 MIN_SIZE = 6
 
@@ -53,13 +53,25 @@ class TridiagonalRep:
     u: List[ComplexRational]
 
 
-def build_rep(N: int, q: RealParameterQuad, precision_digits: int = 30) -> TridiagonalRep:
+def build_rep(N: int, q: RealParameterQuad,
+              precision_digits: int = PRINTED_PRECISION) -> TridiagonalRep:
     """Truncated representation: the exact band lambda_n, c_n, u_n, n < N.
 
     ``precision_digits`` is carried to the report's printed tolerance.
     Raises InvalidParameters naming n if some u_n <= 0 or c_n is not real,
     since then A2 is not similar to the monic Jacobi matrix.
     """
+    return _build(N, q, precision_digits, N - 1)[0]
+
+
+def build_rep_and_scan(N: int, q: RealParameterQuad) -> Tuple[TridiagonalRep, "PositivityReport"]:
+    """``(build_rep(N, q), positivity_scan(q, N))`` from one run of the exact recurrence."""
+    rep, data = _build(N, q, PRINTED_PRECISION, N)
+    return rep, _scan(data, N)
+
+
+def _build(N: int, q: RealParameterQuad, precision_digits: int, n_max: int):
+    """``build_rep``'s band and the recurrence data up to n_max >= N - 1 it is read from."""
     if N < MIN_SIZE:
         raise InvalidParameters(f"truncation size must be at least {MIN_SIZE}, got {N}")
     if precision_digits < MIN_PRECISION:
@@ -69,7 +81,7 @@ def build_rep(N: int, q: RealParameterQuad, precision_digits: int = 30) -> Tridi
         raise InvalidParameters(
             "alpha, beta, gamma, delta must all be positive (u_n > 0 is not guaranteed otherwise)"
         )
-    data = q_modified_coefficients(N - 1, q)
+    data = q_modified_coefficients(n_max, q)
     for n in range(N):
         if not data.c_mod[n].is_real():
             raise InvalidParameters(f"c_{n} is not real")
@@ -83,7 +95,7 @@ def build_rep(N: int, q: RealParameterQuad, precision_digits: int = 30) -> Tridi
         lam=[bi_eigenvalue(n, p) for n in range(N)],
         c=data.c_mod[:N],
         u=data.u_mod[:N],
-    )
+    ), data
 
 
 Vector = Dict[int, ComplexRational]
@@ -224,7 +236,10 @@ def positivity_scan(q: RealParameterQuad, n_max: int) -> PositivityReport:
     A sign violation is reported, not raised: scanning hypotheses-violating
     parameter sets is a supported use.
     """
-    data = q_modified_coefficients(n_max, q)
+    return _scan(q_modified_coefficients(n_max, q), n_max)
+
+
+def _scan(data, n_max: int) -> PositivityReport:
     first_bad = None
     all_real = all(c.is_real() for c in data.c_mod)
     for n in range(1, n_max + 1):

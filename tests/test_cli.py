@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from mpmath import mp, mpf
 
-from biwkit import measure, polyfam
+from biwkit import measure, polyfam, reptheory
 from biwkit.cli import (
     EXIT_INVALID_PARAMETERS,
     EXIT_NOT_CONVERGED,
@@ -21,6 +21,7 @@ from biwkit.cli import (
     EXIT_VERIFICATION_FAILED,
     SCHEMA,
     _tagged,
+    build_parser,
     main,
 )
 
@@ -112,6 +113,20 @@ class TestVerifyCommands:
         assert doc["relations"]["pass"] is True
         assert doc["positivity"]["pass"] is True
 
+    def test_rep_runs_the_recurrence_once(self, tmp_path, monkeypatch):
+        # The band (n < N) and the positivity scan (n <= N) share one run.
+        calls = []
+        recurrence = reptheory.q_modified_coefficients
+
+        def counted(n_max, q):
+            calls.append(n_max)
+            return recurrence(n_max, q)
+
+        monkeypatch.setattr(reptheory, "q_modified_coefficients", counted)
+        code, _ = run(["rep", "--quad", "1/2,1/2,1/2,1/2", "--size", "200"], tmp_path)
+        assert code == EXIT_OK
+        assert calls == [200]
+
 
 class TestErrorPaths:
     def test_degenerate_exit_3(self, tmp_path):
@@ -153,7 +168,8 @@ class TestErrorPaths:
     @pytest.mark.parametrize("argv, detail", [
         (["verify-prop1", "--n-max", "101"], "--n-max must be in 0..100, got 101"),
         (["verify-iso", "--degree", "101"], "--degree must be in 0..100, got 101"),
-        (["rep", "--size", "1001"], "--size must be in 0..1000, got 1001"),
+        (["rep", "--size", "1001"], "--size must be in 6..1000, got 1001"),
+        (["rep", "--size", "5"], "--size must be in 6..1000, got 5"),
     ])
     def test_size_over_cap_names_flag(self, argv, detail, tmp_path):
         code, doc = run(argv, tmp_path)
@@ -168,7 +184,6 @@ class TestErrorPaths:
         ["poly", "--params", "1/0,0,0,0"],
         ["wilson", "--daha", "1/0,0,0,0"],
         ["verify-daha", "--n-max", "1", "--degree", "1"],
-        ["rep", "--quad", "1/2,1/2,1/2,1/2", "--size", "10", "--precision", "0"],
     ])
     def test_unreadable_or_missing_values_exit_3(self, argv, tmp_path):
         code, doc = run(argv, tmp_path)
@@ -185,13 +200,6 @@ class TestErrorPaths:
         code, doc = run_stdout(argv)
         assert code == EXIT_INVALID_PARAMETERS
         assert doc["schema"] == SCHEMA
-        assert doc["error"]["kind"] == "InvalidParameters"
-
-    def test_malformed_precision_environment_exit_3(self, monkeypatch):
-        monkeypatch.setenv("BIWKIT_PRECISION", "abc")
-        code, doc = run_stdout(["poly", "--params", "0,0,0,0"])
-        assert code == EXIT_INVALID_PARAMETERS
-        assert doc["command"] is None
         assert doc["error"]["kind"] == "InvalidParameters"
 
     def test_closed_form_mismatch_exit_2(self, tmp_path, monkeypatch):
@@ -269,11 +277,23 @@ class TestErrorPaths:
         assert code == EXIT_INVALID_PARAMETERS
         assert doc["error"]["kind"] == "InvalidParameters"
 
-    def test_precision_environment_over_cap_exit_3(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("BIWKIT_PRECISION", "100000")
-        code, doc = run(ORTHO, tmp_path)
+    def test_rep_has_no_precision_flag(self):
+        # rep's residuals are exact: no precision is settable.
+        code, doc = run_stdout(["rep", "--quad", "1/2,1/2,1/2,1/2", "--precision", "30"])
         assert code == EXIT_INVALID_PARAMETERS
-        assert "precision" in doc["error"]["detail"]
+        assert doc["error"]["kind"] == "InvalidParameters"
+        assert "--precision" in doc["error"]["detail"]
+
+    def test_precision_environment_is_ignored(self, tmp_path, monkeypatch):
+        # BIWKIT_PRECISION is not read: with it set, the documents are those of a run without it.
+        unset, given = tmp_path / "unset.json", tmp_path / "set.json"
+        for argv in (["poly", "--params", "0,0,0,0"], ORTHO):
+            monkeypatch.delenv("BIWKIT_PRECISION", raising=False)
+            assert main(argv + ["--output", str(unset)]) == EXIT_OK
+            for value in ("abc", "100000"):
+                monkeypatch.setenv("BIWKIT_PRECISION", value)
+                assert main(argv + ["--output", str(given)]) == EXIT_OK
+                assert given.read_bytes() == unset.read_bytes()
 
     def test_ortho_not_converged_exit_4(self, tmp_path):
         # 1e-40 is below what 30 working digits resolve: the halving cap is hit.
@@ -428,6 +448,16 @@ class TestProcessEntryPoint:
 class TestGramContract:
     """One input contract for the Gram: ``ortho`` and ``all`` word each
     rejection alike, and ``all`` rejects before its first stage."""
+
+    def test_ortho_and_all_take_the_same_gram_flags(self):
+        def gram_flags(argv):
+            args = build_parser().parse_args(argv)
+            return args.precision, args.tol, args.truncation
+
+        assert gram_flags(["ortho"]) == gram_flags(["all"]) == (
+            measure.DEFAULT_PRECISION, measure.DEFAULT_TOL, None)
+        given = ["--precision", "20", "--tol", "1e-6", "--truncation", "7"]
+        assert gram_flags(["ortho"] + given) == gram_flags(["all"] + given) == (20, "1e-6", 7)
 
     @pytest.mark.parametrize("flags", [
         ["--precision", "19"], ["--precision", "101"],
