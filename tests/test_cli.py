@@ -284,16 +284,21 @@ class TestErrorPaths:
         assert doc["error"]["kind"] == "InvalidParameters"
         assert "--precision" in doc["error"]["detail"]
 
-    def test_precision_environment_is_ignored(self, tmp_path, monkeypatch):
+    def assert_precision_environment_ignored(self, value, tmp_path, monkeypatch):
         # BIWKIT_PRECISION is not read: with it set, the documents are those of a run without it.
         unset, given = tmp_path / "unset.json", tmp_path / "set.json"
         for argv in (["poly", "--params", "0,0,0,0"], ORTHO):
             monkeypatch.delenv("BIWKIT_PRECISION", raising=False)
             assert main(argv + ["--output", str(unset)]) == EXIT_OK
-            for value in ("abc", "100000"):
-                monkeypatch.setenv("BIWKIT_PRECISION", value)
-                assert main(argv + ["--output", str(given)]) == EXIT_OK
-                assert given.read_bytes() == unset.read_bytes()
+            monkeypatch.setenv("BIWKIT_PRECISION", value)
+            assert main(argv + ["--output", str(given)]) == EXIT_OK
+            assert given.read_bytes() == unset.read_bytes()
+
+    def test_malformed_precision_environment_is_ignored(self, tmp_path, monkeypatch):
+        self.assert_precision_environment_ignored("abc", tmp_path, monkeypatch)
+
+    def test_precision_environment_over_cap_is_ignored(self, tmp_path, monkeypatch):
+        self.assert_precision_environment_ignored("100000", tmp_path, monkeypatch)
 
     def test_ortho_not_converged_exit_4(self, tmp_path):
         # 1e-40 is below what 30 working digits resolve: the halving cap is hit.
