@@ -61,8 +61,7 @@ from .operators import (
     verify_prop1_coefficients,
     verify_prop1_operator_transform,
 )
-from .reptheory import (MIN_SIZE, build_rep, build_rep_and_scan, positivity_scan,
-                        verify_rep_relations)
+from .reptheory import MIN_SIZE, build_rep, positivity_scan, verify_rep_relations
 from .measure import (
     DEFAULT_PRECISION,
     DEFAULT_TOL,
@@ -289,10 +288,9 @@ def _cmd_verify_prop1(args) -> tuple:
 
 def _cmd_rep(args) -> tuple:
     q = _parse_quad(args.quad)
-    rep, positivity = build_rep_and_scan(args.size, q)
     return _document({"params": q.to_json()}, {
-        "relations": verify_rep_relations(rep),
-        "positivity": positivity,
+        "relations": verify_rep_relations(build_rep(args.size, q)),
+        "positivity": positivity_scan(q, args.size),
     })
 
 

@@ -4,17 +4,19 @@ Builds the monic Bannai-Ito polynomials B_n, the modified family
 Q_n(x) = (-i)^n B_n(ix), and the non-symmetric Wilson polynomials p_n,
 together with recurrence coefficients, eigenvalues, the parameter
 bijection between the Bannai-Ito and Hecke-algebra parametrizations,
-and the coefficient-level symmetry checks of the modified family.
+the coefficient-level symmetry checks of the modified family, and the
+proof that the closed forms of its c_n and u_n equal the recurrence's
+for every n.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional
+from typing import List, Tuple
 
 from .errors import BiwkitError, DegenerateParameters
-from .exact import I, ONE, ComplexRational, Polynomial
+from .exact import I, ZERO, ComplexRational, Polynomial
 
 
 @dataclass(frozen=True)
@@ -108,6 +110,40 @@ class RecurrenceData:
         return {"A": self.A, "C": self.C, "c": self.c_mod, "u": self.u_mod}
 
 
+def check_denominators(n_max: int, s: ComplexRational) -> None:
+    """Raise DegenerateParameters at the least n <= n_max where the recurrence divides by zero.
+
+    A_n divides by 2(n+s+2) and C_n by 2(n+s+1), s = a+b+c+d; at each n the
+    first is checked before the second.  Both vanish only for s a real
+    integer, so the answer is read from s alone.
+    """
+    if s.im or s.re.denominator != 1:
+        return
+    for n, shift in ((-s.re.numerator - 2, 2), (-s.re.numerator - 1, 1)):
+        if 0 <= n <= n_max:
+            raise DegenerateParameters(f"denominator n+a+b+c+d+{shift} vanishes at n={n}", n=n)
+
+
+def recurrence_row(n: int, p: ParameterSet, s: ComplexRational, a_prev: ComplexRational = ZERO):
+    """``(A_n, C_n, 2a+1-A_n-C_n, c_n, u_n)`` with u_n = -A_{n-1}C_n, given a_prev = A_{n-1}.
+
+    The parity-branch formulas of the B_n recurrence and of the modified
+    family, s = a+b+c+d; ``check_denominators`` must have cleared n.  The
+    default a_prev = 0 gives u_0 = 0, which enters no relation.
+    """
+    cn = ComplexRational(n)
+    den_a = 2 * (cn + s + 2)
+    den_c = 2 * (cn + s + 1)
+    if n % 2 == 0:
+        A = (cn + 2 * p.a + 2 * p.c + 2) * (cn + 2 * p.a + 2 * p.d + 2) / den_a
+        C = -(cn * (cn + 2 * p.c + 2 * p.d + 1)) / den_c
+    else:
+        A = (cn + 2 * p.a + 2 * p.b + 2) * (cn + 2 * (p.a + p.b + p.c + p.d) + 3) / den_a
+        C = -((cn + 2 * p.b + 2 * p.c + 1) * (cn + 2 * p.b + 2 * p.d + 1)) / den_c
+    diag = 2 * p.a + 1 - A - C
+    return A, C, diag, -I * diag, -(a_prev * C)
+
+
 def bi_coefficients(n_max: int, p: ParameterSet) -> RecurrenceData:
     """Exact A_n, C_n for 0 <= n <= n_max, plus the modified c_n, u_n.
 
@@ -115,28 +151,17 @@ def bi_coefficients(n_max: int, p: ParameterSet) -> RecurrenceData:
     reporting the offending n.
     """
     s = p.total
+    check_denominators(n_max, s)
     data = RecurrenceData()
-    two = ComplexRational(2)
+    a_prev = ZERO
     for n in range(n_max + 1):
-        cn = ComplexRational(n)
-        den_a = two * (cn + s + 2)
-        den_c = two * (cn + s + 1)
-        if den_a.is_zero():
-            raise DegenerateParameters(f"denominator n+a+b+c+d+2 vanishes at n={n}", n=n)
-        if den_c.is_zero():
-            raise DegenerateParameters(f"denominator n+a+b+c+d+1 vanishes at n={n}", n=n)
-        if n % 2 == 0:
-            A = (cn + 2 * p.a + 2 * p.c + 2) * (cn + 2 * p.a + 2 * p.d + 2) / den_a
-            C = -(cn * (cn + 2 * p.c + 2 * p.d + 1)) / den_c
-        else:
-            A = (cn + 2 * p.a + 2 * p.b + 2) * (cn + 2 * (p.a + p.b + p.c + p.d) + 3) / den_a
-            C = -((cn + 2 * p.b + 2 * p.c + 1) * (cn + 2 * p.b + 2 * p.d + 1)) / den_c
-        diag = 2 * p.a + 1 - A - C
+        A, C, diag, c, u = recurrence_row(n, p, s, a_prev)
         data.A.append(A)
         data.C.append(C)
         data.b_coeff.append(diag)
-        data.c_mod.append(-I * diag)
-        data.u_mod.append(ComplexRational(0) if n == 0 else -(data.A[n - 1] * C))
+        data.c_mod.append(c)
+        data.u_mod.append(u)
+        a_prev = A
     return data
 
 
@@ -169,33 +194,98 @@ def q_polynomials(n_max: int, p: ParameterSet) -> List[Polynomial]:
     return out
 
 
-def q_modified_coefficients(n_max: int, q: RealParameterQuad) -> RecurrenceData:
-    """Exact c_n and u_n of the modified recurrence from the real quad.
+class ModifiedClosedForm:
+    """The closed parity-branch formulas of the modified c_n and u_n for one real quad.
 
-    Computed from the closed parity-branch formulas in (alpha, beta,
-    gamma, delta) and cross-checked, term by term, against
-    c_n = -i(2a+1-A_n-C_n) and u_n = -A_{n-1}C_n under the conjugate
-    pairing; any mismatch means a transcription bug and raises.
+    With d1 = n+2(alpha+gamma)+1 and d2 = d1+1 (both nonzero),
+    u_n = (n-r1)(n-r2)*mod2/(4*d1^2), where (r1, r2) = ``roots[n % 2]`` and
+    mod2 = d1^2 + 4(beta+delta)^2 (even n) or d1^2 + 4(beta-delta)^2 (odd n).
+    Every coefficient is real, and so are c_n and u_n.
     """
-    al, be, ga, de = (ComplexRational.coerce(v) for v in (q.alpha, q.beta, q.gamma, q.delta))
-    data = bi_coefficients(n_max, ParameterSet.from_quad(q))
-    for n in range(n_max + 1):
-        # d1 = n+a+b+c+d+1 and d2 = n+a+b+c+d+2: bi_coefficients has rejected their zeros.
+
+    def __init__(self, q: RealParameterQuad):
+        al, be, ga, de = (ComplexRational(v) for v in (q.alpha, q.beta, q.gamma, q.delta))
+        self.al, self.be, self.ga, self.de = al, be, ga, de
+        # Even n: n(n+4alpha+4gamma+2); odd n: (n+4alpha+1)(n+4gamma+1).
+        self.roots = ((ZERO, -4 * al - 4 * ga - 2), (-4 * al - 1, -4 * ga - 1))
+
+    def at(self, n: int) -> Tuple[ComplexRational, ComplexRational]:
+        """``(c_n, u_n)``."""
+        al, be, ga, de = self.al, self.be, self.ga, self.de
         d1 = n + 2 * (al + ga) + 1
         d2 = d1 + 1
         if n % 2 == 0:
             c_n = 2 * be - (n + 4 * al + 2) * (be - de) / d2 - n * (be + de) / d1
             mod2 = d1 * d1 + (2 * (be + de)) ** 2
-            u_n = n * (n + 4 * al + 4 * ga + 2) * mod2 / (4 * d1 * d1)
         else:
             c_n = 2 * be - (n + 4 * al + 4 * ga + 3) * (be + de) / d2 - (n + 4 * ga + 1) * (be - de) / d1
             mod2 = d1 * d1 + (2 * (be - de)) ** 2
-            u_n = (n + 4 * al + 1) * (n + 4 * ga + 1) * mod2 / (4 * d1 * d1)
-        if c_n != data.c_mod[n]:
+        r1, r2 = self.roots[n % 2]
+        return c_n, (n - r1) * (n - r2) * mod2 / (4 * d1 * d1)
+
+    def check(self, n: int, c_rec: ComplexRational, u_rec: ComplexRational) -> None:
+        """Raise BiwkitError naming c_n or u_n if the recurrence's value is not the closed form."""
+        c_n, u_n = self.at(n)
+        if c_rec != c_n:
             raise BiwkitError(f"c_{n} closed form disagrees with recurrence route")
-        if n >= 1 and u_n != data.u_mod[n]:
+        if n >= 1 and u_rec != u_n:
             raise BiwkitError(f"u_{n} closed form disagrees with recurrence route")
+
+
+def q_modified_coefficients(n_max: int, q: RealParameterQuad) -> RecurrenceData:
+    """Exact c_n and u_n of the modified recurrence from the real quad.
+
+    Runs ``bi_coefficients`` under the conjugate pairing and compares, term
+    by term, c_n = -i(2a+1-A_n-C_n) and u_n = -A_{n-1}C_n with
+    ``ModifiedClosedForm``; any mismatch means a transcription bug and
+    raises.
+    """
+    data = bi_coefficients(n_max, ParameterSet.from_quad(q))
+    closed = ModifiedClosedForm(q)
+    for n in range(n_max + 1):
+        closed.check(n, data.c_mod[n], data.u_mod[n])
     return data
+
+
+# The degree in n of closed form minus recurrence once the denominators are
+# cleared.  For u_n, 4*d1^2 times the closed form is n(n+..)*mod2 or
+# (n+..)(n+..)*mod2, and 4*d1^2 * A_{n-1}C_n is a product of two quadratic
+# numerators (A_{n-1} and C_n both divide by 2*d1): degree 4 each.  For c_n,
+# 2*d1*d2 times the closed form has degree 2 and times 2a+1-A_n-C_n degree 3.
+PROOF_DEGREE = 4
+
+
+def closed_form_checkpoints(s: Fraction) -> List[int]:
+    """PROOF_DEGREE + 1 values n >= 1 of each parity at which nothing divides by zero.
+
+    A checkpoint n touches n+s+2 and n+s+1 (A_n, C_n, d1, d2, A_{n-1}) and
+    n+s (C_{n-1}), so n+s = 0, -1, -2 is skipped: at most two values per
+    parity among 1..2*PROOF_DEGREE+6.
+    """
+    free = [n for n in range(1, 2 * PROOF_DEGREE + 7) if n + s not in (0, -1, -2)]
+    return sorted(n for parity in (0, 1)
+                  for n in [m for m in free if m % 2 == parity][:PROOF_DEGREE + 1])
+
+
+def prove_closed_forms(q: RealParameterQuad) -> ModifiedClosedForm:
+    """Prove that ``ModifiedClosedForm(q)`` equals the recurrence for every n, and return it.
+
+    On each parity class, closed form minus recurrence is a rational
+    function of n whose numerator, over 2*d1*d2 (c_n) or 4*d1^2 (u_n), has
+    degree <= PROOF_DEGREE.  It vanishes at PROOF_DEGREE + 1 checkpoints of
+    the class, evaluated through ``recurrence_row``, so it is zero: the two
+    agree at every n where their denominators do not vanish.  Raises
+    BiwkitError naming c_n or u_n at the first checkpoint that disagrees.
+    """
+    p = ParameterSet.from_quad(q)
+    s = p.total
+    closed = ModifiedClosedForm(q)
+    a = {}
+    for n in closed_form_checkpoints(s.re):
+        a_prev = a[n - 1] if n - 1 in a else recurrence_row(n - 1, p, s)[0]
+        a[n], _, _, c_rec, u_rec = recurrence_row(n, p, s, a_prev)
+        closed.check(n, c_rec, u_rec)
+    return closed
 
 
 def param_map_bi_to_daha(p: ParameterSet) -> DAHAParameterSet:

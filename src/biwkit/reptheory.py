@@ -17,16 +17,18 @@ square root sqrt(u_n) is ever taken.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from mpmath import mpf
 
 from .errors import InvalidParameters
 from .exact import ONE, ZERO, ComplexRational
 from .measure import SUMMARY_DIGITS, Approx, _to_mpf
-from .polyfam import ParameterSet, RealParameterQuad, bi_eigenvalue, q_modified_coefficients
+from .polyfam import (ParameterSet, RealParameterQuad, bi_eigenvalue, check_denominators,
+                      prove_closed_forms, q_modified_coefficients)
 from .operators import StructureConstants, casimir_scalar, structure_constants
 
 # The least (double) and the default precision_digits: they set only rep_tolerance.
@@ -61,17 +63,6 @@ def build_rep(N: int, q: RealParameterQuad,
     Raises InvalidParameters naming n if some u_n <= 0 or c_n is not real,
     since then A2 is not similar to the monic Jacobi matrix.
     """
-    return _build(N, q, precision_digits, N - 1)[0]
-
-
-def build_rep_and_scan(N: int, q: RealParameterQuad) -> Tuple[TridiagonalRep, "PositivityReport"]:
-    """``(build_rep(N, q), positivity_scan(q, N))`` from one run of the exact recurrence."""
-    rep, data = _build(N, q, PRINTED_PRECISION, N)
-    return rep, _scan(data, N)
-
-
-def _build(N: int, q: RealParameterQuad, precision_digits: int, n_max: int):
-    """``build_rep``'s band and the recurrence data up to n_max >= N - 1 it is read from."""
     if N < MIN_SIZE:
         raise InvalidParameters(f"truncation size must be at least {MIN_SIZE}, got {N}")
     if precision_digits < MIN_PRECISION:
@@ -81,7 +72,7 @@ def _build(N: int, q: RealParameterQuad, precision_digits: int, n_max: int):
         raise InvalidParameters(
             "alpha, beta, gamma, delta must all be positive (u_n > 0 is not guaranteed otherwise)"
         )
-    data = q_modified_coefficients(n_max, q)
+    data = q_modified_coefficients(N - 1, q)
     for n in range(N):
         if not data.c_mod[n].is_real():
             raise InvalidParameters(f"c_{n} is not real")
@@ -93,9 +84,9 @@ def _build(N: int, q: RealParameterQuad, precision_digits: int, n_max: int):
         precision_digits=precision_digits,
         params=q,
         lam=[bi_eigenvalue(n, p) for n in range(N)],
-        c=data.c_mod[:N],
-        u=data.u_mod[:N],
-    ), data
+        c=data.c_mod,
+        u=data.u_mod,
+    )
 
 
 Vector = Dict[int, ComplexRational]
@@ -231,25 +222,37 @@ class PositivityReport:
 
 
 def positivity_scan(q: RealParameterQuad, n_max: int) -> PositivityReport:
-    """Exact rational sign check of u_n (1 <= n <= n_max) and realness of c_n.
+    """Exact sign check of u_n (1 <= n <= n_max) and realness of c_n, at a cost free of n_max.
+
+    The recurrence is never run to n_max:
+
+    1. ``check_denominators`` raises DegenerateParameters at the n where
+       ``bi_coefficients`` would, read from s = 2(alpha+gamma).
+    2. ``prove_closed_forms`` proves that the closed forms of c_n and u_n
+       equal the recurrence's at every n.
+    3. u_n = (n-r1)(n-r2)*mod2/(4*d1^2) with mod2 = d1^2 + (real)^2 > 0,
+       since d1 = n+s+1 does not vanish for n <= n_max.  So u_n has the sign
+       of (n-r1)(n-r2), which is <= 0 exactly for n between the real roots.
+       c_n is real because its closed form has real coefficients.
 
     A sign violation is reported, not raised: scanning hypotheses-violating
     parameter sets is a supported use.
     """
-    return _scan(q_modified_coefficients(n_max, q), n_max)
-
-
-def _scan(data, n_max: int) -> PositivityReport:
-    first_bad = None
-    all_real = all(c.is_real() for c in data.c_mod)
-    for n in range(1, n_max + 1):
-        u = data.u_mod[n]
-        if not u.is_real() or u.re <= 0:
-            first_bad = n
-            break
+    check_denominators(n_max, ComplexRational(2 * (q.alpha + q.gamma)))
+    closed = prove_closed_forms(q)
+    firsts = [_first_between(roots, parity, n_max) for parity, roots in enumerate(closed.roots)]
+    first_bad = min((n for n in firsts if n is not None), default=None)
     return PositivityReport(
         n_max=n_max,
         all_positive=first_bad is None,
-        all_real=all_real,
+        all_real=True,
         first_nonpositive=first_bad,
     )
+
+
+def _first_between(roots, parity: int, n_max: int) -> Optional[int]:
+    """The least n in 1..n_max of the given parity with min(roots) <= n <= max(roots), if any."""
+    low, high = sorted(r.re for r in roots)
+    n = max(1, math.ceil(low))
+    n += (n - parity) % 2
+    return n if n <= min(high, n_max) else None

@@ -114,7 +114,7 @@ class TestVerifyCommands:
         assert doc["positivity"]["pass"] is True
 
     def test_rep_runs_the_recurrence_once(self, tmp_path, monkeypatch):
-        # The band (n < N) and the positivity scan (n <= N) share one run.
+        # The band (n < N) runs it once; the positivity scan never does.
         calls = []
         recurrence = reptheory.q_modified_coefficients
 
@@ -125,7 +125,7 @@ class TestVerifyCommands:
         monkeypatch.setattr(reptheory, "q_modified_coefficients", counted)
         code, _ = run(["rep", "--quad", "1/2,1/2,1/2,1/2", "--size", "200"], tmp_path)
         assert code == EXIT_OK
-        assert calls == [200]
+        assert calls == [199]
 
 
 class TestErrorPaths:

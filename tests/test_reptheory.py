@@ -1,22 +1,29 @@
 """Tests for the truncated tridiagonal representation."""
 
 import dataclasses
+import inspect
+import random
+import textwrap
 from fractions import Fraction
 
 import pytest
 from mpmath import mpf
 
-from biwkit import reptheory
-from biwkit.errors import DegenerateParameters, InvalidParameters
+from biwkit import polyfam, reptheory
+from biwkit.errors import BiwkitError, DegenerateParameters, InvalidParameters
 from biwkit.exact import ComplexRational
 from biwkit.polyfam import (
+    ModifiedClosedForm,
     ParameterSet,
     RealParameterQuad,
+    bi_coefficients,
     bi_eigenvalue,
+    closed_form_checkpoints,
     q_modified_coefficients,
 )
 from biwkit.operators import StructureConstants, structure_constants
 from biwkit.reptheory import (
+    PositivityReport,
     build_rep,
     positivity_scan,
     rep_tolerance,
@@ -170,3 +177,120 @@ class TestPositivity:
         doc = positivity_scan(HALF_QUAD, 10).to_json()
         assert doc["pass"] is True
         assert doc["n_max"] == 10
+
+
+def _scan_by_recurrence(q: RealParameterQuad, n_max: int) -> PositivityReport:
+    """The scan as the recurrence run to n_max gives it: the reference for positivity_scan.
+
+    It stops at the first n whose denominator n+s+2 or n+s+1 vanishes, then
+    reads every u_mod[n] and c_mod[n] of bi_coefficients.
+    """
+    s = 2 * (q.alpha + q.gamma)
+    for n in range(n_max + 1):
+        for shift in (2, 1):
+            if n + s + shift == 0:
+                raise DegenerateParameters(f"denominator n+a+b+c+d+{shift} vanishes at n={n}", n=n)
+    data = bi_coefficients(n_max, ParameterSet.from_quad(q))
+    first = next((n for n in range(1, n_max + 1)
+                  if not (data.u_mod[n].is_real() and data.u_mod[n].re > 0)), None)
+    return PositivityReport(n_max=n_max, all_positive=first is None,
+                            all_real=all(c.is_real() for c in data.c_mod), first_nonpositive=first)
+
+
+def _outcome(scan, q, n_max):
+    """The report's document, or the exception's kind, detail and n."""
+    try:
+        return "report", scan(q, n_max).to_json()
+    except BiwkitError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "n", None)
+
+
+def _seeded_cases(count: int):
+    """Quads with entries of both signs; a quarter put the pole at n = k-2 via 2(alpha+gamma) = -k."""
+    rng = random.Random(2026)
+    for _ in range(count):
+        al, be, ga, de = (Fraction(rng.randint(-12, 12), rng.randint(1, 4)) for _ in range(4))
+        if rng.random() < 0.25:
+            ga = -al - Fraction(rng.randint(1, 45), 2)
+        yield RealParameterQuad(al, be, ga, de), rng.choice([0, 1, 2, 3, 4, 5, 9, 17, 40])
+
+
+def _mutate(monkeypatch, owner, name, old, new):
+    """Replace owner.name by its own source with the one occurrence of ``old`` replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(polyfam))
+    exec(compile(source.replace(old, new), polyfam.__file__, "exec"), namespace)
+    monkeypatch.setattr(owner, name, namespace[name])
+
+
+EPSILON = "Fraction(1, 10 ** 30)"
+
+
+class TestPositivityProof:
+    def test_matches_the_recurrence_run_to_n_max(self):
+        kinds = {}
+        for q, n_max in _seeded_cases(1600):
+            expected = _outcome(_scan_by_recurrence, q, n_max)
+            assert _outcome(positivity_scan, q, n_max) == expected, (q, n_max)
+            s = 2 * (q.alpha + q.gamma)
+            if expected[0] == "report":
+                kind = "pass" if expected[1]["pass"] else "fail"
+                # A denominator vanishes at some n >= 0, all beyond n_max.
+                kind += "/pole beyond n_max" if s.denominator == 1 and s <= -1 else ""
+            else:
+                kind = expected[0]
+            kinds[kind] = kinds.get(kind, 0) + 1
+        # Each outcome the scan can have is exercised many times.
+        for kind in ("pass", "fail", "fail/pole beyond n_max", "DegenerateParameters"):
+            assert kinds.get(kind, 0) >= 50, kinds
+
+    @pytest.mark.parametrize("k", range(3, 17))
+    def test_pole_just_beyond_n_max(self, k):
+        # 2(alpha+gamma) = -k puts zeros of n+s+2, n+s+1 and n+s at n = k-2,
+        # k-1 and k: inside the checkpoint window 1..14, just past n_max.
+        q = RealParameterQuad(Fraction(1), Fraction(-3, 2), Fraction(-1) - Fraction(k, 2),
+                              Fraction(-15, 4))
+        n_max = k - 3
+        assert _outcome(positivity_scan, q, n_max) == _outcome(_scan_by_recurrence, q, n_max)
+        with pytest.raises(DegenerateParameters) as info:
+            positivity_scan(q, n_max + 1)
+        assert info.value.n == n_max + 1
+
+    def test_pole_at_a_checkpoint_n_max_0(self):
+        # s = -4: the first checkpoints of a naive choice, n = 2, 3, 4, divide by zero.
+        report = positivity_scan(RealParameterQuad(1, Fraction(-3, 2), -3, Fraction(-15, 4)), 0)
+        assert report.passed and report.n_max == 0
+
+    def test_checkpoints_avoid_every_pole(self):
+        for s in (Fraction(k, 2) for k in range(-40, 9)):
+            points = closed_form_checkpoints(s)
+            for parity in (0, 1):
+                assert len([n for n in points if n % 2 == parity]) == polyfam.PROOF_DEGREE + 1
+            assert all(n >= 1 and n + s not in (0, -1, -2) for n in points), s
+
+    def test_never_runs_the_recurrence_to_n_max(self, monkeypatch):
+        def refuse(n_max, *args):
+            raise AssertionError(f"recurrence run to n = {n_max}")
+
+        for owner in (polyfam, reptheory):
+            monkeypatch.setattr(owner, "q_modified_coefficients", refuse)
+        monkeypatch.setattr(polyfam, "bi_coefficients", refuse)
+        report = positivity_scan(OTHER_QUAD, 10 ** 6)
+        assert report.passed and report.n_max == 10 ** 6
+
+    @pytest.mark.parametrize("owner, name, old, new, named", [
+        # The odd-branch factor n+4alpha+1 of u_n.
+        (ModifiedClosedForm, "__init__", "-4 * al - 1,", f"-4 * al - 1 + {EPSILON},", "u_1"),
+        # The even-branch coefficient n+4alpha+2 of c_n.
+        (ModifiedClosedForm, "at", "(n + 4 * al + 2)", f"(n + 4 * al + 2 + {EPSILON})", "c_2"),
+        # One factor of C_n for even n, and one of A_n for odd n.
+        (polyfam, "recurrence_row", "2 * p.c + 2 * p.d + 1)", f"2 * p.c + 2 * p.d + 1 + {EPSILON})",
+         "c_2"),
+        (polyfam, "recurrence_row", "(cn + 2 * p.a + 2 * p.b + 2)",
+         f"(cn + 2 * p.a + 2 * p.b + 2 + {EPSILON})", "c_1"),
+    ], ids=["closed-u-odd", "closed-c-even", "recurrence-C-even", "recurrence-A-odd"])
+    def test_perturbed_coefficient_fails_the_proof(self, monkeypatch, owner, name, old, new, named):
+        _mutate(monkeypatch, owner, name, old, new)
+        with pytest.raises(BiwkitError, match=f"^{named} closed form disagrees"):
+            positivity_scan(OTHER_QUAD, 100)
