@@ -21,9 +21,11 @@ from .polyfam import (
     DAHAParameterSet,
     ParameterSet,
     RealParameterQuad,
+    StructureConstants,
     bi_coefficients,
     bi_eigenvalue,
     bi_polynomials,
+    casimir_scalar,
     family_to_json,
     nonsym_wilson_family,
     param_map_bi_to_daha,
@@ -31,19 +33,17 @@ from .polyfam import (
     q_modified_coefficients,
     q_polynomials,
     q_symmetry_check,
+    structure_constants,
     wilson_eigenvalue,
 )
 from .operators import (
-    StructureConstants,
     VerificationReport,
     bi_realization,
     build_daha_generators,
     build_L,
     build_M,
-    casimir_scalar,
     iso_forward,
     iso_inverse,
-    structure_constants,
     verify_bi_algebra,
     verify_casimir,
     verify_daha_relations,

@@ -3,6 +3,8 @@ subcommand with deterministic JSON output.
 
 Exit codes: 0 all verifications pass; 2 a verification failed; 3 invalid
 or degenerate parameters or a usage error; 4 numerical non-convergence.
+Degenerate parameters, where the polynomial family is undefined, are
+rejected before any work, even where operator relations would hold.
 Errors are reported as JSON documents too.
 
 A verifying command's document is its header fields (parameters and
@@ -39,18 +41,18 @@ from .polyfam import (
     DAHAParameterSet,
     ParameterSet,
     RealParameterQuad,
-    bi_coefficients,
+    check_denominators,
     family_to_json,
     nonsym_wilson_family,
     param_map_bi_to_daha,
     q_symmetry_check,
+    structure_constants,
     wilson_eigenvalue,
 )
 from .operators import (
     bi_realization,
     iso_forward,
     iso_inverse,
-    structure_constants,
     verify_bi_algebra,
     verify_casimir,
     verify_daha_relations,
@@ -145,16 +147,6 @@ def _parse_daha(text: Optional[str]) -> DAHAParameterSet:
     return _parse_four(text, "--daha", parse_complex_rational, DAHAParameterSet)
 
 
-def _require_nondegenerate(p: ParameterSet, n_max: int) -> None:
-    """Raise DegenerateParameters if any recurrence denominator vanishes.
-
-    Operator-relation checks would succeed formally at degenerate
-    parameters, but the polynomial family itself is undefined there, so
-    every command rejects them up front.
-    """
-    bi_coefficients(n_max, p)
-
-
 # The accepted range of --n-max, --degree and --size.  Exact work grows
 # polynomially in each: at the caps the slowest commands (verify-prop1 at
 # --n-max 100 --degree 100, verify-iso at --degree 100, rep at --size 1000)
@@ -175,7 +167,7 @@ def random_parameter_set(rng: random.Random, n_max: int) -> ParameterSet:
     """A random nondegenerate rational parameter quadruple.
 
     Nondegeneracy (no recurrence denominator vanishing up to n_max) is
-    certified by running the exact recurrence, not by heuristics.
+    decided exactly by ``check_denominators`` from a+b+c+d.
     """
     while True:
         vals = [
@@ -187,7 +179,7 @@ def random_parameter_set(rng: random.Random, n_max: int) -> ParameterSet:
         ]
         p = ParameterSet(*vals)
         try:
-            bi_coefficients(n_max, p)
+            check_denominators(n_max, p.total)
         except DegenerateParameters:
             continue
         return p
@@ -239,7 +231,7 @@ def _document(header: dict, reports: dict) -> tuple:
 
 def _cmd_verify_eigen(args) -> tuple:
     p = _resolve_bi_params(args)
-    _require_nondegenerate(p, args.n_max)
+    check_denominators(args.n_max, p.total)
     return _document({"params": p.to_json(), "n_max": args.n_max}, {
         "bi_eigen": verify_eigen_bi(args.n_max, p),
         "q_eigen": verify_eigen_q(args.n_max, p),
@@ -248,7 +240,7 @@ def _cmd_verify_eigen(args) -> tuple:
 
 def _cmd_verify_algebra(args) -> tuple:
     p = _resolve_bi_params(args)
-    _require_nondegenerate(p, args.degree)
+    check_denominators(args.degree, p.total)
     compact = verify_bi_algebra(p, args.degree)
     noncompact = verify_nc_algebra(p, args.degree)
     header = {"params": p.to_json(), "degree": args.degree,
@@ -267,7 +259,7 @@ def _cmd_verify_daha(args) -> tuple:
 
 def _cmd_verify_iso(args) -> tuple:
     p = _resolve_bi_params(args)
-    _require_nondegenerate(p, args.degree)
+    check_denominators(args.degree, p.total)
     t = param_map_bi_to_daha(p)
     header = {"params": p.to_json(), "daha_params": t.to_json(), "degree": args.degree}
     return _document(header, {
@@ -278,7 +270,7 @@ def _cmd_verify_iso(args) -> tuple:
 
 def _cmd_verify_prop1(args) -> tuple:
     p = _resolve_bi_params(args)
-    _require_nondegenerate(p, max(args.n_max, args.degree))
+    check_denominators(max(args.n_max, args.degree), p.total)
     header = {"params": p.to_json(), "n_max": args.n_max, "degree": args.degree}
     return _document(header, {
         "coefficient_identity": verify_prop1_coefficients(args.n_max, p),

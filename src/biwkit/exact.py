@@ -232,6 +232,8 @@ def parse_complex_rational(s: str) -> ComplexRational:
 
 ZERO = ComplexRational(0)
 ONE = ComplexRational(1)
+HALF = ComplexRational(Fraction(1, 2))
+QUARTER = ComplexRational(Fraction(1, 4))
 I = ComplexRational(0, 1)
 
 

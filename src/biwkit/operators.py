@@ -28,20 +28,20 @@ from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional
 
 from .errors import InvalidParameters, NonzeroRemainder, OperatorNotPolynomialPreserving
-from .exact import I, ComplexRational, Polynomial
+from .exact import HALF, I, QUARTER, ComplexRational, Polynomial
 from .polyfam import (
     DAHAParameterSet,
     ParameterSet,
+    StructureConstants,
     bi_eigenvalue,
     bi_polynomials,
+    casimir_scalar,
     nonsym_wilson_family,
     param_map_bi_to_daha,
     q_polynomials,
+    structure_constants,
     wilson_eigenvalue,
 )
-
-HALF = ComplexRational(Fraction(1, 2))
-QUARTER = ComplexRational(Fraction(1, 4))
 
 
 class DifferenceOperator:
@@ -191,37 +191,6 @@ def build_daha_generators(t: DAHAParameterSet):
     U0 = -T0 + Z - HALF
     U1 = -T1 - Z
     return T0, T1, U0, U1
-
-
-@dataclass(frozen=True)
-class StructureConstants:
-    """Structure constants of the compact (omega) and non-compact (alpha) algebras."""
-
-    omega1: ComplexRational
-    omega2: ComplexRational
-    omega3: ComplexRational
-    alpha1: ComplexRational
-    alpha2: ComplexRational
-    alpha3: ComplexRational
-
-    def to_json(self) -> dict:
-        return {k: getattr(self, k)
-                for k in ("omega1", "omega2", "omega3", "alpha1", "alpha2", "alpha3")}
-
-
-def structure_constants(p: ParameterSet) -> StructureConstants:
-    a, b, c, d = p.a, p.b, p.c, p.d
-    omega1 = 4 * (a * b + c * d) + (a + b + c + d) + HALF
-    omega2 = 2 * (a * a + b * b - c * c - d * d) + (a + b - c - d)
-    omega3 = 4 * (a * b - c * d) + (a + b - c - d)
-    return StructureConstants(
-        omega1=omega1,
-        omega2=omega2,
-        omega3=omega3,
-        alpha1=-omega1,
-        alpha2=-I * omega2,
-        alpha3=-I * omega3,
-    )
 
 
 def _realization(p: ParameterSet, sc: StructureConstants, which: str):
@@ -379,12 +348,6 @@ def verify_nc_algebra(p: ParameterSet, degree: int,
                                       sc.alpha1, sc.alpha2, sc.alpha3, sign)
     return _report(degree, ["{A2,A3} = %s + alpha1" % label, "{A3,A1} = A2 + alpha2"],
                    residuals[:2])
-
-
-def casimir_scalar(p: ParameterSet) -> ComplexRational:
-    """Value taken by the Casimir element in both polynomial realizations."""
-    a, b, c, d = p.a, p.b, p.c, p.d
-    return 2 * (a * a + b * b + c * c + d * d) + (a + b + c + d) + QUARTER
 
 
 @dataclass

@@ -2,7 +2,8 @@
 
 Builds the monic Bannai-Ito polynomials B_n, the modified family
 Q_n(x) = (-i)^n B_n(ix), and the non-symmetric Wilson polynomials p_n,
-together with recurrence coefficients, eigenvalues, the parameter
+together with recurrence coefficients, eigenvalues, the structure
+constants of both algebras and their Casimir value, the parameter
 bijection between the Bannai-Ito and Hecke-algebra parametrizations,
 the coefficient-level symmetry checks of the modified family, and the
 proof that the closed forms of its c_n and u_n equal the recurrence's
@@ -13,10 +14,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import List, Tuple
 
 from .errors import BiwkitError, DegenerateParameters
-from .exact import I, ZERO, ComplexRational, Polynomial
+from .exact import HALF, I, QUARTER, ZERO, ComplexRational, Polynomial
+
+THREE_HALVES = ComplexRational(Fraction(3, 2))
 
 
 @dataclass(frozen=True)
@@ -59,7 +63,7 @@ class ParameterSet:
         b = ComplexRational(q.gamma, q.delta)
         return ParameterSet(a, b, a.conjugate(), b.conjugate())
 
-    @property
+    @cached_property
     def total(self) -> ComplexRational:
         return self.a + self.b + self.c + self.d
 
@@ -70,6 +74,43 @@ class ParameterSet:
 
     def to_json(self) -> dict:
         return {k: getattr(self, k) for k in "abcd"}
+
+
+@dataclass(frozen=True)
+class StructureConstants:
+    """Structure constants of the compact (omega) and non-compact (alpha) algebras."""
+
+    omega1: ComplexRational
+    omega2: ComplexRational
+    omega3: ComplexRational
+    alpha1: ComplexRational
+    alpha2: ComplexRational
+    alpha3: ComplexRational
+
+    def to_json(self) -> dict:
+        return {k: getattr(self, k)
+                for k in ("omega1", "omega2", "omega3", "alpha1", "alpha2", "alpha3")}
+
+
+def structure_constants(p: ParameterSet) -> StructureConstants:
+    a, b, c, d = p.a, p.b, p.c, p.d
+    omega1 = 4 * (a * b + c * d) + p.total + HALF
+    omega2 = 2 * (a * a + b * b - c * c - d * d) + (a + b - c - d)
+    omega3 = 4 * (a * b - c * d) + (a + b - c - d)
+    return StructureConstants(
+        omega1=omega1,
+        omega2=omega2,
+        omega3=omega3,
+        alpha1=-omega1,
+        alpha2=-I * omega2,
+        alpha3=-I * omega3,
+    )
+
+
+def casimir_scalar(p: ParameterSet) -> ComplexRational:
+    """Value taken by the Casimir element in both polynomial realizations."""
+    a, b, c, d = p.a, p.b, p.c, p.d
+    return 2 * (a * a + b * b + c * c + d * d) + p.total + QUARTER
 
 
 @dataclass(frozen=True)
@@ -97,7 +138,7 @@ class RecurrenceData:
     recurrence; ``b_coeff[n]`` is the diagonal term 2a+1-A_n-C_n;
     ``c_mod[n] = -i*b_coeff[n]`` and ``u_mod[n] = -A_{n-1}*C_n`` are the
     recurrence coefficients of the modified family (u_mod[0] = 0 by
-    convention; it enters no relation).
+    convention; it multiplies only B_{-1} = 0).
     """
 
     A: List[ComplexRational] = field(default_factory=list)
@@ -169,12 +210,11 @@ def bi_polynomials(n_max: int, p: ParameterSet) -> List[Polynomial]:
     """Monic B_0..B_{n_max} from the three-term recurrence."""
     data = bi_coefficients(n_max, p)
     polys = [Polynomial.one()]
-    if n_max == 0:
-        return polys
     x = Polynomial.x()
     prev, cur = Polynomial.zero(), polys[0]
     for n in range(n_max):
-        nxt = (x - data.b_coeff[n]) * cur - (data.A[n - 1] * data.C[n] if n >= 1 else ComplexRational(0)) * prev
+        # A_{n-1}C_n = -u_mod[n]; u_mod[0] = 0 and prev = 0 at n = 0.
+        nxt = (x - data.b_coeff[n]) * cur + data.u_mod[n] * prev
         polys.append(nxt)
         prev, cur = cur, nxt
     return polys
@@ -182,8 +222,8 @@ def bi_polynomials(n_max: int, p: ParameterSet) -> List[Polynomial]:
 
 def bi_eigenvalue(n: int, p: ParameterSet) -> ComplexRational:
     """Eigenvalue lambda_n = (-1)^n (n + a+b+c+d + 3/2)."""
-    sign = 1 if n % 2 == 0 else -1
-    return ComplexRational(sign) * (ComplexRational(n) + p.total + ComplexRational(Fraction(3, 2)))
+    lam = n + p.total + THREE_HALVES
+    return -lam if n % 2 else lam
 
 
 def q_polynomials(n_max: int, p: ParameterSet) -> List[Polynomial]:
@@ -195,33 +235,34 @@ def q_polynomials(n_max: int, p: ParameterSet) -> List[Polynomial]:
 
 
 class ModifiedClosedForm:
-    """The closed parity-branch formulas of the modified c_n and u_n for one real quad.
+    """The closed formulas of the modified c_n and u_n for one real quad.
 
-    With d1 = n+2(alpha+gamma)+1 and d2 = d1+1 (both nonzero),
-    u_n = (n-r1)(n-r2)*mod2/(4*d1^2), where (r1, r2) = ``roots[n % 2]`` and
-    mod2 = d1^2 + 4(beta+delta)^2 (even n) or d1^2 + 4(beta-delta)^2 (odd n).
-    Every coefficient is real, and so are c_n and u_n.
+    c_n = (2*alpha3*lambda_n + alpha2)/(4*lambda_n^2 - 1) comes from the
+    structure constants: {A3, A1} = A2 + alpha2 applied to the eigenvectors
+    of M.  Its denominator is 4*d1*d2, with d1 = n+2(alpha+gamma)+1 and
+    d2 = d1+1 (both nonzero).  u_n = (n-r1)(n-r2)*mod2/(4*d1^2), where
+    (r1, r2) = ``roots[n % 2]`` and mod2 = d1^2 + ``squares[n % 2]``, that
+    is 4(beta+delta)^2 (even n) or 4(beta-delta)^2 (odd n).  alpha2, alpha3
+    and lambda_n are real for every RealParameterQuad, and so are the roots
+    and squares: c_n and u_n are real.
     """
 
     def __init__(self, q: RealParameterQuad):
         al, be, ga, de = (ComplexRational(v) for v in (q.alpha, q.beta, q.gamma, q.delta))
-        self.al, self.be, self.ga, self.de = al, be, ga, de
+        self.p = ParameterSet.from_quad(q)
+        sc = structure_constants(self.p)
+        self.alpha2, self.alpha3 = sc.alpha2, sc.alpha3
         # Even n: n(n+4alpha+4gamma+2); odd n: (n+4alpha+1)(n+4gamma+1).
         self.roots = ((ZERO, -4 * al - 4 * ga - 2), (-4 * al - 1, -4 * ga - 1))
+        self.squares = ((2 * (be + de)) ** 2, (2 * (be - de)) ** 2)
 
     def at(self, n: int) -> Tuple[ComplexRational, ComplexRational]:
         """``(c_n, u_n)``."""
-        al, be, ga, de = self.al, self.be, self.ga, self.de
-        d1 = n + 2 * (al + ga) + 1
-        d2 = d1 + 1
-        if n % 2 == 0:
-            c_n = 2 * be - (n + 4 * al + 2) * (be - de) / d2 - n * (be + de) / d1
-            mod2 = d1 * d1 + (2 * (be + de)) ** 2
-        else:
-            c_n = 2 * be - (n + 4 * al + 4 * ga + 3) * (be + de) / d2 - (n + 4 * ga + 1) * (be - de) / d1
-            mod2 = d1 * d1 + (2 * (be - de)) ** 2
+        lam = bi_eigenvalue(n, self.p)
+        c_n = (2 * self.alpha3 * lam + self.alpha2) / (4 * lam * lam - 1)
+        d1 = n + self.p.total + 1
         r1, r2 = self.roots[n % 2]
-        return c_n, (n - r1) * (n - r2) * mod2 / (4 * d1 * d1)
+        return c_n, (n - r1) * (n - r2) * (d1 * d1 + self.squares[n % 2]) / (4 * d1 * d1)
 
     def check(self, n: int, c_rec: ComplexRational, u_rec: ComplexRational) -> None:
         """Raise BiwkitError naming c_n or u_n if the recurrence's value is not the closed form."""
@@ -251,7 +292,8 @@ def q_modified_coefficients(n_max: int, q: RealParameterQuad) -> RecurrenceData:
 # cleared.  For u_n, 4*d1^2 times the closed form is n(n+..)*mod2 or
 # (n+..)(n+..)*mod2, and 4*d1^2 * A_{n-1}C_n is a product of two quadratic
 # numerators (A_{n-1} and C_n both divide by 2*d1): degree 4 each.  For c_n,
-# 2*d1*d2 times the closed form has degree 2 and times 2a+1-A_n-C_n degree 3.
+# 4*d1*d2 = 4*lambda_n^2 - 1 times the closed form is 2*alpha3*lambda_n +
+# alpha2, of degree 1, and times 2a+1-A_n-C_n it has degree 3.
 PROOF_DEGREE = 4
 
 
@@ -271,15 +313,14 @@ def prove_closed_forms(q: RealParameterQuad) -> ModifiedClosedForm:
     """Prove that ``ModifiedClosedForm(q)`` equals the recurrence for every n, and return it.
 
     On each parity class, closed form minus recurrence is a rational
-    function of n whose numerator, over 2*d1*d2 (c_n) or 4*d1^2 (u_n), has
+    function of n whose numerator, over 4*d1*d2 (c_n) or 4*d1^2 (u_n), has
     degree <= PROOF_DEGREE.  It vanishes at PROOF_DEGREE + 1 checkpoints of
     the class, evaluated through ``recurrence_row``, so it is zero: the two
     agree at every n where their denominators do not vanish.  Raises
     BiwkitError naming c_n or u_n at the first checkpoint that disagrees.
     """
-    p = ParameterSet.from_quad(q)
-    s = p.total
     closed = ModifiedClosedForm(q)
+    p, s = closed.p, closed.p.total
     a = {}
     for n in closed_form_checkpoints(s.re):
         a_prev = a[n - 1] if n - 1 in a else recurrence_row(n - 1, p, s)[0]
@@ -290,24 +331,21 @@ def prove_closed_forms(q: RealParameterQuad) -> ModifiedClosedForm:
 
 def param_map_bi_to_daha(p: ParameterSet) -> DAHAParameterSet:
     """(a,b,c,d) -> (t0,t1,u0,u1) = ((c+d)/2+1/4, (a+b)/2+1/4, (c-d)/2, (a-b)/2)."""
-    quarter = ComplexRational(Fraction(1, 4))
-    half = ComplexRational(Fraction(1, 2))
     return DAHAParameterSet(
-        t0=(p.c + p.d) * half + quarter,
-        t1=(p.a + p.b) * half + quarter,
-        u0=(p.c - p.d) * half,
-        u1=(p.a - p.b) * half,
+        t0=(p.c + p.d) * HALF + QUARTER,
+        t1=(p.a + p.b) * HALF + QUARTER,
+        u0=(p.c - p.d) * HALF,
+        u1=(p.a - p.b) * HALF,
     )
 
 
 def param_map_daha_to_bi(t: DAHAParameterSet) -> ParameterSet:
     """Inverse of param_map_bi_to_daha; exact round-trip both ways."""
-    quarter = ComplexRational(Fraction(1, 4))
     return ParameterSet(
-        a=t.t1 + t.u1 - quarter,
-        b=t.t1 - t.u1 - quarter,
-        c=t.t0 + t.u0 - quarter,
-        d=t.t0 - t.u0 - quarter,
+        a=t.t1 + t.u1 - QUARTER,
+        b=t.t1 - t.u1 - QUARTER,
+        c=t.t0 + t.u0 - QUARTER,
+        d=t.t0 - t.u0 - QUARTER,
     )
 
 

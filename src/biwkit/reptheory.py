@@ -27,9 +27,9 @@ from mpmath import mpf
 from .errors import InvalidParameters
 from .exact import ONE, ZERO, ComplexRational
 from .measure import SUMMARY_DIGITS, Approx, _to_mpf
-from .polyfam import (ParameterSet, RealParameterQuad, bi_eigenvalue, check_denominators,
-                      prove_closed_forms, q_modified_coefficients)
-from .operators import StructureConstants, casimir_scalar, structure_constants
+from .polyfam import (ParameterSet, RealParameterQuad, StructureConstants, bi_eigenvalue,
+                      casimir_scalar, check_denominators, prove_closed_forms,
+                      q_modified_coefficients, structure_constants)
 
 # The least (double) and the default precision_digits: they set only rep_tolerance.
 MIN_PRECISION = 16
@@ -233,7 +233,7 @@ def positivity_scan(q: RealParameterQuad, n_max: int) -> PositivityReport:
     3. u_n = (n-r1)(n-r2)*mod2/(4*d1^2) with mod2 = d1^2 + (real)^2 > 0,
        since d1 = n+s+1 does not vanish for n <= n_max.  So u_n has the sign
        of (n-r1)(n-r2), which is <= 0 exactly for n between the real roots.
-       c_n is real because its closed form has real coefficients.
+       c_n is real because alpha2, alpha3 and lambda_n are.
 
     A sign violation is reported, not raised: scanning hypotheses-violating
     parameter sets is a supported use.

@@ -4,9 +4,11 @@ determinism, and the exactness tagging of leaves."""
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -23,7 +25,10 @@ from biwkit.cli import (
     _tagged,
     build_parser,
     main,
+    random_parameter_set,
 )
+from biwkit.errors import DegenerateParameters
+from biwkit.exact import ComplexRational
 
 # Reduced settings for the full-suite runs.
 FAST_ALL = [
@@ -126,6 +131,42 @@ class TestVerifyCommands:
         code, _ = run(["rep", "--quad", "1/2,1/2,1/2,1/2", "--size", "200"], tmp_path)
         assert code == EXIT_OK
         assert calls == [199]
+
+
+def _draw_by_recurrence(rng, n_max):
+    """``(set, rejected)``: a draw as random_parameter_set made it when it
+    ran bi_coefficients to n_max and rejected on DegenerateParameters."""
+    rejected = 0
+    while True:
+        vals = [ComplexRational(Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
+                                Fraction(rng.randint(-6, 6), rng.randint(1, 4)))
+                for _ in range(4)]
+        p = polyfam.ParameterSet(*vals)
+        try:
+            polyfam.bi_coefficients(n_max, p)
+        except DegenerateParameters:
+            rejected += 1
+            continue
+        return p, rejected
+
+
+# Seeds whose first draw has a+b+c+d = -3, -2, -10, -1, -8: about 0.15% of
+# draws are degenerate, too few for seeds 0..199 to meet one.
+REJECTING_SEEDS = (1243, 1285, 1545, 1934, 2037)
+
+
+class TestRandomParameterSet:
+    @pytest.mark.parametrize("n_max, least_rejected", [(0, 2), (10, 5), (30, 5)])
+    def test_draws_the_sets_the_recurrence_rule_drew(self, n_max, least_rejected):
+        rejected = 0
+        for seed in list(range(200)) + list(REJECTING_SEEDS):
+            new_rng, old_rng = random.Random(seed), random.Random(seed)
+            for _ in range(2):
+                p, r = _draw_by_recurrence(old_rng, n_max)
+                assert random_parameter_set(new_rng, n_max) == p, (seed, n_max)
+                rejected += r
+            assert new_rng.getstate() == old_rng.getstate()
+        assert rejected >= least_rejected
 
 
 class TestErrorPaths:

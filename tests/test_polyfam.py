@@ -21,6 +21,7 @@ from biwkit.polyfam import (
     q_modified_coefficients,
     q_polynomials,
     q_symmetry_check,
+    structure_constants,
     wilson_eigenvalue,
 )
 
@@ -60,6 +61,16 @@ class TestRecurrence:
         with pytest.raises(DegenerateParameters) as exc:
             bi_coefficients(2, ParameterSet(0, 0, -2, 0))
         assert exc.value.n == 0
+
+    @pytest.mark.parametrize("seed", [None] + list(range(40)))
+    def test_diagonal_from_the_structure_constants(self, seed):
+        # {X3, X1} = X2 + omega2 on the eigenvectors of L fixes the diagonal.
+        p = ZERO_PARAMS if seed is None else random_parameter_set(random.Random(seed), 30)
+        sc = structure_constants(p)
+        data = bi_coefficients(30, p)
+        for n in range(31):
+            lam = bi_eigenvalue(n, p)
+            assert data.b_coeff[n] * (4 * lam * lam - 1) == 2 * sc.omega3 * lam + sc.omega2, n
 
     def test_eigenvalue_alternation(self):
         assert bi_eigenvalue(0, ZERO_PARAMS) == ComplexRational(Fraction(3, 2))

@@ -245,6 +245,18 @@ class TestPositivityProof:
         for kind in ("pass", "fail", "fail/pole beyond n_max", "DegenerateParameters"):
             assert kinds.get(kind, 0) >= 50, kinds
 
+    def test_closed_forms_equal_the_recurrence_at_every_n(self):
+        # q_modified_coefficients compares c_n and u_n with the closed forms at each n.
+        checked = 0
+        for q, _ in _seeded_cases(400):
+            try:
+                data = q_modified_coefficients(30, q)
+            except DegenerateParameters:
+                continue
+            checked += 1
+            assert data.u_mod[0] == 0 and len(data.c_mod) == 31
+        assert checked >= 200
+
     @pytest.mark.parametrize("k", range(3, 17))
     def test_pole_just_beyond_n_max(self, k):
         # 2(alpha+gamma) = -k puts zeros of n+s+2, n+s+1 and n+s at n = k-2,
@@ -282,14 +294,15 @@ class TestPositivityProof:
     @pytest.mark.parametrize("owner, name, old, new, named", [
         # The odd-branch factor n+4alpha+1 of u_n.
         (ModifiedClosedForm, "__init__", "-4 * al - 1,", f"-4 * al - 1 + {EPSILON},", "u_1"),
-        # The even-branch coefficient n+4alpha+2 of c_n.
-        (ModifiedClosedForm, "at", "(n + 4 * al + 2)", f"(n + 4 * al + 2 + {EPSILON})", "c_2"),
+        # The denominator 4*lambda_n^2 - 1 of c_n, and alpha3 in its numerator.
+        (ModifiedClosedForm, "at", "4 * lam * lam - 1", f"4 * lam * lam - 1 + {EPSILON}", "c_1"),
+        (ModifiedClosedForm, "__init__", "sc.alpha3\n", f"sc.alpha3 + {EPSILON}\n", "c_1"),
         # One factor of C_n for even n, and one of A_n for odd n.
         (polyfam, "recurrence_row", "2 * p.c + 2 * p.d + 1)", f"2 * p.c + 2 * p.d + 1 + {EPSILON})",
          "c_2"),
         (polyfam, "recurrence_row", "(cn + 2 * p.a + 2 * p.b + 2)",
          f"(cn + 2 * p.a + 2 * p.b + 2 + {EPSILON})", "c_1"),
-    ], ids=["closed-u-odd", "closed-c-even", "recurrence-C-even", "recurrence-A-odd"])
+    ], ids=["closed-u-odd", "closed-c", "closed-alpha3", "recurrence-C-even", "recurrence-A-odd"])
     def test_perturbed_coefficient_fails_the_proof(self, monkeypatch, owner, name, old, new, named):
         _mutate(monkeypatch, owner, name, old, new)
         with pytest.raises(BiwkitError, match=f"^{named} closed form disagrees"):
