@@ -1,10 +1,12 @@
 """Exact arithmetic substrate: Gaussian rationals and dense polynomials.
 
 Scalars are Gaussian rationals (x + y*i)/d held as three ints in lowest
-terms; each operation is integer arithmetic followed by one gcd, so every
+terms; each scalar operation is integer arithmetic followed by one gcd.
+A polynomial is two int tuples of Gaussian-integer numerators over one
+shared denominator, in ascending powers; each polynomial operation
+(sum, product, substitution, division, linear combination) is integer
+arithmetic followed by one content gcd for the whole result.  Every
 operation in this module is exact and no floating point enters here.
-Polynomials are dense coefficient tuples in ascending powers with a single
-canonical zero representation (the empty tuple).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import re as _re
 from fractions import Fraction
 from math import gcd as _gcd, lcm as _lcm
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 from .errors import NonzeroRemainder
 
@@ -236,20 +238,33 @@ HALF = ComplexRational(Fraction(1, 2))
 QUARTER = ComplexRational(Fraction(1, 4))
 I = ComplexRational(0, 1)
 
+_SCALARS = (int, Fraction, ComplexRational)
+
 
 class Polynomial:
-    """Dense univariate polynomial over ComplexRational, ascending powers."""
+    """Dense univariate polynomial over the Gaussian rationals, ascending powers.
 
-    __slots__ = ("coeffs",)
+    Held as Gaussian-integer numerators over one denominator: coefficient k
+    is (xs[k] + ys[k]*i)/d.  The form is canonical: d > 0,
+    gcd(d, *xs, *ys) = 1 and the last coefficient is nonzero, so zero is
+    ((), (), 1) and equal polynomials have equal fields.  ``coeffs`` builds
+    the coefficients as ``ComplexRational`` values on demand.
+    """
 
-    def __init__(self, coeffs: Iterable[ScalarLike] = ()):
-        cs = [c if type(c) is ComplexRational else ComplexRational.coerce(c) for c in coeffs]
-        while cs and cs[-1].is_zero():
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+    __slots__ = ("_xs", "_ys", "_d")
+
+    def __new__(cls, coeffs: Iterable[ScalarLike] = ()):
+        cs = [ComplexRational.coerce(c) for c in coeffs]
+        d = _lcm(*(c._d for c in cs))
+        return _canonical([c._x * (d // c._d) for c in cs], [c._y * (d // c._d) for c in cs], d)
 
     def __setattr__(self, name, value):
         raise AttributeError("Polynomial is immutable")
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients as canonical ``ComplexRational`` values."""
+        return tuple(_reduced(x, y, self._d) for x, y in zip(self._xs, self._ys))
 
     @staticmethod
     def zero() -> "Polynomial":
@@ -257,124 +272,137 @@ class Polynomial:
 
     @staticmethod
     def one() -> "Polynomial":
-        return Polynomial([1])
+        return Polynomial.monomial(0)
 
     @staticmethod
     def x() -> "Polynomial":
-        return Polynomial([0, 1])
+        return Polynomial.monomial(1)
 
     @staticmethod
-    def monomial(k: int, coeff: ScalarLike = 1) -> "Polynomial":
-        return Polynomial([ZERO] * k + [coeff])
+    def monomial(k: int, coeff: ScalarLike = ONE) -> "Polynomial":
+        c = ComplexRational.coerce(coeff)
+        return _canonical([0] * k + [c._x], [0] * k + [c._y], c._d)
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self._xs) - 1
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._xs
 
     @property
     def leading_coefficient(self) -> ComplexRational:
-        if not self.coeffs:
-            return ZERO
-        return self.coeffs[-1]
+        return self.coefficient(self.degree)
 
     def coefficient(self, k: int) -> ComplexRational:
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self._xs):
+            return _reduced(self._xs[k], self._ys[k], self._d)
         return ZERO
 
     def __add__(self, other):
-        if isinstance(other, (int, Fraction, ComplexRational)):
-            other = Polynomial([other])
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for k, c in enumerate(b):
-            out[k] = out[k] + c
-        return Polynomial(out)
+        return _sum(1, self, 1, other)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        if isinstance(other, (int, Fraction, ComplexRational)):
-            other = Polynomial([other])
-        return self + (-other)
+        return _sum(1, self, -1, other)
 
     def __rsub__(self, other):
-        return (-self) + other
+        return _sum(-1, self, 1, other)
 
     def __neg__(self):
-        return Polynomial([-c for c in self.coeffs])
+        return _canonical([-x for x in self._xs], [-y for y in self._ys], self._d)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction, ComplexRational)):
-            c = ComplexRational.coerce(other)
-            return Polynomial([c * a for a in self.coeffs])
-        if not isinstance(other, Polynomial):
+        if type(other) is Polynomial:
+            pairs = enumerate(zip(self._xs, self._ys))
+            return _combination([(a, b, k, other) for k, (a, b) in pairs if a or b], self._d)
+        if not isinstance(other, _SCALARS):
             return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return Polynomial()
-        out = [ZERO] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] = out[i + j] + a * b
-        return Polynomial(out)
+        c = ComplexRational.coerce(other)
+        return _combination([(c._x, c._y, 0, self)], c._d)
 
     __rmul__ = __mul__
 
+    def linear_map(self, image_of: Callable[[int], "Polynomial"]) -> "Polynomial":
+        """The sum of p_k * image_of(k): p under the linear map x^k -> image_of(k)."""
+        pairs = enumerate(zip(self._xs, self._ys))
+        return _combination([(a, b, 0, image_of(k)) for k, (a, b) in pairs if a or b], self._d)
+
     def exact_div(self, d: "Polynomial") -> "Polynomial":
-        """Return q with self = d*q; raise NonzeroRemainder otherwise."""
+        """Return q with self = d*q; raise NonzeroRemainder otherwise.
+
+        Synthetic division on the numerators.  They are first scaled by
+        |lead|^m * e, where m is the number of quotient terms and e the
+        denominator of d, so each quotient numerator
+        rem_top * conj(lead) / |lead|^2 is a Gaussian integer.
+        """
         if d.is_zero():
             raise ZeroDivisionError("division by zero polynomial")
         if self.is_zero():
-            return Polynomial()
-        rem = list(self.coeffs)
-        dd = d.degree
-        lead = d.coeffs[-1]
-        if len(rem) - 1 < dd:
+            return self
+        dxs, dys = d._xs, d._ys
+        dd = len(dxs) - 1
+        m = len(self._xs) - dd
+        if m <= 0:
             raise NonzeroRemainder("divisor degree exceeds dividend degree", remainder=self)
-        qcoeffs = [ZERO] * (len(rem) - dd)
-        for k in range(len(qcoeffs) - 1, -1, -1):
-            c = rem[k + dd] / lead
-            qcoeffs[k] = c
-            if not c.is_zero():
-                for j, dc in enumerate(d.coeffs):
-                    rem[k + j] = rem[k + j] - c * dc
-        if any(not c.is_zero() for c in rem[:dd]):
-            raise NonzeroRemainder(
-                "polynomial division left a nonzero remainder",
-                remainder=Polynomial(rem[:dd]),
-            )
-        return Polynomial(qcoeffs)
+        lx, ly = dxs[-1], dys[-1]
+        nl = lx * lx + ly * ly
+        scale = nl ** m * d._d
+        rx = [x * scale for x in self._xs]
+        ry = [y * scale for y in self._ys]
+        qx, qy = [0] * m, [0] * m
+        for k in range(m - 1, -1, -1):
+            a, b = rx[k + dd], ry[k + dd]
+            cx, cy = (a * lx + b * ly) // nl, (b * lx - a * ly) // nl
+            qx[k], qy[k] = cx, cy
+            if cx or cy:
+                for j, (ex, ey) in enumerate(zip(dxs, dys), k):
+                    rx[j] -= cx * ex - cy * ey
+                    ry[j] -= cx * ey + cy * ex
+        if any(rx[:dd]) or any(ry[:dd]):
+            raise NonzeroRemainder("polynomial division left a nonzero remainder",
+                                   remainder=_canonical(rx[:dd], ry[:dd], self._d * scale))
+        return _canonical(qx, qy, self._d * nl ** m)
 
     def affine_substitute(self, s: ScalarLike, t: ScalarLike) -> "Polynomial":
         """Return the polynomial x -> p(s*x + t), exactly.
 
-        t = 0 scales the coefficients by powers of s; otherwise Horner's
-        rule runs on a plain coefficient list.
+        With s*x + t = (S*x + T)/D for Gaussian integers S, T and D > 0,
+        p(s*x + t) * d * D^deg is the sum of the numerators' c_k (S*x + T)^k
+        D^(deg-k): for t = 0 each coefficient is scaled by S^k D^(deg-k),
+        otherwise Horner's rule runs on (S*x + T) in integers.
         """
         s, t = ComplexRational.coerce(s), ComplexRational.coerce(t)
-        if t.is_zero():
-            out, power = [], ONE
-            for c in self.coeffs:
-                out.append(c * power)
-                power = power * s
-            return Polynomial(out)
-        acc = []
-        for c in reversed(self.coeffs):
-            # acc <- acc * (s*x + t) + c
-            nxt = [ZERO] + [s * a for a in acc]
-            for k, a in enumerate(acc):
-                nxt[k] = nxt[k] + t * a
-            nxt[0] = nxt[0] + c
-            acc = nxt
-        return Polynomial(acc)
+        if not self._xs:
+            return self
+        D = _lcm(s._d, t._d)
+        sx, sy = s._x * (D // s._d), s._y * (D // s._d)
+        tx, ty = t._x * (D // t._d), t._y * (D // t._d)
+        deg = len(self._xs) - 1
+        if not tx and not ty:
+            xs, ys = [], []
+            px, py = 1, 0  # S^k
+            for k, (x, y) in enumerate(zip(self._xs, self._ys)):
+                m = D ** (deg - k)
+                a, b = px * m, py * m
+                xs.append(a * x - b * y)
+                ys.append(a * y + b * x)
+                px, py = px * sx - py * sy, px * sy + py * sx
+            return _canonical(xs, ys, self._d * D ** deg)
+        xs, ys, m = [], [], 1
+        for x, y in zip(reversed(self._xs), reversed(self._ys)):
+            # acc <- acc * (S*x + T) + c * D^j after j steps
+            nx = [0] + [sx * a - sy * b for a, b in zip(xs, ys)]
+            ny = [0] + [sx * b + sy * a for a, b in zip(xs, ys)]
+            for j, (a, b) in enumerate(zip(xs, ys)):
+                nx[j] += tx * a - ty * b
+                ny[j] += tx * b + ty * a
+            nx[0] += x * m
+            ny[0] += y * m
+            xs, ys, m = nx, ny, m * D
+        return _canonical(xs, ys, self._d * D ** deg)
 
     def __call__(self, z: ScalarLike) -> ComplexRational:
         z = ComplexRational.coerce(z)
@@ -384,15 +412,72 @@ class Polynomial:
         return acc
 
     def has_real_coefficients(self) -> bool:
-        return all(c.is_real() for c in self.coeffs)
+        return not any(self._ys)
 
     def __eq__(self, other):
         if isinstance(other, Polynomial):
-            return self.coeffs == other.coeffs
+            return self._xs == other._xs and self._ys == other._ys and self._d == other._d
         return NotImplemented
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self._xs, self._ys, self._d))
 
     def __repr__(self):
         return f"Polynomial({[str(c) for c in self.coeffs]})"
+
+
+_set_xs = Polynomial._xs.__set__
+_set_ys = Polynomial._ys.__set__
+_set_pd = Polynomial._d.__set__
+
+
+def _canonical(xs: list, ys: list, d: int) -> Polynomial:
+    """The polynomial with numerators xs + ys*i over d > 0, in canonical form.
+
+    Drops trailing zeros and divides out the content gcd(d, *xs, *ys): the
+    one gcd of each polynomial operation.
+    """
+    while xs and not xs[-1] and not ys[-1]:
+        xs.pop()
+        ys.pop()
+    g = _gcd(d, *xs, *ys)
+    if g != 1:
+        xs, ys, d = [v // g for v in xs], [v // g for v in ys], d // g
+    p = _new(Polynomial)
+    _set_xs(p, tuple(xs))
+    _set_ys(p, tuple(ys))
+    _set_pd(p, d)
+    return p
+
+
+def _combination(terms, d: int) -> Polynomial:
+    """The sum of (a + b*i) * x^k * p / d over the terms (a, b, k, p).
+
+    Each p is brought to the lcm e of the denominators, the products are
+    summed in integers, and the result over d*e is reduced once.
+    """
+    e = n = 1
+    for _, _, k, p in terms:
+        if p._d != e:
+            e = _lcm(e, p._d)
+        n = max(n, k + len(p._xs))
+    xs, ys = [0] * n, [0] * n
+    for a, b, j, p in terms:
+        m = e // p._d
+        if m != 1:
+            a, b = a * m, b * m
+        for x, y in zip(p._xs, p._ys):
+            xs[j] += a * x - b * y
+            ys[j] += a * y + b * x
+            j += 1
+    return _canonical(xs, ys, d * e)
+
+
+def _sum(a: int, p: Polynomial, b: int, q) -> Polynomial:
+    """a*p + b*q for a polynomial or scalar q; NotImplemented for any other q."""
+    if type(q) is not Polynomial:
+        if not isinstance(q, _SCALARS):
+            return NotImplemented
+        q = Polynomial.monomial(0, q)
+    return _combination(((a, 0, 0, p), (b, 0, 0, q)), 1)
+

@@ -75,16 +75,7 @@ class DifferenceOperator:
 
     def apply(self, p: Polynomial) -> Polynomial:
         """The sum of p_k times the image of x^k."""
-        out = []
-        for k, c in enumerate(p.coeffs):
-            if c.is_zero():
-                continue
-            image = self.image(k).coeffs
-            if len(out) < len(image):
-                out.extend([ComplexRational()] * (len(image) - len(out)))
-            for j, a in enumerate(image):
-                out[j] = out[j] + c * a
-        return Polynomial(out)
+        return p.linear_map(self.image)
 
     def __repr__(self):
         return self._label
@@ -94,7 +85,7 @@ class DifferenceOperator:
         if isinstance(v, DifferenceOperator):
             return v
         c = ComplexRational.coerce(v)
-        return DifferenceOperator(lambda k: c * Polynomial.monomial(k), str(c))
+        return DifferenceOperator(lambda k: Polynomial.monomial(k, c), str(c))
 
     def __add__(self, other):
         other = self._coerce(other)

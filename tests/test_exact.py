@@ -10,6 +10,7 @@ from hypothesis import given, strategies as st
 from biwkit.cli import _tagged
 from biwkit.errors import NonzeroRemainder
 from biwkit.exact import ComplexRational, Polynomial, parse_complex_rational
+from biwkit.operators import DividedDifference, Substitution
 
 
 def written(value):
@@ -254,3 +255,176 @@ class TestPolynomial:
     @given(polys)
     def test_json_roundtrip(self, p):
         assert Polynomial([read_complex(c) for c in written(p)]) == p
+
+
+# -- inline reference: a polynomial as a list of ComplexRational coefficients -
+
+ZERO_C = ComplexRational(0)
+
+
+def poly_trim(cs):
+    cs = list(cs)
+    while cs and cs[-1].is_zero():
+        cs.pop()
+    return tuple(cs)
+
+
+def poly_add(a, b):
+    n = max(len(a), len(b))
+    a, b = list(a) + [ZERO_C] * (n - len(a)), list(b) + [ZERO_C] * (n - len(b))
+    return poly_trim(u + v for u, v in zip(a, b))
+
+
+def poly_scale(c, a):
+    return poly_trim(c * u for u in a)
+
+
+def poly_mul(a, b):
+    out = [ZERO_C] * max(len(a) + len(b) - 1, 0)
+    for i, u in enumerate(a):
+        for j, v in enumerate(b):
+            out[i + j] = out[i + j] + u * v
+    return poly_trim(out)
+
+
+def poly_affine(a, s, t):
+    out, power = (), (ComplexRational(1),)
+    for c in a:
+        out = poly_add(out, poly_scale(c, power))
+        power = poly_mul(power, (t, s))
+    return out
+
+
+def poly_divmod(a, d):
+    """Long division of coefficient tuples: (quotient, remainder)."""
+    rem, dd = list(a), len(d) - 1
+    q = [ZERO_C] * max(len(a) - dd, 0)
+    for k in range(len(q) - 1, -1, -1):
+        c = rem[k + dd] / d[-1]
+        q[k] = c
+        for j, v in enumerate(d):
+            rem[k + j] = rem[k + j] - c * v
+    return poly_trim(q), poly_trim(rem[:dd])
+
+
+def poly_eval(a, z):
+    acc = ZERO_C
+    for c in reversed(a):
+        acc = acc * z + c
+    return acc
+
+
+def assert_poly(p, ref):
+    """p holds the coefficients ref, in the canonical numerator form."""
+    assert p.coeffs == ref
+    xs, ys, d = p._xs, p._ys, p._d
+    assert type(xs) is tuple and type(ys) is tuple and len(xs) == len(ys) == len(ref)
+    assert d > 0 and gcd(d, *xs, *ys) == 1
+    assert not xs or xs[-1] or ys[-1]
+    assert p.degree == len(ref) - 1 and p.is_zero() == (not ref)
+    assert ref or (xs, ys, d) == ((), (), 1)
+    assert Polynomial(ref) == p and hash(Polynomial(ref)) == hash(p)
+
+
+coeff_lists = st.lists(scalars, min_size=0, max_size=6)
+# The linear divisors of the paper's blocks, each with the shift t of the
+# involution x -> -x + t whose fixed point t/2 it vanishes at: 2x+1, 2x-1,
+# 1-2ix, 1+2ix, 1-2z and 2z.
+BLOCK_DIVISORS = [((ComplexRational(1), ComplexRational(2)), ComplexRational(-1)),
+                  ((ComplexRational(-1), ComplexRational(2)), ComplexRational(1)),
+                  ((ComplexRational(1), ComplexRational(0, -2)), ComplexRational(0, -1)),
+                  ((ComplexRational(1), ComplexRational(0, 2)), ComplexRational(0, 1)),
+                  ((ComplexRational(1), ComplexRational(-2)), ComplexRational(1)),
+                  ((ComplexRational(0), ComplexRational(2)), ComplexRational(0))]
+divisors = st.one_of(st.sampled_from([den for den, _ in BLOCK_DIVISORS]),
+                     coeff_lists.map(poly_trim).filter(bool))
+
+
+class TestPolynomialOracle:
+    @given(coeff_lists, coeff_lists, scalars)
+    def test_ring_operations(self, a, b, c):
+        pa, pb, a, b = Polynomial(a), Polynomial(b), poly_trim(a), poly_trim(b)
+        assert_poly(pa, a)
+        assert_poly(pa + pb, poly_add(a, b))
+        assert_poly(pa - pb, poly_add(a, poly_scale(ComplexRational(-1), b)))
+        assert_poly(-pa, poly_scale(ComplexRational(-1), a))
+        assert_poly(pa * pb, poly_mul(a, b))
+        assert_poly(c * pa, poly_scale(c, a))
+        assert_poly(pa * c, poly_scale(c, a))
+        assert_poly(pa + c, poly_add(a, poly_trim([c])))
+        assert_poly(c - pa, poly_add(poly_trim([c]), poly_scale(ComplexRational(-1), a)))
+        assert (pa == pb) == (a == b)
+
+    @given(coeff_lists, rationals)
+    def test_rational_scalars(self, a, r):
+        pa, a = Polynomial(a), poly_trim(a)
+        assert_poly(r * pa, poly_scale(ComplexRational(r), a))
+        assert_poly(pa * r, poly_scale(ComplexRational(r), a))
+        assert_poly(pa - r, poly_add(a, poly_trim([ComplexRational(-r)])))
+        assert_poly(r + pa, poly_add(a, poly_trim([ComplexRational(r)])))
+
+    @given(coeff_lists, scalars, scalars)
+    def test_affine_substitute(self, a, s, t):
+        pa, a = Polynomial(a), poly_trim(a)
+        assert_poly(pa.affine_substitute(s, t), poly_affine(a, s, t))
+        assert_poly(pa.affine_substitute(s, 0), poly_affine(a, s, ZERO_C))
+
+    @given(coeff_lists, divisors, st.booleans())
+    def test_exact_div(self, a, d, exact):
+        pa, pd = Polynomial(a), Polynomial(d)
+        if exact:
+            pa = pa * pd
+        q, r = poly_divmod(pa.coeffs, d)
+        if not r:
+            assert_poly(pa.exact_div(pd), q)
+        else:
+            with pytest.raises(NonzeroRemainder) as exc:
+                pa.exact_div(pd)
+            assert_poly(exc.value.remainder, r)
+
+    @given(coeff_lists, scalars)
+    def test_call(self, a, z):
+        assert Polynomial(a)(z) == poly_eval(poly_trim(a), z)
+
+    @given(coeff_lists, coeff_lists, st.sampled_from(BLOCK_DIVISORS))
+    def test_divided_difference_apply(self, f, num, block):
+        den, t = block
+        op = DividedDifference(Polynomial(num), Polynomial(den), Substitution(-1, t))
+        f, num = poly_trim(f), poly_trim(num)
+        diff = poly_add(poly_affine(f, ComplexRational(-1), t), poly_scale(ComplexRational(-1), f))
+        q, r = poly_divmod(diff, den)
+        assert not r
+        assert_poly(op.apply(Polynomial(f)), poly_mul(num, q))
+
+    def test_zero_is_unique(self):
+        p = Polynomial([ComplexRational(Fraction(1, 3), 2), 5])
+        for z in (Polynomial(), Polynomial.zero(), Polynomial([0, Fraction(0, 7)]), p - p,
+                  p * 0, 0 * p, p * Polynomial(), Polynomial.monomial(3, 0),
+                  Polynomial().affine_substitute(2, 1), (p * p).exact_div(p) - p):
+            assert (z._xs, z._ys, z._d) == ((), (), 1)
+            assert z == Polynomial() and hash(z) == hash(Polynomial())
+
+    @given(coeff_lists, coeff_lists)
+    def test_equal_values_hash_equal(self, a, b):
+        pa, pb = Polynomial(a), Polynomial(b)
+        same = (pa + pb) - pb
+        assert same == pa and hash(same) == hash(pa)
+        assert {pa: "v"}.get(same) == "v"
+
+
+class TestUnsupportedOperands:
+    @pytest.mark.parametrize("other", [1.5, "a", None, [1]])
+    def test_type_error(self, other):
+        x = Polynomial.x()
+        for name in ("__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__"):
+            assert getattr(x, name)(other) is NotImplemented
+        for op in (lambda: x + other, lambda: other + x, lambda: x - other,
+                   lambda: other - x, lambda: x * other, lambda: other * x):
+            with pytest.raises(TypeError):
+                op()
+
+    def test_standard_message(self):
+        with pytest.raises(TypeError, match="unsupported operand type"):
+            Polynomial.x() + 1.5
+        with pytest.raises(TypeError, match="unsupported operand type"):
+            Polynomial.x() - "a"
