@@ -1,12 +1,12 @@
-"""Exact arithmetic substrate: Gaussian rationals and dense polynomials.
+"""Exact arithmetic substrate: Gaussian rationals, polynomials and rational functions.
 
 Scalars are Gaussian rationals (x + y*i)/d held as three ints in lowest
 terms; each scalar operation is integer arithmetic followed by one gcd.
-A polynomial is two int tuples of Gaussian-integer numerators over one
-shared denominator, in ascending powers; each polynomial operation
-(sum, product, substitution, division, linear combination) is integer
-arithmetic followed by one content gcd for the whole result.  Every
-operation in this module is exact and no floating point enters here.
+A polynomial holds Gaussian-integer numerators over one denominator, in
+ascending powers; each polynomial operation is integer arithmetic
+followed by one content gcd for the whole result.  A rational function of
+n is a polynomial over a polynomial, never reduced: an identity in n holds
+iff a difference has the zero numerator.  No floating point enters here.
 """
 
 from __future__ import annotations
@@ -481,3 +481,62 @@ def _sum(a: int, p: Polynomial, b: int, q) -> Polynomial:
         q = Polynomial.monomial(0, q)
     return _combination(((a, 0, 0, p), (b, 0, 0, q)), 1)
 
+
+_POLY_ONE = Polynomial.one()
+
+
+def _times(p: Polynomial, q: Polynomial) -> Polynomial:
+    """p*q, with no product taken when a factor is the shared one."""
+    return q if p is _POLY_ONE else p if q is _POLY_ONE else p * q
+
+
+class RationalFunction:
+    """num(n)/den(n) for ``Polynomial`` values, never reduced: zero iff ``num`` is zero."""
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: Polynomial, den: Polynomial = _POLY_ONE):
+        if den.is_zero():
+            raise ZeroDivisionError("rational function with zero denominator")
+        self.num, self.den = num, den
+
+    def _combine(self, a: int, other, b: int) -> "RationalFunction":
+        """a*self + b*other; over equal denominators only the numerators are added."""
+        if type(other) is not RationalFunction:
+            c = ComplexRational.coerce(other)
+            terms = ((a * c._d, 0, 0, self.num), (b * c._x, b * c._y, 0, self.den))
+            return RationalFunction(_combination(terms, c._d), self.den)
+        if self.den == other.den:
+            return RationalFunction(_sum(a, self.num, b, other.num), self.den)
+        return RationalFunction(_sum(a, self.num * other.den, b, other.num * self.den),
+                                self.den * other.den)
+
+    def __add__(self, other):
+        return self._combine(1, other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._combine(1, other, -1)
+
+    def __rsub__(self, other):
+        return self._combine(-1, other, 1)
+
+    def __neg__(self):
+        return self * -1
+
+    def __mul__(self, other):
+        if type(other) is RationalFunction:
+            return RationalFunction(_times(self.num, other.num), _times(self.den, other.den))
+        return RationalFunction(self.num * ComplexRational.coerce(other), self.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if type(other) is RationalFunction:
+            return self * RationalFunction(other.den, other.num)
+        return self * (1 / ComplexRational.coerce(other))
+
+    def shift(self, t: ScalarLike) -> "RationalFunction":
+        """The function n -> f(n + t)."""
+        return RationalFunction(self.num.affine_substitute(1, t), self.den.affine_substitute(1, t))

@@ -48,15 +48,14 @@ class DifferenceOperator:
     """A linear operator on polynomials, given by ``image_of(k)``, its image of x^k.
 
     A plain scalar c in an operator expression is the operator x^k -> c*x^k.
-    Only leaves carry an informative ``label``: a block is the only
-    operator an error ever names.  An image whose division leaves a
-    remainder raises OperatorNotPolynomialPreserving naming the operator
-    that divided, always a divided-difference block.  It is named here,
-    not in the block's closure, so no reference cycle keeps the block's
-    images alive.
+    Only leaves carry a ``label``, a function called when the name is read:
+    a block is the only operator an error names.  An image whose division
+    leaves a remainder raises OperatorNotPolynomialPreserving naming the
+    block that divided.  It is named here, not in the block's closure, so
+    no reference cycle keeps the block's images alive.
     """
 
-    def __init__(self, image_of: Callable[[int], Polynomial], label: str = "operator"):
+    def __init__(self, image_of: Callable[[int], Polynomial], label=lambda: "operator"):
         self._image_of = image_of
         self._label = label
         self._images: Dict[int, Polynomial] = {}
@@ -78,14 +77,14 @@ class DifferenceOperator:
         return p.linear_map(self.image)
 
     def __repr__(self):
-        return self._label
+        return self._label()
 
     @staticmethod
     def _coerce(v) -> DifferenceOperator:
         if isinstance(v, DifferenceOperator):
             return v
         c = ComplexRational.coerce(v)
-        return DifferenceOperator(lambda k: Polynomial.monomial(k, c), str(c))
+        return DifferenceOperator(lambda k: Polynomial.monomial(k, c), lambda: str(c))
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -119,7 +118,7 @@ def Substitution(s, t) -> DifferenceOperator:
     """
     s, t = ComplexRational.coerce(s), ComplexRational.coerce(t)
     return DifferenceOperator(lambda k: Polynomial.monomial(k).affine_substitute(s, t),
-                              f"Subst(x -> {s}*x + {t})")
+                              lambda: f"Subst(x -> {s}*x + {t})")
 
 
 def reflection() -> DifferenceOperator:
@@ -129,7 +128,7 @@ def reflection() -> DifferenceOperator:
 
 def PolynomialMultiple(poly: Polynomial) -> DifferenceOperator:
     """Multiplication by ``poly``."""
-    return DifferenceOperator(lambda k: poly * Polynomial.monomial(k), f"Mul({poly!r})")
+    return DifferenceOperator(lambda k: poly * Polynomial.monomial(k), lambda: f"Mul({poly!r})")
 
 
 def DividedDifference(num: Polynomial, den: Polynomial,
@@ -144,7 +143,7 @@ def DividedDifference(num: Polynomial, den: Polynomial,
         raise ZeroDivisionError("divided difference with zero denominator")
     return DifferenceOperator(
         lambda k: num * (sigma.image(k) - Polynomial.monomial(k)).exact_div(den),
-        f"DivDiff({num!r} / {den!r} * ({sigma!r} - 1))")
+        lambda: f"DivDiff({num!r} / {den!r} * ({sigma!r} - 1))")
 
 
 def anticommutator(a: DifferenceOperator, b: DifferenceOperator) -> DifferenceOperator:

@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import List, Tuple
+from typing import List
 
 from .errors import BiwkitError, DegenerateParameters
-from .exact import HALF, I, QUARTER, ZERO, ComplexRational, Polynomial
+from .exact import HALF, I, QUARTER, ZERO, ComplexRational, Polynomial, RationalFunction
 
 THREE_HALVES = ComplexRational(Fraction(3, 2))
 
@@ -165,24 +165,15 @@ def check_denominators(n_max: int, s: ComplexRational) -> None:
             raise DegenerateParameters(f"denominator n+a+b+c+d+{shift} vanishes at n={n}", n=n)
 
 
-def recurrence_row(n: int, p: ParameterSet, s: ComplexRational, a_prev: ComplexRational = ZERO):
-    """``(A_n, C_n, 2a+1-A_n-C_n, c_n, u_n)`` with u_n = -A_{n-1}C_n, given a_prev = A_{n-1}.
-
-    The parity-branch formulas of the B_n recurrence and of the modified
-    family, s = a+b+c+d; ``check_denominators`` must have cleared n.  The
-    default a_prev = 0 gives u_0 = 0, which enters no relation.
-    """
-    cn = ComplexRational(n)
-    den_a = 2 * (cn + s + 2)
-    den_c = 2 * (cn + s + 1)
-    if n % 2 == 0:
-        A = (cn + 2 * p.a + 2 * p.c + 2) * (cn + 2 * p.a + 2 * p.d + 2) / den_a
-        C = -(cn * (cn + 2 * p.c + 2 * p.d + 1)) / den_c
+def _branch(n, parity: int, p: ParameterSet):
+    """``(A_n, C_n)`` by the formulas of the given parity, for a number n or the variable n."""
+    if parity == 0:
+        A = (n + 2 * (p.a + p.c + 1)) * (n + 2 * (p.a + p.d + 1)) / (2 * (n + p.total + 2))
+        C = -(n * (n + 2 * (p.c + p.d) + 1)) / (2 * (n + p.total + 1))
     else:
-        A = (cn + 2 * p.a + 2 * p.b + 2) * (cn + 2 * (p.a + p.b + p.c + p.d) + 3) / den_a
-        C = -((cn + 2 * p.b + 2 * p.c + 1) * (cn + 2 * p.b + 2 * p.d + 1)) / den_c
-    diag = 2 * p.a + 1 - A - C
-    return A, C, diag, -I * diag, -(a_prev * C)
+        A = (n + 2 * (p.a + p.b + 1)) * (n + 2 * p.total + 3) / (2 * (n + p.total + 2))
+        C = -((n + 2 * (p.b + p.c) + 1) * (n + 2 * (p.b + p.d) + 1)) / (2 * (n + p.total + 1))
+    return A, C
 
 
 def bi_coefficients(n_max: int, p: ParameterSet) -> RecurrenceData:
@@ -191,18 +182,16 @@ def bi_coefficients(n_max: int, p: ParameterSet) -> RecurrenceData:
     Raises DegenerateParameters if a recurrence denominator vanishes,
     reporting the offending n.
     """
-    s = p.total
-    check_denominators(n_max, s)
+    check_denominators(n_max, p.total)
     data = RecurrenceData()
-    a_prev = ZERO
     for n in range(n_max + 1):
-        A, C, diag, c, u = recurrence_row(n, p, s, a_prev)
+        A, C = _branch(ComplexRational(n), n % 2, p)
+        diag = 2 * p.a + 1 - A - C
         data.A.append(A)
         data.C.append(C)
         data.b_coeff.append(diag)
-        data.c_mod.append(c)
-        data.u_mod.append(u)
-        a_prev = A
+        data.c_mod.append(-I * diag)
+        data.u_mod.append(-(data.A[n - 1] * C) if n else ZERO)
     return data
 
 
@@ -237,14 +226,11 @@ def q_polynomials(n_max: int, p: ParameterSet) -> List[Polynomial]:
 class ModifiedClosedForm:
     """The closed formulas of the modified c_n and u_n for one real quad.
 
-    c_n = (2*alpha3*lambda_n + alpha2)/(4*lambda_n^2 - 1) comes from the
-    structure constants: {A3, A1} = A2 + alpha2 applied to the eigenvectors
-    of M.  Its denominator is 4*d1*d2, with d1 = n+2(alpha+gamma)+1 and
-    d2 = d1+1 (both nonzero).  u_n = (n-r1)(n-r2)*mod2/(4*d1^2), where
-    (r1, r2) = ``roots[n % 2]`` and mod2 = d1^2 + ``squares[n % 2]``, that
-    is 4(beta+delta)^2 (even n) or 4(beta-delta)^2 (odd n).  alpha2, alpha3
-    and lambda_n are real for every RealParameterQuad, and so are the roots
-    and squares: c_n and u_n are real.
+    c_n = (2*alpha3*lambda_n + alpha2)/(4*lambda_n^2 - 1), from {A3, A1} =
+    A2 + alpha2 on the eigenvectors of M, has denominator 4*d1*(d1+1), d1 =
+    n+2(alpha+gamma)+1.  u_n = (n-r1)(n-r2)*(d1^2 + sq)/(4*d1^2) with (r1,
+    r2) = ``roots[parity]`` and sq = ``squares[parity]``, 4(beta+delta)^2
+    (even n) or 4(beta-delta)^2 (odd n).  All of these are real.
     """
 
     def __init__(self, q: RealParameterQuad):
@@ -256,76 +242,41 @@ class ModifiedClosedForm:
         self.roots = ((ZERO, -4 * al - 4 * ga - 2), (-4 * al - 1, -4 * ga - 1))
         self.squares = ((2 * (be + de)) ** 2, (2 * (be - de)) ** 2)
 
-    def at(self, n: int) -> Tuple[ComplexRational, ComplexRational]:
-        """``(c_n, u_n)``."""
-        lam = bi_eigenvalue(n, self.p)
+    def at(self, n, parity: int):
+        """``(c_n, u_n)`` for a number n of the given parity, or for the variable n."""
+        lam = (n + self.p.total + THREE_HALVES) * (1 - 2 * parity)
         c_n = (2 * self.alpha3 * lam + self.alpha2) / (4 * lam * lam - 1)
         d1 = n + self.p.total + 1
-        r1, r2 = self.roots[n % 2]
-        return c_n, (n - r1) * (n - r2) * (d1 * d1 + self.squares[n % 2]) / (4 * d1 * d1)
-
-    def check(self, n: int, c_rec: ComplexRational, u_rec: ComplexRational) -> None:
-        """Raise BiwkitError naming c_n or u_n if the recurrence's value is not the closed form."""
-        c_n, u_n = self.at(n)
-        if c_rec != c_n:
-            raise BiwkitError(f"c_{n} closed form disagrees with recurrence route")
-        if n >= 1 and u_rec != u_n:
-            raise BiwkitError(f"u_{n} closed form disagrees with recurrence route")
+        r1, r2 = self.roots[parity]
+        return c_n, (n - r1) * (n - r2) * (d1 * d1 + self.squares[parity]) / (4 * d1 * d1)
 
 
 def q_modified_coefficients(n_max: int, q: RealParameterQuad) -> RecurrenceData:
-    """Exact c_n and u_n of the modified recurrence from the real quad.
-
-    Runs ``bi_coefficients`` under the conjugate pairing and compares, term
-    by term, c_n = -i(2a+1-A_n-C_n) and u_n = -A_{n-1}C_n with
-    ``ModifiedClosedForm``; any mismatch means a transcription bug and
-    raises.
-    """
-    data = bi_coefficients(n_max, ParameterSet.from_quad(q))
-    closed = ModifiedClosedForm(q)
-    for n in range(n_max + 1):
-        closed.check(n, data.c_mod[n], data.u_mod[n])
-    return data
-
-
-# The degree in n of closed form minus recurrence once the denominators are
-# cleared.  For u_n, 4*d1^2 times the closed form is n(n+..)*mod2 or
-# (n+..)(n+..)*mod2, and 4*d1^2 * A_{n-1}C_n is a product of two quadratic
-# numerators (A_{n-1} and C_n both divide by 2*d1): degree 4 each.  For c_n,
-# 4*d1*d2 = 4*lambda_n^2 - 1 times the closed form is 2*alpha3*lambda_n +
-# alpha2, of degree 1, and times 2a+1-A_n-C_n it has degree 3.
-PROOF_DEGREE = 4
-
-
-def closed_form_checkpoints(s: Fraction) -> List[int]:
-    """PROOF_DEGREE + 1 values n >= 1 of each parity at which nothing divides by zero.
-
-    A checkpoint n touches n+s+2 and n+s+1 (A_n, C_n, d1, d2, A_{n-1}) and
-    n+s (C_{n-1}), so n+s = 0, -1, -2 is skipped: at most two values per
-    parity among 1..2*PROOF_DEGREE+6.
-    """
-    free = [n for n in range(1, 2 * PROOF_DEGREE + 7) if n + s not in (0, -1, -2)]
-    return sorted(n for parity in (0, 1)
-                  for n in [m for m in free if m % 2 == parity][:PROOF_DEGREE + 1])
+    """The modified recurrence's exact c_n, u_n: ``bi_coefficients`` under the conjugate pairing."""
+    return bi_coefficients(n_max, ParameterSet.from_quad(q))
 
 
 def prove_closed_forms(q: RealParameterQuad) -> ModifiedClosedForm:
     """Prove that ``ModifiedClosedForm(q)`` equals the recurrence for every n, and return it.
 
-    On each parity class, closed form minus recurrence is a rational
-    function of n whose numerator, over 4*d1*d2 (c_n) or 4*d1^2 (u_n), has
-    degree <= PROOF_DEGREE.  It vanishes at PROOF_DEGREE + 1 checkpoints of
-    the class, evaluated through ``recurrence_row``, so it is zero: the two
-    agree at every n where their denominators do not vanish.  Raises
-    BiwkitError naming c_n or u_n at the first checkpoint that disagrees.
+    On each parity class (odd n first), closed form minus recurrence must have the
+    zero numerator as a rational function of n, A_{n-1} being the other class's A_n
+    shifted by -1: then the two agree at every n of the class where neither divides
+    by zero.  Otherwise raises BiwkitError naming the class and c_k or u_k at the
+    least k >= 1 of it where the difference is defined and nonzero.
     """
     closed = ModifiedClosedForm(q)
-    p, s = closed.p, closed.p.total
-    a = {}
-    for n in closed_form_checkpoints(s.re):
-        a_prev = a[n - 1] if n - 1 in a else recurrence_row(n - 1, p, s)[0]
-        a[n], _, _, c_rec, u_rec = recurrence_row(n, p, s, a_prev)
-        closed.check(n, c_rec, u_rec)
+    p, n = closed.p, RationalFunction(Polynomial.x())
+    branches = [_branch(n, parity, p) for parity in (0, 1)]
+    for parity, cls in ((1, "odd"), (0, "even")):
+        (A, C), (c_n, u_n) = branches[parity], closed.at(n, parity)
+        c_rec, u_rec = -I * (2 * p.a + 1 - A - C), -(branches[1 - parity][0].shift(-1) * C)
+        for name, diff in (("c", c_n - c_rec), ("u", u_n - u_rec)):
+            if not diff.num.is_zero():
+                k = 2 - parity
+                while diff.num(k).is_zero() or diff.den(k).is_zero():
+                    k += 2
+                raise BiwkitError(f"{name}_{k} closed form disagrees with recurrence on {cls} n")
     return closed
 
 

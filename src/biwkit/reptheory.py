@@ -57,11 +57,11 @@ class TridiagonalRep:
 
 def build_rep(N: int, q: RealParameterQuad,
               precision_digits: int = PRINTED_PRECISION) -> TridiagonalRep:
-    """Truncated representation: the exact band lambda_n, c_n, u_n, n < N.
+    """Truncated representation: the recurrence's exact band lambda_n, c_n, u_n, n < N.
 
-    ``precision_digits`` is carried to the report's printed tolerance.
-    Raises InvalidParameters naming n if some u_n <= 0 or c_n is not real,
-    since then A2 is not similar to the monic Jacobi matrix.
+    It shares nothing with the closed forms.  ``precision_digits`` is carried to
+    the report's printed tolerance.  Raises InvalidParameters naming n if some
+    u_n <= 0 or c_n is not real: A2 is then not similar to the monic Jacobi matrix.
     """
     if N < MIN_SIZE:
         raise InvalidParameters(f"truncation size must be at least {MIN_SIZE}, got {N}")
@@ -229,7 +229,7 @@ def positivity_scan(q: RealParameterQuad, n_max: int) -> PositivityReport:
     1. ``check_denominators`` raises DegenerateParameters at the n where
        ``bi_coefficients`` would, read from s = 2(alpha+gamma).
     2. ``prove_closed_forms`` proves that the closed forms of c_n and u_n
-       equal the recurrence's at every n.
+       equal the recurrence's as rational functions of n on each parity.
     3. u_n = (n-r1)(n-r2)*mod2/(4*d1^2) with mod2 = d1^2 + (real)^2 > 0,
        since d1 = n+s+1 does not vanish for n <= n_max.  So u_n has the sign
        of (n-r1)(n-r2), which is <= 0 exactly for n between the real roots.

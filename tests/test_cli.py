@@ -253,9 +253,12 @@ class TestErrorPaths:
 
         monkeypatch.setattr(polyfam, "bi_coefficients", perturbed)
         code, doc = run(["rep", "--quad", "1/2,1/2,1/2,1/2", "--size", "10"], tmp_path)
+        # The band is checked by its relations, not against the closed forms.
         assert code == EXIT_VERIFICATION_FAILED
-        assert doc["error"]["kind"] == "BiwkitError"
-        assert "u_3" in doc["error"]["detail"]
+        assert doc["pass"] is False and doc["relations"]["pass"] is False
+        residuals = doc["relations"]["residuals"]
+        assert residuals["rel2"]["approx"] == residuals["casimir"]["approx"] == "2.0"
+        assert doc["positivity"]["pass"] is True
 
     def test_help_exits_0(self):
         with pytest.raises(SystemExit) as info, redirect_stdout(io.StringIO()):

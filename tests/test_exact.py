@@ -5,11 +5,11 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from biwkit.cli import _tagged
 from biwkit.errors import NonzeroRemainder
-from biwkit.exact import ComplexRational, Polynomial, parse_complex_rational
+from biwkit.exact import ComplexRational, Polynomial, RationalFunction, parse_complex_rational
 from biwkit.operators import DividedDifference, Substitution
 
 
@@ -410,6 +410,73 @@ class TestPolynomialOracle:
         same = (pa + pb) - pb
         assert same == pa and hash(same) == hash(pa)
         assert {pa: "v"}.get(same) == "v"
+
+
+# -- rational functions of n, against evaluation at integers ----------------
+
+rational_functions = st.builds(RationalFunction, polys, nonzero_polys)
+any_scalars = st.one_of(scalars, rationals)
+POINTS = range(-12, 13)
+
+
+def value(f, k):
+    """f at k, or None where its denominator vanishes."""
+    den = f.den(k)
+    return None if den.is_zero() else f.num(k) / den
+
+
+class TestRationalFunctionOracle:
+    @given(rational_functions, rational_functions, st.sampled_from(POINTS))
+    def test_operations_agree_with_evaluation(self, f, g, k):
+        fk, gk = value(f, k), value(g, k)
+        assume(fk is not None and gk is not None)
+        over_f_den = RationalFunction(g.num, f.den)
+        hk = value(over_f_den, k)
+        for h, expected in ((f + g, fk + gk), (f - g, fk - gk), (f * g, fk * gk), (-f, -fk),
+                            (f + over_f_den, fk + hk), (f - over_f_den, fk - hk)):
+            assert value(h, k) == expected
+        if not gk.is_zero():
+            assert value(f / g, k) == fk / gk
+
+    @given(rational_functions, any_scalars, st.sampled_from(POINTS))
+    def test_scalar_operands(self, f, c, k):
+        fk = value(f, k)
+        assume(fk is not None)
+        for h, expected in ((f + c, fk + c), (c + f, c + fk), (f - c, fk - c), (c - f, c - fk),
+                            (f * c, fk * c), (c * f, c * fk)):
+            assert value(h, k) == expected
+        if c != 0:
+            assert value(f / c, k) == fk / c
+
+    @given(rational_functions, st.integers(-3, 3), st.sampled_from(POINTS))
+    def test_shift(self, f, t, k):
+        assert value(f.shift(t), k) == value(f, k + t)
+
+    @given(rational_functions, rational_functions)
+    def test_zero_numerator_is_the_identity_criterion(self, f, g):
+        # Numerators have degree <= 10 and there are at most 10 poles, so 25
+        # points leave more common points than the difference has roots.
+        common = [k for k in POINTS if value(f, k) is not None and value(g, k) is not None]
+        agree = all(value(f, k) == value(g, k) for k in common)
+        assert (f - g).num.is_zero() == agree
+        if not g.num.is_zero():
+            assert (f * g / g - f).num.is_zero()
+
+    def test_identity_without_reduction(self):
+        n = RationalFunction(Polynomial.x())
+        f = (n * n - 1) / (n - 1)
+        assert f.den == Polynomial([-1, 1])
+        assert (f - (n + 1)).num.is_zero()
+        assert not (f - n).num.is_zero()
+
+    @given(rational_functions, nonzero_polys)
+    def test_division_by_the_zero_function(self, f, den):
+        with pytest.raises(ZeroDivisionError):
+            f / RationalFunction(Polynomial(), den)
+        with pytest.raises(ZeroDivisionError):
+            f / 0
+        with pytest.raises(ZeroDivisionError):
+            RationalFunction(f.num, Polynomial())
 
 
 class TestUnsupportedOperands:

@@ -135,6 +135,17 @@ class TestOracle:
         assert repr(bad) in str(info.value)
         assert not info.value.remainder.is_zero()
 
+    def test_labels_are_built_only_when_read(self, monkeypatch):
+        printed = []
+        monkeypatch.setattr(Polynomial, "__repr__", lambda p: printed.append(p) or "p")
+        L = build_L(HALF_QUAD_PARAMS)
+        L.apply(Polynomial.monomial(3))
+        assert printed == []
+        x = Polynomial.x()
+        block = DividedDifference(x + 1, 2 * x + 1, Substitution(-1, -1))
+        assert repr(block) == "DivDiff(p / p * (Subst(x -> -1*x + -1) - 1))"
+        assert printed == [x + 1, 2 * x + 1]
+
     def test_images_are_memoized_per_object(self):
         L = build_L(HALF_QUAD_PARAMS)
         image = L.image(4)

@@ -10,6 +10,7 @@ from biwkit.errors import DegenerateParameters
 from biwkit.exact import ComplexRational, Polynomial
 from biwkit.polyfam import (
     DAHAParameterSet,
+    ModifiedClosedForm,
     ParameterSet,
     RealParameterQuad,
     bi_coefficients,
@@ -94,8 +95,12 @@ class TestModifiedFamily:
             assert qs[n] == ((-i) ** n) * bis[n].affine_substitute(i, 0)
 
     def test_closed_forms_match_recurrence_route(self):
-        # q_modified_coefficients raises internally on any mismatch.
         data = q_modified_coefficients(40, HALF_QUAD)
+        closed = ModifiedClosedForm(HALF_QUAD)
+        for n in range(41):
+            c_n, u_n = closed.at(n, n % 2)
+            assert data.c_mod[n] == c_n, n
+            assert n == 0 or data.u_mod[n] == u_n, n
         assert data.c_mod[0] == ComplexRational(1)
         assert data.u_mod[1] == ComplexRational(4)
 

@@ -18,7 +18,6 @@ from biwkit.polyfam import (
     RealParameterQuad,
     bi_coefficients,
     bi_eigenvalue,
-    closed_form_checkpoints,
     q_modified_coefficients,
 )
 from biwkit.operators import StructureConstants, structure_constants
@@ -246,21 +245,26 @@ class TestPositivityProof:
             assert kinds.get(kind, 0) >= 50, kinds
 
     def test_closed_forms_equal_the_recurrence_at_every_n(self):
-        # q_modified_coefficients compares c_n and u_n with the closed forms at each n.
+        # The recurrence run to n = 30 against the closed forms, value by value.
         checked = 0
         for q, _ in _seeded_cases(400):
             try:
-                data = q_modified_coefficients(30, q)
+                data = bi_coefficients(30, ParameterSet.from_quad(q))
             except DegenerateParameters:
                 continue
             checked += 1
+            closed = ModifiedClosedForm(q)
             assert data.u_mod[0] == 0 and len(data.c_mod) == 31
+            for n in range(31):
+                c_n, u_n = closed.at(n, n % 2)
+                assert data.c_mod[n] == c_n, (q, n)
+                assert n == 0 or data.u_mod[n] == u_n, (q, n)
         assert checked >= 200
 
     @pytest.mark.parametrize("k", range(3, 17))
     def test_pole_just_beyond_n_max(self, k):
         # 2(alpha+gamma) = -k puts zeros of n+s+2, n+s+1 and n+s at n = k-2,
-        # k-1 and k: inside the checkpoint window 1..14, just past n_max.
+        # k-1 and k, just past n_max.
         q = RealParameterQuad(Fraction(1), Fraction(-3, 2), Fraction(-1) - Fraction(k, 2),
                               Fraction(-15, 4))
         n_max = k - 3
@@ -270,16 +274,9 @@ class TestPositivityProof:
         assert info.value.n == n_max + 1
 
     def test_pole_at_a_checkpoint_n_max_0(self):
-        # s = -4: the first checkpoints of a naive choice, n = 2, 3, 4, divide by zero.
+        # s = -4: the recurrence divides by zero at n = 2, 3, 4; the proof, over n, needs no point.
         report = positivity_scan(RealParameterQuad(1, Fraction(-3, 2), -3, Fraction(-15, 4)), 0)
         assert report.passed and report.n_max == 0
-
-    def test_checkpoints_avoid_every_pole(self):
-        for s in (Fraction(k, 2) for k in range(-40, 9)):
-            points = closed_form_checkpoints(s)
-            for parity in (0, 1):
-                assert len([n for n in points if n % 2 == parity]) == polyfam.PROOF_DEGREE + 1
-            assert all(n >= 1 and n + s not in (0, -1, -2) for n in points), s
 
     def test_never_runs_the_recurrence_to_n_max(self, monkeypatch):
         def refuse(n_max, *args):
@@ -298,12 +295,38 @@ class TestPositivityProof:
         (ModifiedClosedForm, "at", "4 * lam * lam - 1", f"4 * lam * lam - 1 + {EPSILON}", "c_1"),
         (ModifiedClosedForm, "__init__", "sc.alpha3\n", f"sc.alpha3 + {EPSILON}\n", "c_1"),
         # One factor of C_n for even n, and one of A_n for odd n.
-        (polyfam, "recurrence_row", "2 * p.c + 2 * p.d + 1)", f"2 * p.c + 2 * p.d + 1 + {EPSILON})",
-         "c_2"),
-        (polyfam, "recurrence_row", "(cn + 2 * p.a + 2 * p.b + 2)",
-         f"(cn + 2 * p.a + 2 * p.b + 2 + {EPSILON})", "c_1"),
+        (polyfam, "_branch", "2 * (p.c + p.d) + 1)", f"2 * (p.c + p.d) + 1 + {EPSILON})", "c_2"),
+        (polyfam, "_branch", "(n + 2 * (p.a + p.b + 1))", f"(n + 2 * (p.a + p.b + 1) + {EPSILON})",
+         "c_1"),
     ], ids=["closed-u-odd", "closed-c", "closed-alpha3", "recurrence-C-even", "recurrence-A-odd"])
     def test_perturbed_coefficient_fails_the_proof(self, monkeypatch, owner, name, old, new, named):
         _mutate(monkeypatch, owner, name, old, new)
         with pytest.raises(BiwkitError, match=f"^{named} closed form disagrees"):
             positivity_scan(OTHER_QUAD, 100)
+
+    @pytest.mark.parametrize("owner, name, old, new, named", [
+        # The square 4(beta+delta)^2 of u_n for even n only.
+        (ModifiedClosedForm, "__init__", "(2 * (be + de)) ** 2",
+         f"(2 * (be + de)) ** 2 + {EPSILON}", "u_2"),
+        # The factor n of C_n for even n: c_n and u_n of the even class.
+        (polyfam, "_branch", "-(n * (n +", f"-((n + {EPSILON}) * (n +", "c_2"),
+    ], ids=["closed-u-even", "recurrence-C-even-n"])
+    def test_even_class_break_is_named_even(self, monkeypatch, owner, name, old, new, named):
+        _mutate(monkeypatch, owner, name, old, new)
+        with pytest.raises(BiwkitError, match=f"^{named} closed form disagrees") as info:
+            positivity_scan(OTHER_QUAD, 100)
+        assert str(info.value).endswith(" on even n")
+
+    @pytest.mark.parametrize("gamma", [
+        # -4*gamma-1 = 1: the difference's numerator vanishes at n = 1.
+        Fraction(-1, 2),
+        # 2(alpha+gamma) = -2: its denominator 4(n+s+1)^2 vanishes at n = 1.
+        Fraction(-2),
+    ], ids=["numerator-zero-at-1", "denominator-zero-at-1"])
+    def test_names_the_least_k_where_the_difference_is_defined_and_nonzero(self, monkeypatch,
+                                                                            gamma):
+        _mutate(monkeypatch, ModifiedClosedForm, "__init__", "-4 * al - 1,",
+                f"-4 * al - 1 + {EPSILON},")
+        q = RealParameterQuad(Fraction(1), Fraction(2, 5), gamma, Fraction(1, 7))
+        with pytest.raises(BiwkitError, match="^u_3 closed form disagrees .* on odd n$"):
+            polyfam.prove_closed_forms(q)
