@@ -26,16 +26,15 @@ class InvalidParameters(BiwkitError, ValueError):
 
 
 class OperatorNotPolynomialPreserving(BiwkitError, ArithmeticError):
-    """An operator action did not land back in the polynomial space.
+    """A divided-difference block does not map polynomials to polynomials.
 
-    This is a correctness alarm: every operator built by this package is
-    supposed to preserve polynomials, so seeing this error means the
-    operator (or an identity it encodes) was transcribed incorrectly.
+    Raised when the block is built, naming it, with its remainder on x as
+    ``remainder``.  Every block of the paper preserves polynomials, so this
+    error means a block was transcribed incorrectly.
     """
 
-    def __init__(self, message, operator=None, remainder=None):
+    def __init__(self, message, remainder=None):
         super().__init__(message)
-        self.operator = operator
         self.remainder = remainder
 
 

@@ -58,6 +58,9 @@ MIN_PRECISION = 20
 # 200) 100 digits end in 1.4-2.7 s, 200 in 4.0-7.3 s; 1000 ran past 60 s at n_max 0.
 MAX_PRECISION = 100
 _GUARD_DPS = 10
+# Most evaluations of W one Gram may make.  The slowest passing run seen,
+# --quad 1/2,300,1/2,300 --n-max 2, makes 30,051.
+MAX_EVALUATIONS = 2 ** 16
 # Significant digits of a report's summary figures (errors, residuals, tolerances).
 SUMMARY_DIGITS = 6
 
@@ -259,7 +262,8 @@ def orthogonality_gram(
     bound at -+L is below tol * 1e-3 * |h0|.  The report carries the change
     when the sum is cut to [-L, L]; above tol/10 it raises
     QuadratureNotConverged, as W rises again past L.  ``panels`` counts the
-    evaluations of W.
+    evaluations of W; past MAX_EVALUATIONS the Gram raises
+    QuadratureNotConverged.
     """
     check_gram_inputs(p, n_max, precision, truncation, tol)
     tol = _to_mpf(tol)
@@ -289,6 +293,9 @@ def orthogonality_gram(
         def weight(z):
             nonlocal evaluations
             evaluations += 1
+            if evaluations > MAX_EVALUATIONS:
+                raise QuadratureNotConverged(
+                    f"Gram did not converge within {MAX_EVALUATIONS} evaluations of W")
             return _weight(z, *params)
 
         # Past |z| = 2*max(Im a, Im b) every Gamma factor of W decays, and

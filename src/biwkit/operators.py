@@ -4,7 +4,7 @@ An operator is a linear map on exact polynomials, given by its image of
 each monomial x^k and memoizing that image per object: its column list in
 the monomial basis.  Every operator of the paper is built from polynomial
 multiples, affine substitutions and divided-difference blocks
-num/den * (f o sigma - f), where sigma is an affine involution and den
+num/den * (f o sigma - f), where sigma is an affine map s*x + t and den
 the linear factor vanishing at its fixed point (2x+1, 2x-1, 1-2ix, 1+2ix,
 1-2z or 2z).  Such a block is exactly divisible on its own, so each block
 divides where it occurs and every image is a polynomial.
@@ -13,8 +13,10 @@ Applying an operator to f is a linear combination of its images; a sum
 adds the images of its operands, a scalar multiple scales them, and a
 product applies its left factor to the image of its right factor.  Every
 relation is checked on the images of x^0..x^degree, column by column of
-its matrix.  A block whose division leaves a remainder was transcribed
-incorrectly and raises OperatorNotPolynomialPreserving naming that block.
+its matrix.  A block is checked once, when it is built: with r the root
+of den, it preserves every polynomial iff num(r) * (sigma(r) - r) is zero.
+Otherwise it was transcribed incorrectly, and building it raises
+OperatorNotPolynomialPreserving naming the block.
 
 Each relation set (the involution relations of four generators, the
 Bannai-Ito anticommutator relations, the Casimir in both forms) is built
@@ -27,7 +29,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Dict, Iterable, List, Optional
 
-from .errors import InvalidParameters, NonzeroRemainder, OperatorNotPolynomialPreserving
+from .errors import InvalidParameters, OperatorNotPolynomialPreserving
 from .exact import HALF, I, QUARTER, ComplexRational, Polynomial
 from .polyfam import (
     DAHAParameterSet,
@@ -48,43 +50,29 @@ class DifferenceOperator:
     """A linear operator on polynomials, given by ``image_of(k)``, its image of x^k.
 
     A plain scalar c in an operator expression is the operator x^k -> c*x^k.
-    Only leaves carry a ``label``, a function called when the name is read:
-    a block is the only operator an error names.  An image whose division
-    leaves a remainder raises OperatorNotPolynomialPreserving naming the
-    block that divided.  It is named here, not in the block's closure, so
-    no reference cycle keeps the block's images alive.
     """
 
-    def __init__(self, image_of: Callable[[int], Polynomial], label=lambda: "operator"):
+    def __init__(self, image_of: Callable[[int], Polynomial]):
         self._image_of = image_of
-        self._label = label
         self._images: Dict[int, Polynomial] = {}
 
     def image(self, k: int) -> Polynomial:
         """The image of x^k, computed once per operator object."""
         img = self._images.get(k)
         if img is None:
-            try:
-                img = self._images[k] = self._image_of(k)
-            except NonzeroRemainder as exc:
-                raise OperatorNotPolynomialPreserving(
-                    f"block {self!r} left a remainder on x^{k}",
-                    operator=self, remainder=exc.remainder) from exc
+            img = self._images[k] = self._image_of(k)
         return img
 
     def apply(self, p: Polynomial) -> Polynomial:
         """The sum of p_k times the image of x^k."""
         return p.linear_map(self.image)
 
-    def __repr__(self):
-        return self._label()
-
     @staticmethod
     def _coerce(v) -> DifferenceOperator:
         if isinstance(v, DifferenceOperator):
             return v
         c = ComplexRational.coerce(v)
-        return DifferenceOperator(lambda k: Polynomial.monomial(k, c), lambda: str(c))
+        return DifferenceOperator(lambda k: Polynomial.monomial(k, c))
 
     def __add__(self, other):
         other = self._coerce(other)
@@ -111,39 +99,37 @@ class DifferenceOperator:
 
 
 def Substitution(s, t) -> DifferenceOperator:
-    """Composition with an affine map: (Op f)(x) = f(s*x + t).
-
-    With s = -1 this is the reflection composed with a shift: t = 0 is
-    f(-x), t = -1 is f(-x-1), t = 1 is f(-x+1) and t = -+i is f(-x-+i).
-    """
+    """Composition with an affine map: (Op f)(x) = f(s*x + t)."""
     s, t = ComplexRational.coerce(s), ComplexRational.coerce(t)
-    return DifferenceOperator(lambda k: Polynomial.monomial(k).affine_substitute(s, t),
-                              lambda: f"Subst(x -> {s}*x + {t})")
-
-
-def reflection() -> DifferenceOperator:
-    """R: f(x) -> f(-x)."""
-    return Substitution(-1, 0)
+    return DifferenceOperator(lambda k: Polynomial.monomial(k).affine_substitute(s, t))
 
 
 def PolynomialMultiple(poly: Polynomial) -> DifferenceOperator:
     """Multiplication by ``poly``."""
-    return DifferenceOperator(lambda k: poly * Polynomial.monomial(k), lambda: f"Mul({poly!r})")
+    return DifferenceOperator(lambda k: poly * Polynomial.monomial(k))
 
 
-def DividedDifference(num: Polynomial, den: Polynomial,
-                      sigma: DifferenceOperator) -> DifferenceOperator:
-    """The block f -> num * (f o sigma - f) / den, divided exactly.
+def DividedDifference(num: Polynomial, den: Polynomial, s, t) -> DifferenceOperator:
+    """The block f -> num * (f o sigma - f) / den, sigma(x) = s*x + t, divided exactly.
 
-    ``den`` must vanish at the fixed point of ``sigma``; otherwise the
-    division leaves a remainder and OperatorNotPolynomialPreserving is
-    raised with this block as its ``operator``.
+    ``den`` must be linear, with root r.  Unless w = num(r) * (sigma(r) - r)
+    is zero, the block leaves the remainder w on x, and building it raises
+    OperatorNotPolynomialPreserving.  The paper's sigma are -x + (0, -+1, -+i).
     """
-    if den.is_zero():
-        raise ZeroDivisionError("divided difference with zero denominator")
-    return DifferenceOperator(
-        lambda k: num * (sigma.image(k) - Polynomial.monomial(k)).exact_div(den),
-        lambda: f"DivDiff({num!r} / {den!r} * ({sigma!r} - 1))")
+    if den.degree != 1:
+        raise ValueError(f"divided difference needs a linear denominator, not degree {den.degree}")
+    s, t = ComplexRational.coerce(s), ComplexRational.coerce(t)
+    d0, d1 = den.coefficient(0), den.coefficient(1)
+    if t * d1 != (s - 1) * d0:  # sigma moves r = -d0/d1, as no block of the paper does
+        r = -d0 / d1
+        w = num(r) * (s * r + t - r)
+        if not w.is_zero():
+            raise OperatorNotPolynomialPreserving(
+                f"block DivDiff({num!r} / {den!r} * (Subst(x -> {s}*x + {t}) - 1)) "
+                "leaves a remainder on x", remainder=Polynomial.monomial(0, w))
+        num, den = num.exact_div(den), Polynomial.one()  # num(r) = 0: den divides num
+    return DifferenceOperator(lambda k: num * (Polynomial.monomial(k).affine_substitute(s, t)
+                                               - Polynomial.monomial(k)).exact_div(den))
 
 
 def anticommutator(a: DifferenceOperator, b: DifferenceOperator) -> DifferenceOperator:
@@ -154,20 +140,16 @@ def anticommutator(a: DifferenceOperator, b: DifferenceOperator) -> DifferenceOp
 def build_L(p: ParameterSet) -> DifferenceOperator:
     """Dunkl shift operator with B_n as eigenfunctions."""
     x = Polynomial.x()
-    term1 = DividedDifference((x + 2 * p.c + 1) * (x + 2 * p.d + 1), 2 * x + 1,
-                              Substitution(-1, -1))
-    term2 = DividedDifference((x - 2 * p.a - 1) * (x - 2 * p.b - 1), 2 * x - 1,
-                              Substitution(-1, 1))
+    term1 = DividedDifference((x + 2 * p.c + 1) * (x + 2 * p.d + 1), 2 * x + 1, -1, -1)
+    term2 = DividedDifference((x - 2 * p.a - 1) * (x - 2 * p.b - 1), 2 * x - 1, -1, 1)
     return term1 - term2 + (p.total + ComplexRational(Fraction(3, 2)))
 
 
 def build_M(p: ParameterSet) -> DifferenceOperator:
     """Imaginary-shift analog of L with Q_n as eigenfunctions."""
     ix = I * Polynomial.x()
-    term1 = DividedDifference((2 * p.a + 1 - ix) * (2 * p.b + 1 - ix), 1 - 2 * ix,
-                              Substitution(-1, -I))
-    term2 = DividedDifference((2 * p.c + 1 + ix) * (2 * p.d + 1 + ix), 1 + 2 * ix,
-                              Substitution(-1, I))
+    term1 = DividedDifference((2 * p.a + 1 - ix) * (2 * p.b + 1 - ix), 1 - 2 * ix, -1, -I)
+    term2 = DividedDifference((2 * p.c + 1 + ix) * (2 * p.d + 1 + ix), 1 + 2 * ix, -1, I)
     return term1 + term2 + (p.total + ComplexRational(Fraction(3, 2)))
 
 
@@ -175,8 +157,8 @@ def build_daha_generators(t: DAHAParameterSet):
     """The four involutive generators (T0, T1, U0, U1) in the variable z."""
     z = Polynomial.x()
     T0 = DividedDifference((t.t0 + t.u0 - z + HALF) * (t.t0 - t.u0 - z + HALF), 1 - 2 * z,
-                           Substitution(-1, 1)) + t.t0
-    T1 = DividedDifference((t.t1 + t.u1 + z) * (t.t1 - t.u1 + z), 2 * z, reflection()) + t.t1
+                           -1, 1) + t.t0
+    T1 = DividedDifference((t.t1 + t.u1 + z) * (t.t1 - t.u1 + z), 2 * z, -1, 0) + t.t1
     Z = PolynomialMultiple(z)
     U0 = -T0 + Z - HALF
     U1 = -T1 - Z
@@ -323,7 +305,6 @@ def verify_bi_algebra(p: ParameterSet, degree: int,
 
 
 def verify_nc_algebra(p: ParameterSet, degree: int,
-                      constants: Optional[StructureConstants] = None,
                       flip_first_sign: bool = False) -> VerificationReport:
     """Check the two non-compact relations; note the -A1 sign.
 
@@ -331,7 +312,7 @@ def verify_nc_algebra(p: ParameterSet, degree: int,
     {A2,A3} = +A1 + alpha1 and must fail; it exists as a negative control
     distinguishing the two algebras.
     """
-    sc = constants if constants is not None else structure_constants(p)
+    sc = structure_constants(p)
     sign = ComplexRational(1 if flip_first_sign else -1)
     label = "+A1" if flip_first_sign else "-A1"
     residuals = _bannai_ito_residuals(*_realization(p, sc, "noncompact"),

@@ -351,6 +351,15 @@ class TestErrorPaths:
         assert code == EXIT_NOT_CONVERGED
         assert doc["error"]["kind"] == "QuadratureNotConverged"
 
+    def test_ortho_evaluation_budget_exit_4(self, tmp_path, monkeypatch):
+        # With d = 100000 the first level alone takes minutes; the budget ends it.
+        monkeypatch.setattr(measure, "MAX_EVALUATIONS", 50)
+        argv = ["ortho", "--quad", "1/2,1/2,1/2,100000", "--n-max", "0", "--precision", "20"]
+        code, doc = run(argv, tmp_path)
+        assert code == EXIT_NOT_CONVERGED
+        assert doc["error"]["kind"] == "QuadratureNotConverged"
+        assert "within 50 evaluations of W" in doc["error"]["detail"]
+
 
 # Random argv: a subcommand, its size flags with a value of at most 3 or a
 # malformed one, a parameter flag with a good or malformed value, and maybe

@@ -8,9 +8,9 @@ import pytest
 from hypothesis import assume, given, strategies as st
 
 from biwkit.cli import _tagged
-from biwkit.errors import NonzeroRemainder
+from biwkit.errors import NonzeroRemainder, OperatorNotPolynomialPreserving
 from biwkit.exact import ComplexRational, Polynomial, RationalFunction, parse_complex_rational
-from biwkit.operators import DividedDifference, Substitution
+from biwkit.operators import DividedDifference
 
 
 def written(value):
@@ -336,6 +336,9 @@ BLOCK_DIVISORS = [((ComplexRational(1), ComplexRational(2)), ComplexRational(-1)
                   ((ComplexRational(1), ComplexRational(0, 2)), ComplexRational(0, 1)),
                   ((ComplexRational(1), ComplexRational(-2)), ComplexRational(1)),
                   ((ComplexRational(0), ComplexRational(2)), ComplexRational(0))]
+# The scales s of sigma(x) = s*x + t a divided difference is tested with.
+SIGMA_SCALES = [ComplexRational(v) for v in (1, -1, 2, -2, Fraction(1, 2), Fraction(-1, 2))] + [
+    ComplexRational(0, 1), ComplexRational(0, -1)]
 divisors = st.one_of(st.sampled_from([den for den, _ in BLOCK_DIVISORS]),
                      coeff_lists.map(poly_trim).filter(bool))
 
@@ -389,12 +392,39 @@ class TestPolynomialOracle:
     @given(coeff_lists, coeff_lists, st.sampled_from(BLOCK_DIVISORS))
     def test_divided_difference_apply(self, f, num, block):
         den, t = block
-        op = DividedDifference(Polynomial(num), Polynomial(den), Substitution(-1, t))
+        op = DividedDifference(Polynomial(num), Polynomial(den), -1, t)
         f, num = poly_trim(f), poly_trim(num)
         diff = poly_add(poly_affine(f, ComplexRational(-1), t), poly_scale(ComplexRational(-1), f))
         q, r = poly_divmod(diff, den)
         assert not r
         assert_poly(op.apply(Polynomial(f)), poly_mul(num, q))
+
+    @given(polys, scalars, nonzero_scalars, st.sampled_from(SIGMA_SCALES), scalars,
+           st.booleans(), st.booleans())
+    def test_divided_difference_checked_when_built(self, num, d0, d1, s, t, fixed, divisible):
+        # Each flag makes the block preserve polynomials: sigma fixes the
+        # root r of den, or r is a root of num.  Otherwise it mostly does not.
+        den = Polynomial([d0, d1])
+        if fixed:
+            t = -d0 / d1 * (1 - s)
+        if divisible:
+            num = num * den
+        try:
+            (num * Polynomial([t, s - 1])).exact_div(den)
+        except NonzeroRemainder as exc:
+            with pytest.raises(OperatorNotPolynomialPreserving) as info:
+                DividedDifference(num, den, s, t)
+            assert info.value.remainder == exc.remainder
+            return
+        op = DividedDifference(num, den, s, t)
+        for k in range(7):
+            xk = Polynomial.monomial(k)
+            assert op.image(k) == (num * (xk.affine_substitute(s, t) - xk)).exact_div(den)
+
+    @pytest.mark.parametrize("den", [Polynomial(), Polynomial.one(), Polynomial([1, 0, 2])])
+    def test_divided_difference_needs_linear_denominator(self, den):
+        with pytest.raises(ValueError):
+            DividedDifference(Polynomial.one(), den, -1, 0)
 
     def test_zero_is_unique(self):
         p = Polynomial([ComplexRational(Fraction(1, 3), 2), 5])
