@@ -13,7 +13,8 @@ converges like exp(-2*pi*tau/h), tau the half-width of a strip in t clear
 of the poles' images (see _strip_halvings).  Each halving of h evaluates
 only the new odd nodes and reuses every earlier sample through running sums.
 
-The weight takes the four numerator factors from mpmath.loggamma and the
+The weight takes its numerator from the distinct Gamma factors, one
+mpmath.loggamma each (at a = b the four factors are two), and its
 denominator from the identity |Gamma(1/2 + iz)|^2 = pi / cosh(pi z).  The
 closed form of h0 is a ratio of seven Gamma values at sums of the
 parameters, taken through log_gamma (mpmath.loggamma as well), so the
@@ -59,7 +60,8 @@ MIN_PRECISION = 20
 MAX_PRECISION = 100
 _GUARD_DPS = 10
 # Most evaluations of W one Gram may make.  The slowest passing run seen,
-# --quad 1/2,300,1/2,300 --n-max 2, makes 30,051.
+# --quad 1/2,300,1/2,300 --n-max 2, makes 30,051.  The Gram checks it before
+# each level, so a level that would pass it is not started.
 MAX_EVALUATIONS = 2 ** 16
 # Significant digits of a report's summary figures (errors, residuals, tolerances).
 SUMMARY_DIGITS = 6
@@ -128,20 +130,43 @@ def check_gram_inputs(p: ParameterSet, n_max: int, precision: int,
         raise InvalidParameters(f"--tol must be in (0, 1), got {mp.nstr(_to_mpf(tol), 6)}")
 
 
-def _weight(z, pa, pb, pc, pd):
-    """W(z) for real z: |Gamma products|^2, with 1/|Gamma(1/2+iz)|^2 = cosh(pi z)/pi."""
-    izh = mpc(0, z / 2)
+def _gamma_factors(p: ParameterSet) -> Tuple[Tuple[mpc, ...], Tuple[int, ...]]:
+    """The numerator Gamma factors of W as data, at the working precision.
+
+    W has the factors |Gamma(kappa + iz/2)|^2 with kappa = a + 1, b + 1,
+    c + 1/2, d + 1/2.  Returns the distinct kappa, merged by their mpc value
+    (the value loggamma receives), and the index into them of each factor,
+    in the order a, b, c, d.
+    """
     half = mpf(1) / 2
-    s = sum(mp.re(loggamma(v + izh + shift))
-            for v, shift in ((pa, 1), (pb, 1), (pc, half), (pd, half)))
+    kappas: List[mpc] = []
+    index = []
+    for name, shift in (("a", 1), ("b", 1), ("c", half), ("d", half)):
+        kappa = _param_to_mpc(getattr(p, name)) + shift
+        if kappa not in kappas:
+            kappas.append(kappa)
+        index.append(kappas.index(kappa))
+    return tuple(kappas), tuple(index)
+
+
+def _weight(z, factors):
+    """W(z) for real z from ``_gamma_factors``, with 1/|Gamma(1/2+iz)|^2 = cosh(pi z)/pi.
+
+    One loggamma per distinct kappa; the real parts are summed in the order
+    a, b, c, d, so the sum rounds as the sum of four separate calls would.
+    """
+    kappas, index = factors
+    izh = mpc(0, z / 2)
+    logs = [mp.re(loggamma(kappa + izh)) for kappa in kappas]
+    s = sum(logs[i] for i in index)
     return mp.exp(2 * s) * mp.cosh(pi * z) / pi
 
 
 def weight_W(z, p: ParameterSet, precision: int = DEFAULT_PRECISION):
-    """The positive weight W(z) at real z."""
+    """The positive weight W(z) at real z, one loggamma per distinct Gamma factor."""
     _check_weight_hypotheses(p)
     with mp.workdps(precision + _GUARD_DPS):
-        val = +_weight(_to_mpf(z), *(_param_to_mpc(getattr(p, n)) for n in "abcd"))
+        val = +_weight(_to_mpf(z), _gamma_factors(p))
     return val
 
 
@@ -262,8 +287,11 @@ def orthogonality_gram(
     bound at -+L is below tol * 1e-3 * |h0|.  The report carries the change
     when the sum is cut to [-L, L]; above tol/10 it raises
     QuadratureNotConverged, as W rises again past L.  ``panels`` counts the
-    evaluations of W; past MAX_EVALUATIONS the Gram raises
-    QuadratureNotConverged.
+    evaluations of W.  Before each level the Gram raises
+    QuadratureNotConverged if its new nodes would take that count past
+    MAX_EVALUATIONS (for the first level, a lower bound on the nodes that
+    pass L on both sides); the decay tests at -+L count against the same
+    budget.  The Gamma factors of W are built once per Gram (``_gamma_factors``).
     """
     check_gram_inputs(p, n_max, precision, truncation, tol)
     tol = _to_mpf(tol)
@@ -279,7 +307,7 @@ def orthogonality_gram(
             raise InvalidParameters(f"u_{n} is not real")
 
     with mp.workdps(precision + _GUARD_DPS):
-        params = [_param_to_mpc(getattr(p, n)) for n in "abcd"]
+        factors = _gamma_factors(p)
         h0_val = h0(p, mp.dps)
         u = [_to_mpf(v.re) for v in data.u_mod]
         expected = [h0_val]
@@ -290,13 +318,17 @@ def orthogonality_gram(
 
         evaluations = 0
 
-        def weight(z):
-            nonlocal evaluations
-            evaluations += 1
-            if evaluations > MAX_EVALUATIONS:
+        def budget(count):
+            """Raise QuadratureNotConverged if ``count`` more evaluations of W pass the budget."""
+            if evaluations + count > MAX_EVALUATIONS:
                 raise QuadratureNotConverged(
                     f"Gram did not converge within {MAX_EVALUATIONS} evaluations of W")
-            return _weight(z, *params)
+
+        def weight(z):
+            nonlocal evaluations
+            budget(1)
+            evaluations += 1
+            return _weight(z, factors)
 
         # Past |z| = 2*max(Im a, Im b) every Gamma factor of W decays, and
         # Stirling's formula gives W(z) z^(2 n_max) ~ |z|^q exp(-pi |z|), which
@@ -338,6 +370,8 @@ def orthogonality_gram(
             if level == first:
                 # Walk out from t = 0 on each side to the first node past L
                 # whose integrand bound is negligible; the rule ends there.
+                # Passing L on both sides takes more than asinh(L/c)/h nodes each.
+                budget(1 + 2 * int(mp.floor(mp.asinh(L / c) / h)))
                 add(mpf(0))
                 ends = []
                 for sign in (1, -1):
@@ -349,6 +383,7 @@ def orthogonality_gram(
             else:
                 # The new nodes are the odd multiples of h.
                 half = 2 ** (level - first - 1)
+                budget((ends[0] + ends[1]) * half)
                 for j in range(-ends[1] * half, ends[0] * half):
                     add(mp.ldexp(mpf(2 * j + 1), -level))
             current = [h * v for row in full for v in row]

@@ -32,11 +32,29 @@ NARROW_PARAMS = ParameterSet.from_quad(RealParameterQuad(
     Fraction(1, 10), Fraction(1, 3), Fraction(1, 8), Fraction(2, 3)
 ))
 
+# a = alpha + i*beta and b = gamma + i*delta differ by 10^-80: the same mpc
+# at every working precision below 80 digits.
+NEAR_PARAMS = ParameterSet.from_quad(RealParameterQuad(
+    Fraction(1, 2), Fraction(1, 2), Fraction(1, 2) + Fraction(1, 10 ** 80), Fraction(1, 2)
+))
+PAIRED_PARAMS = ParameterSet.from_quad(RealParameterQuad(
+    Fraction(1, 3), Fraction(2, 5), Fraction(1, 3), Fraction(2, 5)
+))
+
 
 def _mp(q):
     """A decimal string or Fraction as an mpf at the working precision."""
     q = Fraction(q)
     return mpf(q.numerator) / q.denominator
+
+
+def _four_term_weight(z, p):
+    """W(z) from one loggamma per factor, summed in the order a, b, c, d."""
+    izh = mpc(0, z / 2)
+    half = mpf(1) / 2
+    s = sum(mp.re(mpmath.loggamma(mpc(_mp(v.re), _mp(v.im)) + izh + shift))
+            for v, shift in ((p.a, 1), (p.b, 1), (p.c, half), (p.d, half)))
+    return mp.exp(2 * s) * mp.cosh(mp.pi * z) / mp.pi
 
 
 class TestLogGamma:
@@ -105,6 +123,31 @@ class TestWeight:
         assert weight_W(Fraction(7, 10), HALF_PARAMS, precision=60) == weight_W(
             z, HALF_PARAMS, precision=60)
 
+    @pytest.mark.parametrize("params, calls", [
+        (HALF_PARAMS, 2), (PAIRED_PARAMS, 2), (NEAR_PARAMS, 2), (NARROW_PARAMS, 4),
+    ], ids=["half", "paired", "near", "narrow"])
+    def test_one_loggamma_per_distinct_factor(self, params, calls, monkeypatch):
+        args = []
+        loggamma = measure.loggamma
+
+        def counted(w):
+            args.append(w)
+            return loggamma(w)
+
+        monkeypatch.setattr(measure, "loggamma", counted)
+        weight_W(mpf("1.5"), params)
+        assert len(args) == calls
+
+    @pytest.mark.parametrize("params", [HALF_PARAMS, PAIRED_PARAMS, NEAR_PARAMS, NARROW_PARAMS],
+                             ids=["half", "paired", "near", "narrow"])
+    def test_factors_sum_as_four_calls(self, params):
+        # Bit equality: merged factors change no rounding step of the sum.
+        with mp.workdps(DEFAULT_PRECISION + 10):
+            factors = measure._gamma_factors(params)
+            for z in ("0", "0.3", "-2.5", "17.75", "-123.0625", "4000.5"):
+                z = mpf(z)
+                assert measure._weight(z, factors) == _four_term_weight(z, params), z
+
     def test_hypotheses_enforced(self):
         # Not conjugate-paired.
         with pytest.raises(InvalidParameters):
@@ -141,6 +184,20 @@ def small_report():
     return orthogonality_gram(
         1, HALF_PARAMS, tol=Fraction(1, 10 ** 6), precision=30, truncation=15
     )
+
+
+@pytest.fixture
+def weight_calls(monkeypatch):
+    """The z of every evaluation of W, recorded by wrapping measure._weight."""
+    calls = []
+    weight = measure._weight
+
+    def counted(z, factors):
+        calls.append(z)
+        return weight(z, factors)
+
+    monkeypatch.setattr(measure, "_weight", counted)
+    return calls
 
 
 class TestGram:
@@ -182,18 +239,42 @@ class TestGram:
         p = ParameterSet.from_quad(RealParameterQuad(*map(Fraction, (1, 100, 1, 100))))
         assert orthogonality_gram(0, p, precision=20).passed
 
-    def test_panels_count_weight_evaluations(self, monkeypatch):
-        calls = []
-        weight = measure._weight
-
-        def counted(z, *params):
-            calls.append(z)
-            return weight(z, *params)
-
-        monkeypatch.setattr(measure, "_weight", counted)
+    def test_panels_count_weight_evaluations(self, weight_calls):
         report = orthogonality_gram(1, HALF_PARAMS, tol=Fraction(1, 10 ** 6), precision=30,
                                     truncation=15)
-        assert report.panels == len(calls)
+        assert report.panels == len(weight_calls)
+
+    def test_merged_factors_leave_the_gram_unchanged(self, monkeypatch):
+        # The narrow quad has four distinct factors; the goldens pin the half quad.
+        kwargs = {"n_max": 1, "p": NARROW_PARAMS, "precision": 30, "truncation": 20}
+        ours = orthogonality_gram(**kwargs)
+        monkeypatch.setattr(measure, "_weight",
+                            lambda z, factors: _four_term_weight(z, NARROW_PARAMS))
+        ref = orthogonality_gram(**kwargs)
+        assert ours.gram == ref.gram
+        assert (ours.panels, ours.truncation_L) == (ref.panels, ref.truncation_L)
+        assert ours.l_stability == ref.l_stability
+
+    def test_budget_checked_before_the_first_level(self, weight_calls):
+        # At d = 100000 the first level needs about 460,000 nodes to pass L: the
+        # Gram raises after the decay tests at -+L, before the walk-out.
+        p = ParameterSet.from_quad(RealParameterQuad(
+            Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(100000)))
+        with pytest.raises(QuadratureNotConverged,
+                           match=f"within {measure.MAX_EVALUATIONS} evaluations of W"):
+            orthogonality_gram(0, p, precision=20)
+        assert len(weight_calls) < 10
+
+    def test_budget_checked_before_each_later_level(self, small_report, weight_calls,
+                                                    monkeypatch):
+        # A budget one short of small_report's: its last level is not started,
+        # where a count alone would stop inside it after panels - 1 evaluations.
+        budget = small_report.panels - 1
+        monkeypatch.setattr(measure, "MAX_EVALUATIONS", budget)
+        with pytest.raises(QuadratureNotConverged, match=f"within {budget} evaluations"):
+            orthogonality_gram(1, HALF_PARAMS, tol=Fraction(1, 10 ** 6), precision=30,
+                               truncation=15)
+        assert len(weight_calls) < budget
 
     def test_halving_cap_raises(self):
         # A level change of 1e-41 * h0 is below what 30 working digits
