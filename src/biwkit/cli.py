@@ -41,10 +41,12 @@ from .polyfam import (
     DAHAParameterSet,
     ParameterSet,
     RealParameterQuad,
+    bi_polynomials,
     check_denominators,
     family_to_json,
     nonsym_wilson_family,
     param_map_bi_to_daha,
+    q_polynomials,
     q_symmetry_check,
     structure_constants,
     wilson_eigenvalue,
@@ -158,6 +160,8 @@ def _require_bounded_sizes(args) -> None:
     """Each size flag in its range: a negative one would check nothing and pass."""
     for name, (low, cap) in _SIZE_RANGES.items():
         value = getattr(args, name, None)
+        if name == "n_max" and hasattr(args, "precision"):
+            continue  # a Gram's --n-max: its narrower range is in measure.check_gram_inputs
         if value is not None and not low <= value <= cap:
             flag = "--" + name.replace("_", "-")
             raise InvalidParameters(f"{flag} must be in {low}..{cap}, got {value}")
@@ -201,10 +205,9 @@ def _emit(doc: dict, out) -> None:
         out.close()
 
 
-def _cmd_poly(args, kind: str) -> tuple:
-    p = _resolve_bi_params(args)
-    doc = family_to_json(args.n_max, p, kind=kind)
-    return {"family": "bi" if kind == "bi" else "q-modified", **doc}, True
+def _cmd_poly(args, family, label: str) -> tuple:
+    doc = family_to_json(args.n_max, _resolve_bi_params(args), family)
+    return {"family": label, **doc}, True
 
 
 def _cmd_wilson(args) -> tuple:
@@ -362,8 +365,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, params=False, quad=False, daha=False, n_max=None,
-               degree=None, gram=False):
+    def command(name, run, summary, params=False, quad=False, daha=False, n_max=None,
+                degree=None, gram=False):
+        """Declare subcommand ``name``, its flags and ``run``, the handler ``main`` calls."""
+        sp = sub.add_parser(name, help=summary)
+        sp.set_defaults(run=run)
         if params:
             sp.add_argument("--params", help="a,b,c,d as exact rationals, e.g. '0,0,0,0' or '1/2+1/2i,...'")
         if quad:
@@ -382,55 +388,41 @@ def build_parser() -> argparse.ArgumentParser:
                             help="initial half-width L of the integration interval")
         sp.add_argument("--output", dest="output", default=None,
                         help="write the JSON document to this path instead of stdout")
+        return sp
 
-    sp = sub.add_parser("poly", help="construct the base family")
-    common(sp, params=True, quad=True, n_max=6)
-    sp = sub.add_parser("q-poly", help="construct the modified family")
-    common(sp, params=True, quad=True, n_max=6)
-    sp = sub.add_parser("wilson", help="construct the non-symmetric Wilson family")
-    common(sp, params=True, quad=True, daha=True, n_max=6)
+    command("poly", functools.partial(_cmd_poly, family=bi_polynomials, label="bi"),
+            "construct the base family", params=True, quad=True, n_max=6)
+    command("q-poly", functools.partial(_cmd_poly, family=q_polynomials, label="q-modified"),
+            "construct the modified family", params=True, quad=True, n_max=6)
+    command("wilson", _cmd_wilson, "construct the non-symmetric Wilson family",
+            params=True, quad=True, daha=True, n_max=6)
 
-    sp = sub.add_parser("verify-eigen", help="eigenvalue equations for both families")
-    common(sp, params=True, quad=True, n_max=20)
-    sp = sub.add_parser("verify-algebra", help="compact and non-compact algebra relations")
-    common(sp, params=True, quad=True, degree=20)
-    sp = sub.add_parser("verify-daha", help="involutive-generator relations and Wilson eigen")
-    common(sp, daha=True, n_max=12, degree=12)
-    sp = sub.add_parser("verify-iso", help="algebra isomorphism, both directions")
-    common(sp, params=True, quad=True, degree=12)
-    sp = sub.add_parser("verify-prop1", help="polynomial coincidence and operator transform")
-    common(sp, params=True, quad=True, n_max=12, degree=8)
+    command("verify-eigen", _cmd_verify_eigen, "eigenvalue equations for both families",
+            params=True, quad=True, n_max=20)
+    command("verify-algebra", _cmd_verify_algebra, "compact and non-compact algebra relations",
+            params=True, quad=True, degree=20)
+    command("verify-daha", _cmd_verify_daha, "involutive-generator relations and Wilson eigen",
+            daha=True, n_max=12, degree=12)
+    command("verify-iso", _cmd_verify_iso, "algebra isomorphism, both directions",
+            params=True, quad=True, degree=12)
+    command("verify-prop1", _cmd_verify_prop1, "polynomial coincidence and operator transform",
+            params=True, quad=True, n_max=12, degree=8)
 
-    sp = sub.add_parser("rep", help="tridiagonal representation residuals and positivity")
-    common(sp, quad=True)
+    sp = command("rep", _cmd_rep, "tridiagonal representation residuals and positivity",
+                 quad=True)
     sp.add_argument("--size", type=int, default=50, help="truncation size N")
 
-    sp = sub.add_parser("ortho", help="Gram matrix of the modified family")
-    common(sp, quad=True, n_max=6, gram=True)
+    command("ortho", _cmd_ortho, "Gram matrix of the modified family", quad=True, n_max=6,
+            gram=True)
 
-    sp = sub.add_parser("all", help="run the full certification suite")
-    common(sp, quad=True, n_max=4, gram=True)
+    sp = command("all", _cmd_all, "run the full certification suite", quad=True, n_max=4,
+                 gram=True)
     sp.add_argument("--seed", type=int, default=0,
                     help="seed for the randomized property stage")
     sp.add_argument("--tamper", action="store_true",
                     help="negative control: perturb a structure constant; must fail")
 
     return parser
-
-
-_DISPATCH = {
-    "poly": lambda a: _cmd_poly(a, "bi"),
-    "q-poly": lambda a: _cmd_poly(a, "q"),
-    "wilson": _cmd_wilson,
-    "verify-eigen": _cmd_verify_eigen,
-    "verify-algebra": _cmd_verify_algebra,
-    "verify-daha": _cmd_verify_daha,
-    "verify-iso": _cmd_verify_iso,
-    "verify-prop1": _cmd_verify_prop1,
-    "rep": _cmd_rep,
-    "ortho": _cmd_ortho,
-    "all": _cmd_all,
-}
 
 
 # Exit code of each error kind; any other BiwkitError is a failed verification.
@@ -448,7 +440,7 @@ def main(argv=None) -> int:
         command = args.command
         out = _open_output(args.output)
         _require_bounded_sizes(args)
-        doc, passed = _DISPATCH[args.command](args)
+        doc, passed = args.run(args)
     except BiwkitError as exc:
         _emit({"schema": SCHEMA, "command": command,
                "error": {"kind": type(exc).__name__, "detail": str(exc)}}, out)

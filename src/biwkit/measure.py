@@ -52,9 +52,14 @@ DEFAULT_TOL = Fraction(1, 10**8)
 DEFAULT_TRUNCATION = 40
 # Largest accepted starting L.  A larger L buys no accuracy.
 MAX_TRUNCATION = 200
-# Below this precision the fixed off-diagonal threshold (OFFDIAG_REL_EXPONENT)
-# cannot be resolved.
+# Smallest accepted precision: it resolves the fixed threshold 10^OFFDIAG_REL_EXPONENT
+# * h0 while the Gram's entries are of the order of h0, but not at every quad (at
+# --quad 182,128,108,6 --n-max 2 the (2,2) entry is 6.6e7 * h0; the rule runs to its cap).
 MIN_PRECISION = 20
+# Largest accepted n_max.  The work per node grows like (n_max + 1)^2: at 20 digits the
+# half quad ran 12.1 s at n_max 25, 48.3 s at 50 and 416.7 s at 100, each to exit 4; at
+# 25 and 100 digits it passes in 4.3 s (9.6 s at the narrow quad 1/10,1/3,1/8,2/3).
+MAX_N_MAX = 25
 # Largest accepted precision.  At n_max 6 (half quad, narrow strip, truncation
 # 200) 100 digits end in 1.4-2.7 s, 200 in 4.0-7.3 s; 1000 ran past 60 s at n_max 0.
 MAX_PRECISION = 100
@@ -118,8 +123,8 @@ def check_gram_inputs(p: ParameterSet, n_max: int, precision: int,
     truncation of None selects DEFAULT_TRUNCATION.
     """
     _check_weight_hypotheses(p)
-    if n_max < 0:
-        raise InvalidParameters(f"--n-max must be >= 0, got {n_max}")
+    if not 0 <= n_max <= MAX_N_MAX:
+        raise InvalidParameters(f"--n-max must be in 0..{MAX_N_MAX}, got {n_max}")
     if not MIN_PRECISION <= precision <= MAX_PRECISION:
         raise InvalidParameters(
             f"--precision must be in {MIN_PRECISION}..{MAX_PRECISION} digits, got {precision}")

@@ -19,8 +19,10 @@ Otherwise it was transcribed incorrectly, and building it raises
 OperatorNotPolynomialPreserving naming the block.
 
 Each relation set (the involution relations of four generators, the
-Bannai-Ito anticommutator relations, the Casimir in both forms) is built
-once as residual operators, and the algebra and isomorphism checks reuse it.
+Bannai-Ito anticommutator relations, the Casimir in both forms) is stated
+once, as a function from generators to residual operators.  The algebra,
+Casimir and isomorphism checks share that statement, not the operators:
+each certificate builds its own generators and residuals.
 """
 
 from __future__ import annotations

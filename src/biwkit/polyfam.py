@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import List
+from typing import Callable, List
 
 from .errors import BiwkitError, DegenerateParameters
 from .exact import HALF, I, QUARTER, ZERO, ComplexRational, Polynomial, RationalFunction
@@ -366,14 +366,11 @@ def q_symmetry_check(n_max: int, p: ParameterSet) -> SymmetryReport:
     return SymmetryReport(n_max=n_max, checks=checks)
 
 
-def family_to_json(n_max: int, p: ParameterSet, kind: str = "bi") -> dict:
-    """Document tree for a constructed family: polynomials, eigenvalues, recurrence."""
-    if kind == "bi":
-        polys = bi_polynomials(n_max, p)
-    elif kind == "q":
-        polys = q_polynomials(n_max, p)
-    else:
-        raise ValueError(f"unknown family kind {kind!r}")
+def family_to_json(n_max: int, p: ParameterSet,
+                   family: Callable[[int, ParameterSet], List[Polynomial]]) -> dict:
+    """Document tree for ``family`` (``bi_polynomials`` or ``q_polynomials``):
+    its polynomials, the eigenvalues and the recurrence data."""
+    polys = family(n_max, p)
     data = bi_coefficients(n_max, p)
     return {
         "params": p.to_json(),

@@ -211,6 +211,9 @@ class TestErrorPaths:
         (["verify-iso", "--degree", "101"], "--degree must be in 0..100, got 101"),
         (["rep", "--size", "1001"], "--size must be in 6..1000, got 1001"),
         (["rep", "--size", "5"], "--size must be in 6..1000, got 5"),
+        (["ortho", "--quad", "1/2,1/2,1/2,1/2", "--n-max", "101"],
+         "--n-max must be in 0..25, got 101"),
+        (["all", "--n-max", "-1"], "--n-max must be in 0..25, got -1"),
     ])
     def test_size_over_cap_names_flag(self, argv, detail, tmp_path):
         code, doc = run(argv, tmp_path)
@@ -485,6 +488,14 @@ class TestRunAll:
         assert doc["stages"]["orthogonality"]["pass"] is True
 
 
+def run_python(argv):
+    """A fresh interpreter, with this checkout's ``src`` first on its path."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable] + argv, capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": path}, timeout=120)
+
+
 class TestProcessEntryPoint:
     """``python -m biwkit`` as the shell sees it: exit status and stdout."""
 
@@ -493,14 +504,21 @@ class TestProcessEntryPoint:
         (["all", "--tamper"] + FAST_ALL, EXIT_VERIFICATION_FAILED),
     ])
     def test_exit_status_matches_document(self, argv, expected):
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-m", "biwkit"] + argv, capture_output=True,
-                              text=True, env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        proc = run_python(["-m", "biwkit"] + argv)
         assert proc.returncode == expected
         doc = json.loads(proc.stdout)  # exactly one JSON document
         assert doc["schema"] == SCHEMA
         assert doc["pass"] is (proc.returncode == EXIT_OK)
+
+
+def test_package_import_loads_no_submodule():
+    # Each name is imported from its module; the package exports only __version__.
+    proc = run_python(["-c", (
+        "import sys, biwkit; "
+        "print(sorted(m for m in sys.modules if m.startswith(('biwkit.', 'mpmath')))); "
+        "print(sorted(n for n in vars(biwkit) if not n.startswith('_')))")])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "[]"]
 
 
 class TestGramContract:
@@ -520,7 +538,7 @@ class TestGramContract:
     @pytest.mark.parametrize("flags", [
         ["--precision", "19"], ["--precision", "101"],
         ["--truncation", "0"], ["--truncation", "201"],
-        ["--tol", "0"], ["--tol", "1"],
+        ["--tol", "0"], ["--tol", "1"], ["--n-max", "26"],
     ])
     def test_ortho_and_all_reject_alike_before_any_stage(self, flags, tmp_path, monkeypatch):
         code, ortho = run(ORTHO + flags, tmp_path, "ortho.json")

@@ -15,7 +15,9 @@ from biwkit import measure
 from biwkit.errors import InvalidParameters, PoleError, QuadratureNotConverged
 from biwkit.measure import (
     DEFAULT_PRECISION,
+    DEFAULT_TOL,
     MAX_PRECISION,
+    check_gram_inputs,
     h0,
     log_gamma,
     orthogonality_gram,
@@ -296,6 +298,13 @@ class TestGram:
         args = {"n_max": 1, "p": HALF_PARAMS, "precision": 30, **kwargs}
         with pytest.raises(InvalidParameters):
             orthogonality_gram(**args)
+
+    def test_n_max_range(self):
+        for n_max in (0, 25):
+            check_gram_inputs(HALF_PARAMS, n_max, 20, None, DEFAULT_TOL)
+        for n_max in (-1, 26):
+            with pytest.raises(InvalidParameters, match=rf"^--n-max must be in 0\.\.25, got {n_max}$"):
+                check_gram_inputs(HALF_PARAMS, n_max, 20, None, DEFAULT_TOL)
 
     @pytest.mark.parametrize("tol", [1, Fraction(3, 2), 10 ** 400], ids=["1", "3/2", "1e400"])
     def test_rejects_tolerance_of_one_or_more(self, tol):
