@@ -13,13 +13,15 @@ converges like exp(-2*pi*tau/h), tau the half-width of a strip in t clear
 of the poles' images (see _strip_halvings).  Each halving of h evaluates
 only the new odd nodes and reuses every earlier sample through running sums.
 
-The weight takes its numerator from the distinct Gamma factors, one
-mpmath.loggamma each (at a = b the four factors are two), and its
-denominator from the identity |Gamma(1/2 + iz)|^2 = pi / cosh(pi z).  The
-closed form of h0 is a ratio of seven Gamma values at sums of the
-parameters, taken through log_gamma (mpmath.loggamma as well), so the
-diagonal certificate compares a quadrature of W with h0 * prod(u_k) at
-different Gamma arguments.
+The weight takes its numerator from the distinct Gamma factors, one complex
+loggamma each (at a = b the four factors are two), and its denominator from
+the identity |Gamma(1/2 + iz)|^2 = pi / cosh(pi z).  The node loop runs on
+mpmath's raw values at the context's precision and rounding, through the libmp
+calls of the object operators, so every value rounds as object arithmetic
+would; _weight is its one call per node.  The closed form of h0 is a ratio of
+seven Gamma values at sums of the parameters, taken through log_gamma
+(mpmath.loggamma), so the diagonal certificate compares a quadrature of W with
+h0 * prod(u_k) at different Gamma arguments.
 
 Precision is handled with mpmath work contexts: all entry points take a
 ``precision`` in significant decimal digits and run with guard digits
@@ -42,6 +44,9 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from mpmath import loggamma, mp, mpc, mpf, pi
+from mpmath.libmp import (fzero, from_int, mpc_add, mpc_loggamma, mpf_abs, mpf_add, mpf_cosh,
+                          mpf_cosh_sinh, mpf_div, mpf_exp, mpf_gt, mpf_le, mpf_mul, mpf_mul_int,
+                          mpf_pi, mpf_pow_int)
 
 from .errors import InvalidParameters, PoleError, QuadratureNotConverged
 from .exact import ComplexRational
@@ -160,19 +165,23 @@ def _weight(z, factors):
     One loggamma per distinct kappa; the real parts are summed in the order
     a, b, c, d, so the sum rounds as the sum of four separate calls would.
     """
+    prec, rnd = mp._prec_rounding
     kappas, index = factors
-    izh = mpc(0, z / 2)
-    logs = [mp.re(loggamma(kappa + izh)) for kappa in kappas]
-    s = sum(logs[i] for i in index)
-    return mp.exp(2 * s) * mp.cosh(pi * z) / pi
+    izh = (fzero, mpf_div(z._mpf_, from_int(2), prec, rnd))
+    logs = [mpc_loggamma(mpc_add(kappa._mpc_, izh, prec, rnd), prec, rnd)[0] for kappa in kappas]
+    s = fzero
+    for i in index:
+        s = mpf_add(s, logs[i], prec, rnd)
+    w = mpf_mul(mpf_exp(mpf_mul_int(s, 2, prec, rnd), prec, rnd),
+                mpf_cosh(mpf_mul(mpf_pi(prec, rnd), z._mpf_, prec, rnd), prec, rnd), prec, rnd)
+    return mp.make_mpf(mpf_div(w, mpf_pi(prec, rnd), prec, rnd))
 
 
 def weight_W(z, p: ParameterSet, precision: int = DEFAULT_PRECISION):
     """The positive weight W(z) at real z, one loggamma per distinct Gamma factor."""
     _check_weight_hypotheses(p)
     with mp.workdps(precision + _GUARD_DPS):
-        val = +_weight(_to_mpf(z), _gamma_factors(p))
-    return val
+        return _weight(_to_mpf(z), _gamma_factors(p))
 
 
 def h0(p: ParameterSet, precision: int = DEFAULT_PRECISION):
@@ -266,13 +275,13 @@ def _strip_halvings(p: ParameterSet, n_max: int, dps: int) -> Tuple[int, int]:
     return first, max(first, _math.ceil(_math.log2(_math.log(10) * dps / (2 * _math.pi * tau)))) + 1
 
 
-def _accumulate(acc, vals, scale):
-    """acc[n][m] += scale * vals[n] * vals[m] on the upper triangle."""
+def _accumulate(acc, vals, scale, prec, rnd):
+    """acc[n][m] += scale * vals[n] * vals[m] on the upper triangle, on raw mpf values."""
     for n, vn in enumerate(vals):
-        vn = vn * scale
+        vn = mpf_mul(vn, scale, prec, rnd)
         row = acc[n]
         for m in range(n, len(vals)):
-            row[m] += vn * vals[m]
+            row[m] = mpf_add(row[m], mpf_mul(vn, vals[m], prec, rnd), prec, rnd)
 
 
 def orthogonality_gram(
@@ -319,7 +328,8 @@ def orthogonality_gram(
         for n in range(1, n_max + 1):
             expected.append(expected[-1] * u[n])
 
-        polys_mpf = [[_to_mpf(c.re) for c in poly.coeffs] for poly in polys]
+        prec, rnd = mp._prec_rounding
+        polys_raw = [[_to_mpf(c.re)._mpf_ for c in poly.coeffs] for poly in polys]
 
         evaluations = 0
 
@@ -347,25 +357,27 @@ def orthogonality_gram(
         # Past the last node the integrand is negligible: ending the rule there leaves no floor.
         end_bound = min(cut_bound, mpf(10) ** -22 * abs(h0_val))
 
-        c = mpf(_map_scale(p))
+        c, L_raw = mpf(_map_scale(p)), from_int(L)
         k = n_max + 1
-        full = [[mpf(0)] * k for _ in range(k)]
-        inner = [[mpf(0)] * k for _ in range(k)]  # nodes with |z| <= L
+        full = [[fzero] * k for _ in range(k)]
+        inner = [[fzero] * k for _ in range(k)]  # nodes with |z| <= L
 
         def add(t):
             """Add the node z = c*sinh(t) with weight dz/dt; return |z| and its integrand bound."""
-            z = c * mp.sinh(t)
-            w = weight(z) * c * mp.cosh(t)
+            ch, sh = mpf_cosh_sinh(t._mpf_, prec, rnd)
+            z = mpf_mul(c._mpf_, sh, prec, rnd)
+            w = mpf_mul(mpf_mul(weight(mp.make_mpf(z))._mpf_, c._mpf_, prec, rnd), ch, prec, rnd)
             vals = []
-            for coeffs in polys_mpf:
-                v = mpf(0)
+            for coeffs in polys_raw:
+                v = fzero
                 for coeff in reversed(coeffs):
-                    v = v * z + coeff
+                    v = mpf_add(mpf_mul(v, z, prec, rnd), coeff, prec, rnd)
                 vals.append(v)
-            _accumulate(full, vals, w)
-            if abs(z) <= L:
-                _accumulate(inner, vals, w)
-            return abs(z), w * abs(z) ** (2 * n_max)
+            _accumulate(full, vals, w, prec, rnd)
+            size = mpf_abs(z, prec, rnd)
+            if mpf_le(size, L_raw):
+                _accumulate(inner, vals, w, prec, rnd)
+            return size, mpf_mul(w, mpf_pow_int(size, 2 * n_max, prec, rnd), prec, rnd)
 
         threshold = min(tol / 10, mpf(10) ** (OFFDIAG_REL_EXPONENT - 1)) * abs(h0_val)
         first, last = _strip_halvings(p, n_max, mp.dps)
@@ -382,7 +394,7 @@ def orthogonality_gram(
                 for sign in (1, -1):
                     for j in itertools.count(1):
                         z, size = add(sign * j * h)
-                        if z > L and size <= end_bound:
+                        if mpf_gt(z, L_raw) and mpf_le(size, end_bound._mpf_):
                             ends.append(j)
                             break
             else:
@@ -391,7 +403,7 @@ def orthogonality_gram(
                 budget((ends[0] + ends[1]) * half)
                 for j in range(-ends[1] * half, ends[0] * half):
                     add(mp.ldexp(mpf(2 * j + 1), -level))
-            current = [h * v for row in full for v in row]
+            current = [h * mp.make_mpf(v) for row in full for v in row]
             if prev is not None and max(abs(a - b) for a, b in zip(current, prev)) <= threshold:
                 break
             prev = current
@@ -400,7 +412,7 @@ def orthogonality_gram(
                 f"Gram matrix did not stabilize after {last - first} halvings of the step"
             )
 
-        gram, gram_l = ([[h * acc[min(n, m)][max(n, m)] / (4 * pi) for m in range(k)]
+        gram, gram_l = ([[h * mp.make_mpf(acc[min(n, m)][max(n, m)]) / (4 * pi) for m in range(k)]
                          for n in range(k)] for acc in (full, inner))
 
         scale = abs(gram[0][0])

@@ -92,6 +92,25 @@ def build_rep(N: int, q: RealParameterQuad,
 Vector = Dict[int, ComplexRational]
 
 
+def _band_columns(rep: TridiagonalRep, alpha3: ComplexRational):
+    """The columns A2 e_n and A3 e_n, n < N, of the monic A2 and of A3 = {A1, A2} - alpha3.
+
+    (A3)_mn = (lambda_m + lambda_n) (A2)_mn - alpha3 delta_mn on the rows n-1, n, n+1
+    of A2 that lie in 0..N-1: nothing wraps to n = -1 and nothing is kept at n = N.
+    """
+    lam, size = rep.lam, rep.size
+    a2 = [{m: s for m, s in ((n - 1, rep.u[n]), (n, rep.c[n]), (n + 1, ONE)) if 0 <= m < size}
+          for n in range(size)]
+    a3 = [{m: (lam[m] + lam[n]) * s - (alpha3 if m == n else ZERO) for m, s in col.items()}
+          for n, col in enumerate(a2)]
+    return a2, a3
+
+
+def _apply(columns, v: Vector) -> Vector:
+    """The band with these columns applied to v: the sum of x * columns[n] over v's entries."""
+    return _lincomb(*((x, columns[n]) for n, x in v.items()))
+
+
 def _lincomb(*terms) -> Vector:
     """The sparse vector sum of s*v over the (s, v) pairs in ``terms``."""
     out: Vector = {}
@@ -143,9 +162,11 @@ def verify_rep_relations(rep: TridiagonalRep,
                          constants: Optional[StructureConstants] = None) -> RepReport:
     """Exact residuals of the two non-compact relations and the Casimir identity.
 
-    With A3 := {A1, A2} - alpha3*I, the columns j = 0..N-4 of {A2,A3} + A1
-    - alpha1, {A3,A1} - A2 - alpha2 and A1^2 - A2^2 - A3^2 - casimir are
-    built on sparse ``ComplexRational`` vectors from the monic A2 and
+    A3 := {A1, A2} - alpha3*I is the band with (lambda_{n-1} + lambda_n) u_n,
+    2 lambda_n c_n - alpha3 and lambda_n + lambda_{n+1} in rows n-1, n, n+1 of
+    column n.  The columns j = 0..N-4 of {A2,A3} + A1 - alpha1, {A3,A1} - A2 -
+    alpha2 and A1^2 - A2^2 - A3^2 - casimir are built on sparse
+    ``ComplexRational`` vectors from the columns of the monic A2 and of A3 and
     compared with zero on the interior rows 0..N-4; every entry is real, a
     residual is the largest |re|, and ``passed`` means every entry is exactly
     zero.  ``constants`` overrides the structure constants (the supported
@@ -158,31 +179,18 @@ def verify_rep_relations(rep: TridiagonalRep,
                       (sc.alpha3, "alpha3"), (cas, "casimir")):
         if not val.is_real():
             raise InvalidParameters(f"{name} is not real for these parameters")
-    size, lam, c, u = rep.size, rep.lam, rep.c, rep.u
-
-    def a1(v: Vector) -> Vector:
-        return {n: lam[n] * x for n, x in v.items()}
-
-    def a2(v: Vector) -> Vector:
-        out: Vector = {}
-        for n, x in v.items():
-            for m, s in ((n - 1, u[n]), (n, c[n]), (n + 1, ONE)):
-                if 0 <= m < size:
-                    out[m] = out.get(m, ZERO) + s * x
-        return out
-
-    def a3(v: Vector) -> Vector:
-        return _lincomb((1, a1(a2(v))), (1, a2(a1(v))), (-sc.alpha3, v))
-
+    size, lam = rep.size, rep.lam
+    a2, a3 = _band_columns(rep, sc.alpha3)
     top = size - 4
     worst = [Fraction(0)] * 3
     for j in range(top + 1):
-        e = {j: ONE}
-        a1e, a2e, a3e = a1(e), a2(e), a3(e)
+        # A1 e_j = lambda_j e_j: {A3,A1} e_j = (A1 + lambda_j) A3 e_j, A1^2 e_j = lambda_j^2 e_j.
+        e, lj, a2e, a3e = {j: ONE}, lam[j], a2[j], a3[j]
+        a31e = {n: (lam[n] + lj) * x for n, x in a3e.items()}
         columns = (
-            _lincomb((1, a2(a3e)), (1, a3(a2e)), (1, a1e), (-sc.alpha1, e)),
-            _lincomb((1, a3(a1e)), (1, a1(a3e)), (-1, a2e), (-sc.alpha2, e)),
-            _lincomb((1, a1(a1e)), (-1, a2(a2e)), (-1, a3(a3e)), (-cas, e)),
+            _lincomb((1, _apply(a2, a3e)), (1, _apply(a3, a2e)), (lj - sc.alpha1, e)),
+            _lincomb((1, a31e), (-1, a2e), (-sc.alpha2, e)),
+            _lincomb((lj * lj - cas, e), (-1, _apply(a2, a2e)), (-1, _apply(a3, a3e))),
         )
         for k, col in enumerate(columns):
             worst[k] = max([worst[k]] + [abs(x.re) for n, x in col.items() if n <= top])

@@ -1,8 +1,8 @@
 """Tests for the weight function, normalization, and Gram matrix.
 
-log_gamma, the weight W and the norm h0 all go through mpmath.loggamma;
-each is checked against Gamma values built from mpmath.gamma, which does
-not go through mpmath.loggamma.
+log_gamma, the weight W and the norm h0 all go through mpmath.loggamma (W
+through its libmp function, mpc_loggamma); each is checked against Gamma
+values built from mpmath.gamma, which does not go through mpmath.loggamma.
 """
 
 from fractions import Fraction
@@ -128,17 +128,9 @@ class TestWeight:
     @pytest.mark.parametrize("params, calls", [
         (HALF_PARAMS, 2), (PAIRED_PARAMS, 2), (NEAR_PARAMS, 2), (NARROW_PARAMS, 4),
     ], ids=["half", "paired", "near", "narrow"])
-    def test_one_loggamma_per_distinct_factor(self, params, calls, monkeypatch):
-        args = []
-        loggamma = measure.loggamma
-
-        def counted(w):
-            args.append(w)
-            return loggamma(w)
-
-        monkeypatch.setattr(measure, "loggamma", counted)
+    def test_one_loggamma_per_distinct_factor(self, params, calls, loggamma_calls):
         weight_W(mpf("1.5"), params)
-        assert len(args) == calls
+        assert len(loggamma_calls) == calls
 
     @pytest.mark.parametrize("params", [HALF_PARAMS, PAIRED_PARAMS, NEAR_PARAMS, NARROW_PARAMS],
                              ids=["half", "paired", "near", "narrow"])
@@ -181,11 +173,58 @@ class TestNormalization:
             assert abs(ours - ref) / ref < mpf(10) ** -45
 
 
+# The _mpf_ tuples of the numeric benchmark's Grams (n_max 2, precision 20, tol 1e-8).
+_H0, _H2, _H12 = ((0, 7443632425933103584252356722825, -105, 103),
+                  (1, 8278249877289786213407649929999, -205, 103),
+                  (1, 8406609442658860007277233039683, -206, 103))
+BENCH_HALF_PIN = {
+    "gram": [[_H0, (0, 7314745911010744445872563771435, -208, 103), _H2],
+             [(0, 7314745911010744445872563771435, -208, 103),
+              (0, 7443632425933103584252356722817, -103, 103), _H12],
+             [_H2, _H12, (0, 8634613614082400157732733798467, -101, 103)]],
+    "expected_diag": [_H0, (0, 7443632425933103584252356722825, -103, 103),
+                      (0, 4317306807041200078866366899239, -100, 102)],
+    "l_stability": (0, 6565937831172950541817892999577, -146, 103),
+    "max_offdiag_rel": (0, 5639143807921271747864677566231, -202, 103),
+    "panels": 275,
+    "truncation_L": 19,
+}
+_N01, _N02, _N12 = ((1, 7761549758769715959322301061369, -208, 103),
+                    (1, 2836348841471214310047172789681, -204, 102),
+                    (1, 1790881269788712336789555817057, -208, 101))
+BENCH_NARROW_PIN = {
+    "gram": [[(0, 7775503093476919125097786615943, -105, 103), _N01, _N02],
+             [_N01, (0, 6263419800656178535832102234111, -104, 103), _N12],
+             [_N02, _N12, (0, 2562800690830082482218772465385, -101, 102)]],
+    "expected_diag": [(0, 7775503093476919125097786615939, -105, 103),
+                      (0, 1565854950164044633958025558529, -102, 101),
+                      (0, 5125601381660164964437544930817, -102, 103)],
+    "l_stability": (0, 8392474127474723222356915908543, -148, 103),
+    "max_offdiag_rel": (0, 3699309761050949868919523294075, -202, 102),
+    "panels": 243,
+    "truncation_L": 17,
+}
+
+
 @pytest.fixture(scope="module")
 def small_report():
     return orthogonality_gram(
         1, HALF_PARAMS, tol=Fraction(1, 10 ** 6), precision=30, truncation=15
     )
+
+
+@pytest.fixture
+def loggamma_calls(monkeypatch):
+    """The argument of every loggamma call W makes, recorded by wrapping measure.mpc_loggamma."""
+    calls = []
+    loggamma = measure.mpc_loggamma
+
+    def counted(w, prec, rnd):
+        calls.append(w)
+        return loggamma(w, prec, rnd)
+
+    monkeypatch.setattr(measure, "mpc_loggamma", counted)
+    return calls
 
 
 @pytest.fixture
@@ -256,6 +295,29 @@ class TestGram:
         assert ours.gram == ref.gram
         assert (ours.panels, ours.truncation_L) == (ref.panels, ref.truncation_L)
         assert ours.l_stability == ref.l_stability
+
+    @pytest.mark.parametrize("params, truncation, pin", [
+        (HALF_PARAMS, 19, BENCH_HALF_PIN), (NARROW_PARAMS, 17, BENCH_NARROW_PIN),
+    ], ids=["half", "narrow"])
+    def test_benchmark_grams_bit_for_bit(self, params, truncation, pin):
+        # The numeric benchmark's two Grams, every rounding step pinned: the
+        # narrow quad's four Gamma factors and the three-term Horner sums.
+        report = orthogonality_gram(2, params, tol=Fraction(1, 10 ** 8), precision=20,
+                                    truncation=truncation)
+        assert [[v._mpf_ for v in row] for row in report.gram] == pin["gram"]
+        assert [v._mpf_ for v in report.expected_diag] == pin["expected_diag"]
+        assert report.l_stability._mpf_ == pin["l_stability"]
+        assert report.max_offdiag_rel._mpf_ == pin["max_offdiag_rel"]
+        assert (report.panels, report.truncation_L) == (pin["panels"], pin["truncation_L"])
+
+    @pytest.mark.parametrize("params, truncation, kappas", [
+        (HALF_PARAMS, 19, 2), (NARROW_PARAMS, 17, 4),
+    ], ids=["half", "narrow"])
+    def test_one_loggamma_per_distinct_factor_per_node(self, params, truncation, kappas,
+                                                       loggamma_calls):
+        report = orthogonality_gram(2, params, tol=Fraction(1, 10 ** 8), precision=20,
+                                    truncation=truncation)
+        assert len(loggamma_calls) == report.panels * kappas
 
     def test_budget_checked_before_the_first_level(self, weight_calls):
         # At d = 100000 the first level needs about 460,000 nodes to pass L: the

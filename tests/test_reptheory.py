@@ -153,6 +153,33 @@ class TestRelations:
         assert report.residual_rel2 == report.residual_casimir == _to_mpf(rel2_casimir)
         assert report.residual_rel3 == _to_mpf(rel3)
 
+    @pytest.mark.parametrize("quad", [HALF_QUAD, RealParameterQuad(*map(Fraction, (3, 2, 5, 7)))],
+                             ids=["half", "3,2,5,7"])
+    def test_a3_band_equals_the_composed_anticommutator(self, quad):
+        # Reference: A3 e_j = A1 A2 e_j + A2 A1 e_j - alpha3 e_j composed on sparse
+        # vectors; the band's first and last columns must neither wrap nor keep n = N.
+        N = 12
+        rep = build_rep(N, quad, 30)
+        alpha3 = structure_constants(ParameterSet.from_quad(quad)).alpha3
+
+        def a1(v):
+            return {n: rep.lam[n] * x for n, x in v.items()}
+
+        def a2(v):
+            out = {}
+            for n, x in v.items():
+                for m, s in ((n - 1, rep.u[n]), (n, rep.c[n]), (n + 1, 1)):
+                    if 0 <= m < N:
+                        out[m] = out.get(m, 0) + s * x
+            return out
+
+        a2_columns, a3_columns = reptheory._band_columns(rep, alpha3)
+        for j in (0, 1, N - 2, N - 1):
+            e = {j: ComplexRational(1)}
+            assert a2_columns[j] == a2(e), j
+            ref = reptheory._lincomb((1, a1(a2(e))), (1, a2(a1(e))), (-alpha3, e))
+            assert a3_columns[j] == ref, j
+
     def test_tolerance_schedule(self):
         assert rep_tolerance(30) == mpf(10) ** -25
         assert rep_tolerance(16) == mpf(10) ** -12
