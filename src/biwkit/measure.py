@@ -61,12 +61,12 @@ MAX_TRUNCATION = 200
 # * h0 while the Gram's entries are of the order of h0, but not at every quad (at
 # --quad 182,128,108,6 --n-max 2 the (2,2) entry is 6.6e7 * h0; the rule runs to its cap).
 MIN_PRECISION = 20
-# Largest accepted n_max.  The work per node grows like (n_max + 1)^2: at 20 digits the
-# half quad ran 12.1 s at n_max 25, 48.3 s at 50 and 416.7 s at 100, each to exit 4; at
-# 25 and 100 digits it passes in 4.3 s (9.6 s at the narrow quad 1/10,1/3,1/8,2/3).
+# Largest accepted n_max; the work per node grows like (n_max + 1)^2.  At 68f8c87, 20 digits:
+# the half quad ran 10.6 s at n_max 25, 42.3 s at 50 and 305.0 s at 100, each to exit 4; 100
+# digits: at n_max 25 it passes in 4.9 s (11.6 s at the narrow quad 1/10,1/3,1/8,2/3).
 MAX_N_MAX = 25
-# Largest accepted precision.  At n_max 6 (half quad, narrow strip, truncation
-# 200) 100 digits end in 1.4-2.7 s, 200 in 4.0-7.3 s; 1000 ran past 60 s at n_max 0.
+# Largest accepted precision.  At 68f8c87, n_max 6 (half quad, narrow strip, truncation
+# 200): 100 digits end in 0.5-1.9 s, 200 in 1.1-6.2 s; 1000 took 61.6 s at n_max 0.
 MAX_PRECISION = 100
 _GUARD_DPS = 10
 # Most evaluations of W one Gram may make.  The slowest passing run seen,
