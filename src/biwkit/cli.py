@@ -13,8 +13,9 @@ every report passed.  Each stage of ``all`` is ``{report, pass}``.
 Reports hand over their numbers as values; ``_tagged`` alone writes them,
 choosing each tag by the value's type: a ``Fraction`` is ``{"exact":
 "p/q"}``, a ``ComplexRational`` is ``{"exact": {"re", "im"}}``, a
-``Polynomial`` is the list of its coefficients, and an ``Approx`` is
-``{"approx": decimal string, "precision_digits": the digits printed}``.
+``Polynomial`` is the list of its coefficients, an ``Approx`` is
+``{"approx": decimal string, "precision_digits": the digits printed}``, and
+any other dataclass (a parameter record) is the object of its fields, in order.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ import functools
 import json
 import random
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -103,6 +104,8 @@ def _tagged(node):
         return {"approx": mp.nstr(node.value, node.digits), "precision_digits": node.digits}
     if node is None or kind in (bool, int, str):
         return node
+    if is_dataclass(node):
+        return {f.name: _tagged(getattr(node, f.name)) for f in fields(node)}
     raise TypeError(f"unserializable leaf of type {kind.__name__}")
 
 
@@ -218,7 +221,7 @@ def _cmd_wilson(args) -> tuple:
     polys = nonsym_wilson_family(args.n_max, t)
     return {
         "family": "nonsym-wilson",
-        "params": t.to_json(),
+        "params": t,
         "n_max": args.n_max,
         "polynomials": polys,
         "gamma": [wilson_eigenvalue(n, t) for n in range(args.n_max + 1)],
@@ -235,7 +238,7 @@ def _document(header: dict, reports: dict) -> tuple:
 def _cmd_verify_eigen(args) -> tuple:
     p = _resolve_bi_params(args)
     check_denominators(args.n_max, p.total)
-    return _document({"params": p.to_json(), "n_max": args.n_max}, {
+    return _document({"params": p, "n_max": args.n_max}, {
         "bi_eigen": verify_eigen_bi(args.n_max, p),
         "q_eigen": verify_eigen_q(args.n_max, p),
     })
@@ -246,15 +249,15 @@ def _cmd_verify_algebra(args) -> tuple:
     check_denominators(args.degree, p.total)
     compact = verify_bi_algebra(p, args.degree)
     noncompact = verify_nc_algebra(p, args.degree)
-    header = {"params": p.to_json(), "degree": args.degree,
-              "structure_constants": structure_constants(p).to_json()}
+    header = {"params": p, "degree": args.degree,
+              "structure_constants": structure_constants(p)}
     return _document(header, {"compact": compact, "noncompact": noncompact})
 
 
 def _cmd_verify_daha(args) -> tuple:
     t = _parse_daha(args.daha)
     wilson = verify_nonsym_wilson_eigen(args.n_max, t)
-    return _document({"params": t.to_json(), "degree": args.degree}, {
+    return _document({"params": t, "degree": args.degree}, {
         "relations": verify_daha_relations(t, args.degree),
         "wilson_eigen": wilson,
     })
@@ -264,7 +267,7 @@ def _cmd_verify_iso(args) -> tuple:
     p = _resolve_bi_params(args)
     check_denominators(args.degree, p.total)
     t = param_map_bi_to_daha(p)
-    header = {"params": p.to_json(), "daha_params": t.to_json(), "degree": args.degree}
+    header = {"params": p, "daha_params": t, "degree": args.degree}
     return _document(header, {
         "forward": iso_forward(*bi_realization(p), args.degree),
         "inverse": iso_inverse(t, args.degree),
@@ -274,7 +277,7 @@ def _cmd_verify_iso(args) -> tuple:
 def _cmd_verify_prop1(args) -> tuple:
     p = _resolve_bi_params(args)
     check_denominators(max(args.n_max, args.degree), p.total)
-    header = {"params": p.to_json(), "n_max": args.n_max, "degree": args.degree}
+    header = {"params": p, "n_max": args.n_max, "degree": args.degree}
     return _document(header, {
         "coefficient_identity": verify_prop1_coefficients(args.n_max, p),
         "operator_transform": verify_prop1_operator_transform(p, args.degree),
@@ -283,7 +286,7 @@ def _cmd_verify_prop1(args) -> tuple:
 
 def _cmd_rep(args) -> tuple:
     q = _parse_quad(args.quad)
-    return _document({"params": q.to_json()}, {
+    return _document({"params": q}, {
         "relations": verify_rep_relations(build_rep(args.size, q)),
         "positivity": positivity_scan(q, args.size),
     })
@@ -293,7 +296,7 @@ def _cmd_ortho(args) -> tuple:
     q = _parse_quad(args.quad)
     report = orthogonality_gram(args.n_max, ParameterSet.from_quad(q), tol=_parse_tol(args.tol),
                                 precision=args.precision, truncation=args.truncation)
-    return _document({"params": q.to_json()}, {"orthogonality": report})
+    return _document({"params": q}, {"orthogonality": report})
 
 
 def _random_eigen_stage(rng: random.Random) -> dict:
@@ -301,7 +304,7 @@ def _random_eigen_stage(rng: random.Random) -> dict:
     checks = []
     for _ in range(3):
         rp = random_parameter_set(rng, 10)
-        checks.append({"params": rp.to_json(), **verify_eigen_bi(10, rp).to_json()})
+        checks.append({"params": rp, **verify_eigen_bi(10, rp).to_json()})
     return {"report": {"checks": checks}, "pass": all(c["pass"] for c in checks)}
 
 
@@ -341,7 +344,7 @@ def _cmd_all(args) -> tuple:
             args.n_max, p, tol=tol, precision=args.precision, truncation=args.truncation)),
     }
     passed = all(s["pass"] for s in stages.values())
-    doc = {"params": quad.to_json(), "seed": args.seed, "tamper": bool(args.tamper),
+    doc = {"params": quad, "seed": args.seed, "tamper": bool(args.tamper),
            "stages": stages, "pass": passed}
     return doc, passed
 

@@ -132,10 +132,6 @@ class ComplexRational:
     def conjugate(self) -> "ComplexRational":
         return _make(self._x, -self._y, self._d)
 
-    def norm_squared(self) -> Fraction:
-        """Exact squared modulus re^2 + im^2."""
-        return Fraction(self._x * self._x + self._y * self._y, self._d * self._d)
-
     def is_zero(self) -> bool:
         return not self._x and not self._y
 
@@ -290,10 +286,6 @@ class Polynomial:
 
     def is_zero(self) -> bool:
         return not self._xs
-
-    @property
-    def leading_coefficient(self) -> ComplexRational:
-        return self.coefficient(self.degree)
 
     def coefficient(self, k: int) -> ComplexRational:
         if 0 <= k < len(self._xs):

@@ -85,14 +85,13 @@ class Approx:
     digits: int
 
 
-def log_gamma(z, precision: Optional[int] = None):
+def log_gamma(z, precision: int):
     """Principal-branch log-Gamma at the requested decimal precision.
 
     mpmath.loggamma evaluated with five guard digits; raises PoleError at
     nonpositive integers.
     """
-    prec = precision if precision is not None else mp.dps
-    with mp.workdps(prec + 5):
+    with mp.workdps(precision + 5):
         z = mpc(z)
         if mp.im(z) == 0 and mp.re(z) <= 0 and mp.re(z) == mp.floor(mp.re(z)):
             raise PoleError(f"log_gamma pole at z = {z}")
@@ -193,12 +192,9 @@ def h0(p: ParameterSet, precision: int = DEFAULT_PRECISION):
         s = sum(log_gamma(w, mp.dps) for w in (a + b + three_half, a + c + 1, b + c + 1,
                                                a + d + 1, b + d + 1, c + d + three_half))
         s -= log_gamma(a + b + c + d + 2, mp.dps)
-        val = mp.exp(s)
-        # Conjugate pairing makes the Gamma factors pair off; the value is real.
-        if abs(mp.im(val)) > abs(val) * mpf(10) ** (-(precision - 2)):
-            raise InvalidParameters("h0 is not real; parameters are not conjugate-paired")
-        result = +mp.re(val)
-    return result
+        # Conjugate pairing makes the arguments pair off (a+b+3/2 with c+d+3/2, a+d+1
+        # with b+c+1; the other three are real), so Im s is zero but for rounding.
+        return mp.exp(mp.re(s))
 
 
 # Off-diagonal entries of an exactly orthogonal family should vanish to
@@ -247,32 +243,36 @@ class OrthogonalityReport:
         }
 
 
-def _map_scale(p: ParameterSet) -> float:
-    """The scale c of the map z = c*sinh(t): the outermost pole line of W, and at least 1."""
-    return max(1.0, 2 * float(max(p.a.im, p.b.im)))
-
-
-def _strip_halvings(p: ParameterSet, n_max: int, dps: int) -> Tuple[int, int]:
-    """The first and the last halving of h = 1 taken by the trapezoid rule in t.
+def _strip_halvings(p: ParameterSet, n_max: int, dps: int) -> Tuple[float, float, float, int, int]:
+    """The strip geometry of the trapezoid rule in t: ``(x, c, q, first, last)``.
 
     The poles of W lie on the lines Re z = -+2 Im a and -+2 Im b, at least
     d = 2*min(Re a + 1, Re b + 1, Re c + 1/2, Re d + 1/2) from the real line.
-    z = c*sinh(t) maps the strip |Im t| < delta onto |Im z| < c sin(delta)
+    z = c*sinh(t), c = max(1, x), maps the strip |Im t| < delta onto |Im z| < c sin(delta)
     sqrt(1 + (Re z / (c cos delta))^2), clear of every pole while
     c^2 sin(delta)^2 + x^2 tan(delta)^2 <= d^2 on the outermost line
     x = 2*max(Im a, Im b).  In t the integrand's peak, z^q exp(-pi z) with
-    q = 2 Re(a+b+c+d) + 2 + 2 n_max, has width 1/sqrt(q).  The rule starts at
-    the first step below tau = min(delta, 1/sqrt(q)), so no level steps over a
-    peak, and stops one halving past the step where exp(-2*pi*tau/h) = 10^-dps.
+    q = 2 Re(a+b+c+d) + 2 + 2 n_max, has width 1/sqrt(q).  The rule starts at the
+    first halving of h = 1 below tau = min(delta, 1/sqrt(q)), so no level steps over
+    a peak, and stops one halving past the step where exp(-2*pi*tau/h) = 10^-dps.
+    Raises QuadratureNotConverged where a float overflows (an entry past 1e308, or
+    the outermost pole line past about 1e77, where s*s does).
     """
-    d = float(2 * min(p.a.re + 1, p.b.re + 1, p.c.re + Fraction(1, 2), p.d.re + Fraction(1, 2)))
-    x, c = 2 * float(max(p.a.im, p.b.im)), _map_scale(p)
-    # sin(delta)^2 is the smaller root u of c^2 u^2 - (c^2 + x^2 + d^2) u + d^2.
-    s = c * c + x * x + d * d
-    delta = _math.asin(_math.sqrt(2 * d * d / (s + _math.sqrt(s * s - 4 * c * c * d * d))))
-    tau = min(delta, 1 / _math.sqrt(2 * float(p.total.re) + 2 + 2 * n_max))
-    first = _math.ceil(_math.log2(1 / tau))
-    return first, max(first, _math.ceil(_math.log2(_math.log(10) * dps / (2 * _math.pi * tau)))) + 1
+    try:
+        d = float(2 * min(p.a.re + 1, p.b.re + 1, p.c.re + Fraction(1, 2),
+                          p.d.re + Fraction(1, 2)))
+        x = 2 * float(max(p.a.im, p.b.im))
+        c, q = max(1.0, x), 2 * float(p.total.re) + 2 + 2 * n_max
+        # sin(delta)^2 is the smaller root u of c^2 u^2 - (c^2 + x^2 + d^2) u + d^2.
+        s = c * c + x * x + d * d
+        delta = _math.asin(_math.sqrt(2 * d * d / (s + _math.sqrt(s * s - 4 * c * c * d * d))))
+        tau = min(delta, 1 / _math.sqrt(q))
+        first = _math.ceil(_math.log2(1 / tau))
+        last = max(first, _math.ceil(_math.log2(_math.log(10) * dps / (2 * _math.pi * tau)))) + 1
+    except (OverflowError, ZeroDivisionError, ValueError):
+        raise QuadratureNotConverged(
+            "the trapezoid rule's strip in t is out of float range at these parameters") from None
+    return x, c, q, first, last
 
 
 def _accumulate(acc, vals, scale, prec, rnd):
@@ -321,6 +321,7 @@ def orthogonality_gram(
             raise InvalidParameters(f"u_{n} is not real")
 
     with mp.workdps(precision + _GUARD_DPS):
+        x, c, q, first, last = _strip_halvings(p, n_max, mp.dps)
         factors = _gamma_factors(p)
         h0_val = h0(p, mp.dps)
         u = [_to_mpf(v.re) for v in data.u_mod]
@@ -345,19 +346,16 @@ def orthogonality_gram(
             evaluations += 1
             return _weight(z, factors)
 
-        # Past |z| = 2*max(Im a, Im b) every Gamma factor of W decays, and
-        # Stirling's formula gives W(z) z^(2 n_max) ~ |z|^q exp(-pi |z|), which
-        # peaks q/pi further out.
-        q = 2 * float(p.total.re) + 2 + 2 * n_max
-        L = max(truncation or DEFAULT_TRUNCATION,
-                _math.ceil(2 * float(max(p.a.im, p.b.im)) + q / _math.pi))
+        # Past |z| = x every Gamma factor of W decays, and Stirling's formula
+        # gives W(z) z^(2 n_max) ~ |z|^q exp(-pi |z|), which peaks q/pi further out.
+        L = max(truncation or DEFAULT_TRUNCATION, _math.ceil(x + q / _math.pi))
         cut_bound = tol * mpf(10) ** -3 * abs(h0_val)
         while max(weight(mpf(L)), weight(mpf(-L))) * mpf(L) ** (2 * n_max) > cut_bound:
             L += 1
         # Past the last node the integrand is negligible: ending the rule there leaves no floor.
         end_bound = min(cut_bound, mpf(10) ** -22 * abs(h0_val))
 
-        c, L_raw = mpf(_map_scale(p)), from_int(L)
+        c, L_raw = mpf(c), from_int(L)
         k = n_max + 1
         full = [[fzero] * k for _ in range(k)]
         inner = [[fzero] * k for _ in range(k)]  # nodes with |z| <= L
@@ -380,7 +378,6 @@ def orthogonality_gram(
             return size, mpf_mul(w, mpf_pow_int(size, 2 * n_max, prec, rnd), prec, rnd)
 
         threshold = min(tol / 10, mpf(10) ** (OFFDIAG_REL_EXPONENT - 1)) * abs(h0_val)
-        first, last = _strip_halvings(p, n_max, mp.dps)
         prev = None
         for level in range(first, last + 1):
             h = mp.ldexp(mpf(1), -level)

@@ -37,6 +37,7 @@ from .polyfam import (
     DAHAParameterSet,
     ParameterSet,
     StructureConstants,
+    affine_family,
     bi_eigenvalue,
     bi_polynomials,
     casimir_scalar,
@@ -244,15 +245,11 @@ def _relation_check(relation: str, degree: int, residuals: Iterable[Polynomial])
     return RelationCheck(relation, degree, True)
 
 
-def _check_annihilates(op: DifferenceOperator, degree: int, relation: str) -> RelationCheck:
-    """Exact check that op kills every monomial x^k, k <= degree."""
-    return _relation_check(relation, degree,
-                          (op.image(k) for k in range(degree + 1)))
-
-
 def _report(degree: int, relations: Iterable[str], residuals) -> VerificationReport:
-    """One _check_annihilates per (relation, residual) pair, in order."""
-    return VerificationReport([_check_annihilates(op, degree, relation)
+    """Exact check that each residual operator kills every monomial x^k, k <= degree:
+    one RelationCheck per (relation, residual) pair, in order."""
+    return VerificationReport([_relation_check(relation, degree,
+                                               (op.image(k) for k in range(degree + 1)))
                                for relation, op in zip(relations, residuals)])
 
 
@@ -347,7 +344,7 @@ def verify_casimir(p: ParameterSet, degree: int, which: str = "compact") -> Casi
     """Check the Casimir element acts as the predicted scalar on monomials."""
     expected = casimir_scalar(p)
     cas = _casimir(*_realization(p, structure_constants(p), which), which)
-    check = _check_annihilates(cas - expected, degree, f"Casimir ({which})")
+    check = _report(degree, [f"Casimir ({which})"], [cas - expected])
     return CasimirReport(expected=expected, realized_ok=check.passed,
                          max_degree_checked=degree, which=which)
 
@@ -427,16 +424,10 @@ def verify_daha_relations(t: DAHAParameterSet, degree: int) -> VerificationRepor
 
 def verify_prop1_coefficients(n_max: int, p: ParameterSet) -> VerificationReport:
     """Coefficient identity (-2)^n p_n(-x/2 + 1/4) = B_n, exactly."""
-    t = param_map_bi_to_daha(p)
-    wilson = nonsym_wilson_family(n_max, t)
-    bi = bi_polynomials(n_max, p)
-
-    def residual(n):
-        lhs = ComplexRational(-2) ** n * wilson[n].affine_substitute(Fraction(-1, 2), QUARTER)
-        return lhs - bi[n]
-
-    return VerificationReport([_relation_check("(-2)^n p_n(-x/2+1/4) = B_n", n_max,
-                                               map(residual, range(n_max + 1)))])
+    wilson = nonsym_wilson_family(n_max, param_map_bi_to_daha(p))
+    lhs = affine_family(wilson, -2, Fraction(-1, 2), QUARTER)
+    residuals = (w - b for w, b in zip(lhs, bi_polynomials(n_max, p)))
+    return VerificationReport([_relation_check("(-2)^n p_n(-x/2+1/4) = B_n", n_max, residuals)])
 
 
 def verify_prop1_operator_transform(p: ParameterSet, degree: int) -> VerificationReport:
@@ -448,5 +439,4 @@ def verify_prop1_operator_transform(p: ParameterSet, degree: int) -> Verificatio
     T0, T1, _, _ = build_daha_generators(param_map_bi_to_daha(p))
     op_z = 2 * T0 + 2 * T1 + HALF
     conj = Substitution(Fraction(-1, 2), QUARTER) * op_z * Substitution(-2, HALF)
-    return VerificationReport([
-        _check_annihilates(conj - build_L(p), degree, "conjugated 2(T0+T1)+1/2 = L")])
+    return _report(degree, ["conjugated 2(T0+T1)+1/2 = L"], [conj - build_L(p)])

@@ -39,9 +39,6 @@ class RealParameterQuad:
     def all_positive(self) -> bool:
         return min(self.alpha, self.beta, self.gamma, self.delta) > 0
 
-    def to_json(self) -> dict:
-        return {k: getattr(self, k) for k in ("alpha", "beta", "gamma", "delta")}
-
 
 @dataclass(frozen=True)
 class ParameterSet:
@@ -72,9 +69,6 @@ class ParameterSet:
         ca, cb = self.a.conjugate(), self.b.conjugate()
         return (self.c == ca and self.d == cb) or (self.c == cb and self.d == ca)
 
-    def to_json(self) -> dict:
-        return {k: getattr(self, k) for k in "abcd"}
-
 
 @dataclass(frozen=True)
 class StructureConstants:
@@ -86,10 +80,6 @@ class StructureConstants:
     alpha1: ComplexRational
     alpha2: ComplexRational
     alpha3: ComplexRational
-
-    def to_json(self) -> dict:
-        return {k: getattr(self, k)
-                for k in ("omega1", "omega2", "omega3", "alpha1", "alpha2", "alpha3")}
 
 
 def structure_constants(p: ParameterSet) -> StructureConstants:
@@ -125,9 +115,6 @@ class DAHAParameterSet:
     def __post_init__(self):
         for name in ("t0", "t1", "u0", "u1"):
             object.__setattr__(self, name, ComplexRational.coerce(getattr(self, name)))
-
-    def to_json(self) -> dict:
-        return {k: getattr(self, k) for k in ("t0", "t1", "u0", "u1")}
 
 
 @dataclass
@@ -215,12 +202,14 @@ def bi_eigenvalue(n: int, p: ParameterSet) -> ComplexRational:
     return -lam if n % 2 else lam
 
 
+def affine_family(polys: List[Polynomial], scale, s, t) -> List[Polynomial]:
+    """The family scale^n * P_n(s*x + t) of ``polys`` = [P_0, P_1, ...], exactly."""
+    return [(scale ** n) * poly.affine_substitute(s, t) for n, poly in enumerate(polys)]
+
+
 def q_polynomials(n_max: int, p: ParameterSet) -> List[Polynomial]:
     """Modified polynomials Q_n(x) = (-i)^n B_n(ix), monic of degree n <= n_max."""
-    out = []
-    for n, bn in enumerate(bi_polynomials(n_max, p)):
-        out.append(((-I) ** n) * bn.affine_substitute(I, ComplexRational(0)))
-    return out
+    return affine_family(bi_polynomials(n_max, p), -I, I, 0)
 
 
 class ModifiedClosedForm:
@@ -302,12 +291,7 @@ def param_map_daha_to_bi(t: DAHAParameterSet) -> ParameterSet:
 
 def nonsym_wilson_family(n_max: int, t: DAHAParameterSet) -> List[Polynomial]:
     """Non-symmetric Wilson p_n(z) = (-2)^{-n} B_n(1/2 - 2z), monic in z, n <= n_max."""
-    p = param_map_daha_to_bi(t)
-    scale = ComplexRational(Fraction(-1, 2))
-    out = []
-    for n, bn in enumerate(bi_polynomials(n_max, p)):
-        out.append((scale ** n) * bn.affine_substitute(ComplexRational(-2), ComplexRational(Fraction(1, 2))))
-    return out
+    return affine_family(bi_polynomials(n_max, param_map_daha_to_bi(t)), Fraction(-1, 2), -2, HALF)
 
 
 def wilson_eigenvalue(n: int, t: DAHAParameterSet) -> ComplexRational:
@@ -350,20 +334,14 @@ class SymmetryReport:
 def q_symmetry_check(n_max: int, p: ParameterSet) -> SymmetryReport:
     """Coefficient-exact check of the three Q_n parameter symmetries."""
     base = q_polynomials(n_max, p)
-    swap_ab = q_polynomials(n_max, ParameterSet(p.b, p.a, p.c, p.d))
-    swap_cd = q_polynomials(n_max, ParameterSet(p.a, p.b, p.d, p.c))
-    swapped = q_polynomials(n_max, ParameterSet(p.c, p.d, p.a, p.b))
-    minus_one = ComplexRational(-1)
-    checks = [
-        SymmetryCheck("Q_n(x;a,b,c,d) = Q_n(x;b,a,c,d)",
-                      [base[n] == swap_ab[n] for n in range(n_max + 1)]),
-        SymmetryCheck("Q_n(x;a,b,c,d) = Q_n(x;a,b,d,c)",
-                      [base[n] == swap_cd[n] for n in range(n_max + 1)]),
-        SymmetryCheck("Q_n(x;a,b,c,d) = (-1)^n Q_n(-x;c,d,a,b)",
-                      [base[n] == (minus_one ** n) * swapped[n].affine_substitute(minus_one, ComplexRational(0))
-                       for n in range(n_max + 1)]),
-    ]
-    return SymmetryReport(n_max=n_max, checks=checks)
+    others = {
+        "Q_n(x;a,b,c,d) = Q_n(x;b,a,c,d)": q_polynomials(n_max, ParameterSet(p.b, p.a, p.c, p.d)),
+        "Q_n(x;a,b,c,d) = Q_n(x;a,b,d,c)": q_polynomials(n_max, ParameterSet(p.a, p.b, p.d, p.c)),
+        "Q_n(x;a,b,c,d) = (-1)^n Q_n(-x;c,d,a,b)":
+            affine_family(q_polynomials(n_max, ParameterSet(p.c, p.d, p.a, p.b)), -1, -1, 0),
+    }
+    return SymmetryReport(n_max, [SymmetryCheck(identity, [q == r for q, r in zip(base, other)])
+                                  for identity, other in others.items()])
 
 
 def family_to_json(n_max: int, p: ParameterSet,
@@ -373,7 +351,7 @@ def family_to_json(n_max: int, p: ParameterSet,
     polys = family(n_max, p)
     data = bi_coefficients(n_max, p)
     return {
-        "params": p.to_json(),
+        "params": p,
         "n_max": n_max,
         "polynomials": polys,
         "lambda": [bi_eigenvalue(n, p) for n in range(n_max + 1)],

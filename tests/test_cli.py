@@ -467,6 +467,23 @@ class TestLeafTagging:
             for leaf in [*rep["residuals"].values(), rep["tolerance"]]:
                 assert leaf["precision_digits"] == 6
 
+    def test_records_are_written_by_their_fields(self):
+        p = polyfam.ParameterSet(1, ComplexRational(0, 1), Fraction(1, 2), 0)
+        records = [
+            (p, ("a", "b", "c", "d")),
+            (polyfam.RealParameterQuad(1, 2, 3, 4), ("alpha", "beta", "gamma", "delta")),
+            (polyfam.param_map_bi_to_daha(p), ("t0", "t1", "u0", "u1")),
+            (polyfam.structure_constants(p),
+             ("omega1", "omega2", "omega3", "alpha1", "alpha2", "alpha3")),
+        ]
+        for record, names in records:
+            doc = _tagged(record)
+            assert tuple(doc) == names
+            assert doc == {name: _tagged(getattr(record, name)) for name in names}
+        # total is a cached_property: reading it fills __dict__, not the fields.
+        assert p.total == ComplexRational(Fraction(3, 2), 1)
+        assert tuple(_tagged(p)) == ("a", "b", "c", "d")
+
     def test_encoder_rejects_a_bare_mpf(self):
         with pytest.raises(TypeError, match="mpf"):
             _tagged({"gram": [[mpf(1)]]})
@@ -552,6 +569,27 @@ class TestGramContract:
         assert code == EXIT_INVALID_PARAMETERS
         assert doc["error"] == ortho["error"]
         assert flags[0] in doc["error"]["detail"]
+
+    @pytest.mark.parametrize("quad", ["1e400,1,1,1", "1,1e100,1,1"])
+    def test_quads_past_the_float_range_exit_4_alike(self, quad, tmp_path):
+        # The rule's strip in t is computed in floats: 1e400 overflows a float,
+        # and pole lines at 2e100 overflow the squares in the strip's width.
+        code, ortho = run(["ortho", "--quad", quad, "--n-max", "0", "--precision", "20"],
+                          tmp_path, "ortho.json")
+        assert code == EXIT_NOT_CONVERGED
+        assert ortho["error"]["kind"] == "QuadratureNotConverged"
+        code, doc = run(["all", "--quad", quad], tmp_path, "all.json")
+        assert code == EXIT_NOT_CONVERGED
+        assert doc["error"] == ortho["error"]
+
+    def test_rounding_in_h0_is_not_a_pairing_fault(self, tmp_path):
+        # h0's log-Gamma sum has imaginary part zero but for rounding; at beta = 1e12
+        # that rounding once read as "h0 is not real" and exited 3.  The run ends
+        # on the evaluation budget instead.
+        argv = ["ortho", "--quad", "1,1e12,1,1", "--n-max", "0", "--precision", "50"]
+        code, doc = run(argv, tmp_path)
+        assert code == EXIT_NOT_CONVERGED
+        assert "evaluations of W" in doc["error"]["detail"]
 
     def test_tolerance_of_one_or_more_exit_3(self, tmp_path):
         # At tol >= 1 the diagonal and ratio checks would pass any Gram.

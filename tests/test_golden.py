@@ -16,6 +16,8 @@ pins the same run with its negative control, which exits 2.  ``poly.json``,
 """
 
 import json
+import shutil
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -80,6 +82,17 @@ def test_cli_document_is_byte_identical(name, tmp_path):
     out = tmp_path / f"{name}.json"
     assert main(argv + ["--output", str(out)]) == code
     assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes()
+
+
+@pytest.mark.skipif(shutil.which("biwkit") is None,
+                    reason="the biwkit console script is not installed")
+@pytest.mark.parametrize("name", sorted(CLI_CASES))
+def test_console_script_document_is_byte_identical(name):
+    """The installed ``biwkit`` script of [project.scripts] writes each golden to stdout."""
+    code, argv = CLI_CASES[name]
+    result = subprocess.run(["biwkit", *argv], capture_output=True, timeout=120)
+    assert result.returncode == code, result.stderr.decode()
+    assert result.stdout == (GOLDEN / f"{name}.json").read_bytes()
 
 
 def test_negative_controls_are_byte_identical():

@@ -13,8 +13,8 @@ from biwkit.operators import (
     DividedDifference,
     StructureConstants,
     Substitution,
-    _check_annihilates,
     _check_eigen_pairs,
+    _report,
     bi_realization,
     build_daha_generators,
     build_L,
@@ -153,7 +153,7 @@ class TestNoVacuousPass:
     def test_negative_degree_rejected(self):
         L = build_L(ZERO_PARAMS)
         with pytest.raises(InvalidParameters):
-            _check_annihilates(L, -1, "vacuous")
+            _report(-1, ["vacuous"], [L])
         with pytest.raises(InvalidParameters):
             _check_eigen_pairs(L, [], [], "vacuous", -1)
         with pytest.raises(InvalidParameters):

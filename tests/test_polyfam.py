@@ -55,7 +55,7 @@ class TestRecurrence:
         p = random_parameter_set(rng, 12)
         for n, poly in enumerate(bi_polynomials(12, p)):
             assert poly.degree == n
-            assert poly.leading_coefficient == ComplexRational(1)
+            assert poly.coefficient(n) == ComplexRational(1)
 
     def test_degenerate_raises_with_index(self):
         # a+b+c+d+2 = 0 makes the first denominator vanish at n=0.
@@ -137,7 +137,7 @@ class TestWilson:
         t = param_map_bi_to_daha(ZERO_PARAMS)
         for n, poly in enumerate(nonsym_wilson_family(8, t)):
             assert poly.degree == n
-            assert poly.leading_coefficient == ComplexRational(1)
+            assert poly.coefficient(n) == ComplexRational(1)
 
     def test_eigenvalue_pattern(self):
         t = param_map_bi_to_daha(ZERO_PARAMS)  # t0 = t1 = 1/4
