@@ -13,12 +13,13 @@ converges like exp(-2*pi*tau/h), tau the half-width of a strip in t clear
 of the poles' images (see _strip_halvings).  Each halving of h evaluates
 only the new odd nodes and reuses every earlier sample through running sums.
 
-The weight takes its numerator from the distinct Gamma factors, one complex
-loggamma each (at a = b the four factors are two), and its denominator from
-the identity |Gamma(1/2 + iz)|^2 = pi / cosh(pi z).  The node loop runs on
-mpmath's raw values at the context's precision and rounding, through the libmp
-calls of the object operators, so every value rounds as object arithmetic
-would; _weight is its one call per node.  The closed form of h0 is a ratio of
+The weight takes its numerator from the distinct Gamma factors, one log|Gamma|
+each from _log_abs_gamma, equal bit for bit to the real part of mpmath's complex
+loggamma (at a = b the four factors are two), and its denominator from the
+identity |Gamma(1/2 + iz)|^2 = pi / cosh(pi z).  The node loop runs on mpmath's
+raw values at the context's precision and rounding, through the libmp calls of
+the object operators, so every value rounds as object arithmetic would;
+_weight is its one call per node.  The closed form of h0 is a ratio of
 seven Gamma values at sums of the parameters, taken through log_gamma
 (mpmath.loggamma), so the diagonal certificate compares a quadrature of W with
 h0 * prod(u_k) at different Gamma arguments.
@@ -44,9 +45,12 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from mpmath import loggamma, mp, mpc, mpf, pi
-from mpmath.libmp import (fzero, from_int, mpc_add, mpc_loggamma, mpf_abs, mpf_add, mpf_cosh,
-                          mpf_cosh_sinh, mpf_div, mpf_exp, mpf_gt, mpf_le, mpf_mul, mpf_mul_int,
-                          mpf_pi, mpf_pow_int)
+from mpmath.libmp import (MPZ_ONE, MPZ_ZERO, from_int, from_man_exp, fzero, mpc_add, mpc_log,
+                          mpc_loggamma, mpf_abs, mpf_add, mpf_cosh, mpf_cosh_sinh, mpf_div,
+                          mpf_exp, mpf_gt, mpf_le, mpf_log_hypot, mpf_mul, mpf_mul_int, mpf_pi,
+                          mpf_pos, mpf_pow_int, mpf_sub, to_fixed, to_int)
+from mpmath.libmp.gammazeta import GAMMA_STIRLING_BETA, complex_stirling_series
+from mpmath.libmp.libmpf import round_fast
 
 from .errors import InvalidParameters, PoleError, QuadratureNotConverged
 from .exact import ComplexRational
@@ -158,6 +162,41 @@ def _gamma_factors(p: ParameterSet) -> Tuple[Tuple[mpc, ...], Tuple[int, ...]]:
     return tuple(kappas), tuple(index)
 
 
+def _log_abs_gamma(w, prec, rnd):
+    """log|Gamma(w)| of a raw mpc, equal bit for bit to mpc_loggamma(w, prec, rnd)[0].
+
+    Where Re w > 0, Im w != 0 and mpc_gamma (mpmath 1.3.0) takes neither its
+    near-0, near-real-axis nor huge-|w| branch, this runs mpc_gamma's loggamma
+    steps: w is shifted right by d, r = w (w+1) ... (w+d-1), and Stirling's series
+    gives log Gamma(w+d), from which the real part of log r is taken.  The
+    imaginary half (the atan2 of log r and its branch correction) is skipped.
+    Elsewhere it calls mpc_loggamma.
+    """
+    a, b = w
+    wp = prec + 20
+    bmag = b[2] + b[3]
+    if a[0] or not a[1] or not b[1] or bmag < -10 or not -8 <= max(a[2] + a[3], bmag) <= wp:
+        return mpc_loggamma(w, prec, rnd)[0]
+    an, bn = to_int(a), abs(to_int(b))
+    n = int(GAMMA_STIRLING_BETA * wp)
+    afix, bfix = to_fixed(a, wp), to_fixed(b, wp)
+    r = None
+    if max(an, bn) < n:
+        one = MPZ_ONE << wp
+        rre, rim = one, MPZ_ZERO
+        for _ in range(int((1 + n ** 2 - bn ** 2) ** 0.5 - an)):
+            rre, rim = (afix * rre - bfix * rim) >> wp, (afix * rim + bfix * rre) >> wp
+            afix += one
+        r = from_man_exp(rre, -wp), from_man_exp(rim, -wp)
+        a = from_man_exp(afix, -wp)
+    lre, lim = (to_fixed(v, wp) for v in mpc_log((a, b), wp))
+    yre = complex_stirling_series(afix, bfix, wp)[0]
+    y = from_man_exp(((lre * afix - lim * bfix) >> wp) - (lre >> 1) + yre, -wp)
+    if r:
+        y = mpf_sub(y, mpf_log_hypot(r[0], r[1], wp, round_fast), wp)
+    return mpf_pos(y, prec, rnd)
+
+
 def _weight(z, factors):
     """W(z) for real z from ``_gamma_factors``, with 1/|Gamma(1/2+iz)|^2 = cosh(pi z)/pi.
 
@@ -167,7 +206,7 @@ def _weight(z, factors):
     prec, rnd = mp._prec_rounding
     kappas, index = factors
     izh = (fzero, mpf_div(z._mpf_, from_int(2), prec, rnd))
-    logs = [mpc_loggamma(mpc_add(kappa._mpc_, izh, prec, rnd), prec, rnd)[0] for kappa in kappas]
+    logs = [_log_abs_gamma(mpc_add(kappa._mpc_, izh, prec, rnd), prec, rnd) for kappa in kappas]
     s = fzero
     for i in index:
         s = mpf_add(s, logs[i], prec, rnd)
@@ -303,9 +342,9 @@ def orthogonality_gram(
     QuadratureNotConverged, as W rises again past L.  ``panels`` counts the
     evaluations of W.  Before each level the Gram raises
     QuadratureNotConverged if its new nodes would take that count past
-    MAX_EVALUATIONS (for the first level, a lower bound on the nodes that
-    pass L on both sides); the decay tests at -+L count against the same
-    budget.  The Gamma factors of W are built once per Gram (``_gamma_factors``).
+    MAX_EVALUATIONS (before the first, a lower bound on the nodes of the first
+    two levels, as no pass ends at the first); the decay tests at -+L count
+    against the same budget.  The Gamma factors of W are built once per Gram (``_gamma_factors``).
     """
     check_gram_inputs(p, n_max, precision, truncation, tol)
     tol = _to_mpf(tol)
@@ -384,8 +423,9 @@ def orthogonality_gram(
             if level == first:
                 # Walk out from t = 0 on each side to the first node past L
                 # whose integrand bound is negligible; the rule ends there.
-                # Passing L on both sides takes more than asinh(L/c)/h nodes each.
-                budget(1 + 2 * int(mp.floor(mp.asinh(L / c) / h)))
+                # Passing L on both sides takes more than k = asinh(L/c)/h nodes
+                # each, and no pass ends before the next level adds as many again.
+                budget(1 + 4 * int(mp.floor(mp.asinh(L / c) / h)))
                 add(mpf(0))
                 ends = []
                 for sign in (1, -1):

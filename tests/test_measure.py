@@ -1,15 +1,18 @@
 """Tests for the weight function, normalization, and Gram matrix.
 
-log_gamma, the weight W and the norm h0 all go through mpmath.loggamma (W
-through its libmp function, mpc_loggamma); each is checked against Gamma
-values built from mpmath.gamma, which does not go through mpmath.loggamma.
+log_gamma and the norm h0 go through mpmath.loggamma, and the weight W through
+measure._log_abs_gamma, which is checked bit for bit against the real part of
+mpmath's libmp function mpc_loggamma; each is checked against Gamma values built
+from mpmath.gamma, which goes through neither.
 """
 
+import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 from mpmath import mp, mpc, mpf
+from mpmath.libmp import mpc_loggamma
 
 from biwkit import measure
 from biwkit.errors import InvalidParameters, PoleError, QuadratureNotConverged
@@ -85,6 +88,66 @@ class TestLogGamma:
             assert abs(a - b.conjugate()) < mpf(10) ** -38
 
 
+def _gram_argument(rng):
+    """A random kappa + iz/2 of the kind W meets, with some off the kernel's own path."""
+    re = rng.uniform(0, 60) if rng.random() < 0.5 else 2 ** rng.uniform(-12, 14)
+    im = rng.uniform(-200, 200) if rng.random() < 0.5 else 2 ** rng.uniform(-14, 14)
+    return mpc(re, rng.choice((-1, 1)) * im)
+
+
+# (Re w, Im w) as functions of the working precision wp = prec + 20 of mpc_gamma, and
+# whether _log_abs_gamma hands w to mpc_loggamma.  n is the reduction threshold: w is
+# shifted right when max(|int(Re w)|, |int(Im w)|) < n.
+_DOMAIN_CASES = {
+    "im 0": (lambda wp, n: (mpf("3.5"), 0), True),
+    "im 0, re < 0": (lambda wp, n: (mpf("-2.5"), 0), True),
+    "re 0": (lambda wp, n: (0, 2), True),
+    "re < 0": (lambda wp, n: (mpf("-3.25"), 2), True),
+    "|im| = 2^-12": (lambda wp, n: (mpf("1.5"), mpf(2) ** -12), True),
+    "|im| = 2^-11": (lambda wp, n: (mpf("1.5"), -mpf(2) ** -11), False),
+    "|w| < 2^-8": (lambda wp, n: (mpf(2) ** -10, mpf(2) ** -10), True),
+    "|w| = 2^-9": (lambda wp, n: (mpf(2) ** -9, mpf(2) ** -10), False),
+    "|re| = 2^(wp-1)": (lambda wp, n: (mpf(2) ** (wp - 1), 3), False),
+    "|re| = 2^wp": (lambda wp, n: (mpf(2) ** wp, 3), True),
+    "|im| = 2^wp": (lambda wp, n: (1, mpf(2) ** wp), True),
+    "re below n": (lambda wp, n: (n - mpf("0.5"), 1), False),
+    "re at n": (lambda wp, n: (n + mpf("0.5"), 1), False),
+    "im below n": (lambda wp, n: (mpf("0.5"), -(n - mpf("0.5"))), False),
+    "im at n": (lambda wp, n: (mpf("0.5"), n + mpf("0.5")), False),
+}
+
+# The Gram's working precisions: --precision 20, 30, 50 and 100 plus guard digits.
+_GRAM_DPS = (30, 40, 60, 110)
+
+
+class TestLogAbsGamma:
+    """measure._log_abs_gamma against the real part of mpmath's mpc_loggamma, as _mpf_ tuples."""
+
+    def test_seeded_sweep_bit_for_bit(self):
+        rng = random.Random(20261020)
+        for dps in _GRAM_DPS:
+            with mp.workdps(dps):
+                prec, rnd = mp._prec_rounding
+                for _ in range(2500):
+                    w = _gram_argument(rng)._mpc_
+                    assert measure._log_abs_gamma(w, prec, rnd) == mpc_loggamma(w, prec, rnd)[0], (
+                        dps, mpc(*w))
+
+    @pytest.mark.parametrize("dps", _GRAM_DPS)
+    def test_domain_boundaries(self, dps, monkeypatch):
+        delegated = []
+        monkeypatch.setattr(measure, "mpc_loggamma",
+                            lambda w, prec, rnd: delegated.append(w) or mpc_loggamma(w, prec, rnd))
+        with mp.workdps(dps):
+            prec, rnd = mp._prec_rounding
+            wp = prec + 20
+            for name, (point, delegates) in _DOMAIN_CASES.items():
+                w = mpc(*point(wp, int(0.2 * wp)))._mpc_
+                delegated.clear()
+                assert measure._log_abs_gamma(w, prec, rnd) == mpc_loggamma(w, prec, rnd)[0], name
+                assert bool(delegated) == delegates, name
+
+
 class TestWeight:
     def test_positive_and_even_structure(self):
         with mp.workdps(50):
@@ -138,7 +201,8 @@ class TestWeight:
         # Bit equality: merged factors change no rounding step of the sum.
         with mp.workdps(DEFAULT_PRECISION + 10):
             factors = measure._gamma_factors(params)
-            for z in ("0", "0.3", "-2.5", "17.75", "-123.0625", "4000.5"):
+            # At z = -+1 the half quad's kappa + iz/2 is real: W takes mpc_loggamma there.
+            for z in ("0", "0.3", "-1", "1", "-2.5", "17.75", "-123.0625", "4000.5"):
                 z = mpf(z)
                 assert measure._weight(z, factors) == _four_term_weight(z, params), z
 
@@ -215,15 +279,15 @@ def small_report():
 
 @pytest.fixture
 def loggamma_calls(monkeypatch):
-    """The argument of every loggamma call W makes, recorded by wrapping measure.mpc_loggamma."""
+    """The argument of every loggamma call W makes, recorded by wrapping measure._log_abs_gamma."""
     calls = []
-    loggamma = measure.mpc_loggamma
+    loggamma = measure._log_abs_gamma
 
     def counted(w, prec, rnd):
         calls.append(w)
         return loggamma(w, prec, rnd)
 
-    monkeypatch.setattr(measure, "mpc_loggamma", counted)
+    monkeypatch.setattr(measure, "_log_abs_gamma", counted)
     return calls
 
 
@@ -328,6 +392,18 @@ class TestGram:
                            match=f"within {measure.MAX_EVALUATIONS} evaluations of W"):
             orthogonality_gram(0, p, precision=20)
         assert len(weight_calls) < 10
+
+    @pytest.mark.parametrize("quad", [(10 ** 6, 1, 1, 1), (1, 1, 10 ** 6, 1)],
+                             ids=["alpha", "gamma"])
+    def test_budget_counts_the_second_level_before_the_first(self, quad, weight_calls):
+        # At alpha = 1e6 the first level's 1 + 2k nodes (k = 28,788) fit the budget,
+        # but no pass ends at the first level and the second adds 2k more: the Gram
+        # raises after the two decay tests at -+L, before the walk-out.
+        p = ParameterSet.from_quad(RealParameterQuad(*map(Fraction, quad)))
+        with pytest.raises(QuadratureNotConverged,
+                           match=f"within {measure.MAX_EVALUATIONS} evaluations of W"):
+            orthogonality_gram(0, p, precision=20)
+        assert len(weight_calls) == 2
 
     def test_budget_checked_before_each_later_level(self, small_report, weight_calls,
                                                     monkeypatch):
