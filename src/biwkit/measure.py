@@ -65,9 +65,9 @@ MAX_TRUNCATION = 200
 # * h0 while the Gram's entries are of the order of h0, but not at every quad (at
 # --quad 182,128,108,6 --n-max 2 the (2,2) entry is 6.6e7 * h0; the rule runs to its cap).
 MIN_PRECISION = 20
-# Largest accepted n_max; the work per node grows like (n_max + 1)^2.  At 68f8c87, 20 digits:
-# the half quad ran 10.6 s at n_max 25, 42.3 s at 50 and 305.0 s at 100, each to exit 4; 100
-# digits: at n_max 25 it passes in 4.9 s (11.6 s at the narrow quad 1/10,1/3,1/8,2/3).
+# Largest accepted n_max; the work per node grows like (n_max + 1)^2.  At dfff1e5, n_max 25: the
+# half quad runs 8.6-10.0 s to exit 4 at 20 digits (at 68f8c87, 42.3 s at n_max 50 and 305.0 s
+# at 100); at 100 digits it passes in 4.1-4.7 s (8.1-8.2 s at the narrow quad 1/10,1/3,1/8,2/3).
 MAX_N_MAX = 25
 # Largest accepted precision.  At 68f8c87, n_max 6 (half quad, narrow strip, truncation
 # 200): 100 digits end in 0.5-1.9 s, 200 in 1.1-6.2 s; 1000 took 61.6 s at n_max 0.
@@ -168,7 +168,7 @@ def _log_abs_gamma(w, prec, rnd):
     Where Re w > 0, Im w != 0 and mpc_gamma (mpmath 1.3.0) takes neither its
     near-0, near-real-axis nor huge-|w| branch, this runs mpc_gamma's loggamma
     steps: w is shifted right by d, r = w (w+1) ... (w+d-1), and Stirling's series
-    gives log Gamma(w+d), from which the real part of log r is taken.  The
+    gives log Gamma(w+d), whose real part less log|r| is the result.  The
     imaginary half (the atan2 of log r and its branch correction) is skipped.
     Elsewhere it calls mpc_loggamma.
     """
