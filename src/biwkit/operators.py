@@ -21,19 +21,24 @@ OperatorNotPolynomialPreserving naming the block.
 Each relation set (the involution relations of four generators, the
 Bannai-Ito anticommutator relations, the Casimir in both forms) is stated
 once, as a function from generators to residual operators.  The algebra,
-Casimir and isomorphism checks share that statement, not the operators:
-each certificate builds its own generators and residuals.
+Casimir and isomorphism checks share that statement and the operators:
+L, M, the four generators and each realization triple are built once per
+parameter set and process, keyed by the frozen parameter set (equal by
+value), so every certificate reuses their images.  Each certificate
+builds only its own residuals.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional
 
 from .errors import InvalidParameters, OperatorNotPolynomialPreserving
 from .exact import HALF, I, QUARTER, ComplexRational, Polynomial
 from .polyfam import (
+    SHARED_SETS,
     DAHAParameterSet,
     ParameterSet,
     StructureConstants,
@@ -140,6 +145,7 @@ def anticommutator(a: DifferenceOperator, b: DifferenceOperator) -> DifferenceOp
     return a * b + b * a
 
 
+@lru_cache(maxsize=SHARED_SETS)
 def build_L(p: ParameterSet) -> DifferenceOperator:
     """Dunkl shift operator with B_n as eigenfunctions."""
     x = Polynomial.x()
@@ -148,6 +154,7 @@ def build_L(p: ParameterSet) -> DifferenceOperator:
     return term1 - term2 + (p.total + ComplexRational(Fraction(3, 2)))
 
 
+@lru_cache(maxsize=SHARED_SETS)
 def build_M(p: ParameterSet) -> DifferenceOperator:
     """Imaginary-shift analog of L with Q_n as eigenfunctions."""
     ix = I * Polynomial.x()
@@ -156,6 +163,7 @@ def build_M(p: ParameterSet) -> DifferenceOperator:
     return term1 + term2 + (p.total + ComplexRational(Fraction(3, 2)))
 
 
+@lru_cache(maxsize=SHARED_SETS)
 def build_daha_generators(t: DAHAParameterSet):
     """The four involutive generators (T0, T1, U0, U1) in the variable z."""
     z = Polynomial.x()
@@ -170,12 +178,15 @@ def build_daha_generators(t: DAHAParameterSet):
 
 def _realization(p: ParameterSet, sc: StructureConstants, which: str):
     """(X1, X2, X3): X1 = L (compact) or M (noncompact), X2 = x, {X1,X2} = X3 + w3."""
-    if which == "compact":
-        X1, w3 = build_L(p), sc.omega3
-    elif which == "noncompact":
-        X1, w3 = build_M(p), sc.alpha3
-    else:
+    if which not in ("compact", "noncompact"):
         raise ValueError(f"unknown Casimir form {which!r}")
+    return _shared_realization(p, which, sc.omega3 if which == "compact" else sc.alpha3)
+
+
+@lru_cache(maxsize=SHARED_SETS)
+def _shared_realization(p: ParameterSet, which: str, w3: ComplexRational):
+    """The triple of ``_realization``, built once per (p, which, w3)."""
+    X1 = build_L(p) if which == "compact" else build_M(p)
     X2 = PolynomialMultiple(Polynomial.x())
     return X1, X2, anticommutator(X1, X2) - w3
 

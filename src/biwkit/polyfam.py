@@ -14,13 +14,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Callable, List
 
 from .errors import BiwkitError, DegenerateParameters
 from .exact import HALF, I, QUARTER, ZERO, ComplexRational, Polynomial, RationalFunction
 
 THREE_HALVES = ComplexRational(Fraction(3, 2))
+# How many parameter sets' B_n families and operators a process keeps.
+# ``biwkit all`` meets seven: its own, three random ones and the three
+# permutations of ``q_symmetry_check``.
+SHARED_SETS = 8
 
 
 @dataclass(frozen=True)
@@ -182,18 +186,27 @@ def bi_coefficients(n_max: int, p: ParameterSet) -> RecurrenceData:
     return data
 
 
+@lru_cache(maxsize=SHARED_SETS)
+def _bi_family(p: ParameterSet) -> List[Polynomial]:
+    """The B_n of ``p`` built so far; ``bi_polynomials`` extends it."""
+    return [Polynomial.one()]
+
+
 def bi_polynomials(n_max: int, p: ParameterSet) -> List[Polynomial]:
-    """Monic B_0..B_{n_max} from the three-term recurrence."""
-    data = bi_coefficients(n_max, p)
-    polys = [Polynomial.one()]
-    x = Polynomial.x()
-    prev, cur = Polynomial.zero(), polys[0]
-    for n in range(n_max):
-        # A_{n-1}C_n = -u_mod[n]; u_mod[0] = 0 and prev = 0 at n = 0.
-        nxt = (x - data.b_coeff[n]) * cur + data.u_mod[n] * prev
-        polys.append(nxt)
-        prev, cur = cur, nxt
-    return polys
+    """Monic B_0..B_{n_max} from the three-term recurrence, as a new list.
+
+    Each parameter set's family is built once per process and extended when
+    a longer one is asked for.
+    """
+    polys = _bi_family(p)
+    if len(polys) <= n_max:
+        data = bi_coefficients(n_max, p)
+        x = Polynomial.x()
+        for n in range(len(polys) - 1, n_max):
+            # A_{n-1}C_n = -u_mod[n]; u_mod[0] = 0 multiplies B_{-1} = 0.
+            prev = polys[n - 1] if n else Polynomial.zero()
+            polys.append((x - data.b_coeff[n]) * polys[n] + data.u_mod[n] * prev)
+    return polys[:n_max + 1]
 
 
 def bi_eigenvalue(n: int, p: ParameterSet) -> ComplexRational:

@@ -3,9 +3,32 @@
 The acceptance suite records one verdict per criterion here; the terminal
 summary prints them after the run, outside pytest's output capture, so
 the pass/fail lines always appear in the log.
+
+``polyfam`` and ``operators`` keep each parameter set's B_n family and
+operators for the life of the process.  An autouse fixture empties those
+caches after each test, so a family built while a test had patched
+``polyfam.bi_coefficients`` or ``polyfam._branch`` never reaches a later
+test at the same parameter set.
 """
 
+import pytest
+
+from biwkit import operators, polyfam
+
 acceptance_verdicts = {}
+
+
+def shared_caches():
+    """Every ``functools`` cache of ``polyfam`` and ``operators``."""
+    return {obj for module in (polyfam, operators) for obj in vars(module).values()
+            if hasattr(obj, "cache_clear")}
+
+
+@pytest.fixture(autouse=True)
+def _clear_shared_caches():
+    yield
+    for cache in shared_caches():
+        cache.cache_clear()
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

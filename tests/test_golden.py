@@ -100,3 +100,33 @@ def test_negative_controls_are_byte_identical():
     for name, text in docs.items():
         assert '"pass": false' in text
         assert text.encode() == (GOLDEN / f"{name}.json").read_bytes(), name
+
+
+def test_all_documents_do_not_depend_on_run_order(tmp_path):
+    """``all``, ``all --tamper`` and ``all`` again in one process, which shares
+    each parameter set's operators and families among them, write the goldens."""
+    for i, name in enumerate(("all", "all-tamper", "all")):
+        code, argv = CLI_CASES[name]
+        out = tmp_path / f"{i}-{name}.json"
+        assert main(argv + ["--output", str(out)]) == code
+        assert out.read_bytes() == (GOLDEN / f"{name}.json").read_bytes(), (i, name)
+
+
+@pytest.mark.parametrize("twins_first", [True, False], ids=["twins-first", "controls-first"])
+def test_controls_and_their_twins_do_not_depend_on_run_order(twins_first):
+    """Each negative control fails byte for byte and its passing twin passes,
+    whichever of the two ran first for the same parameter set."""
+    p = _parse_four(PARAMS, "--params", parse_complex_rational, ParameterSet)
+
+    def twins():
+        return [verify_bi_algebra(p, CONTROL_DEGREE), verify_nc_algebra(p, CONTROL_DEGREE),
+                iso_forward(*bi_realization(p), CONTROL_DEGREE)]
+
+    if twins_first:
+        reports, docs = twins(), control_documents()
+    else:
+        docs, reports = control_documents(), twins()
+    for report in reports:
+        assert report.passed
+    for name, text in docs.items():
+        assert text.encode() == (GOLDEN / f"{name}.json").read_bytes(), name

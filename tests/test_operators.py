@@ -1,12 +1,14 @@
 """Tests for the difference-reflection operators and algebra checks."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from conftest import shared_caches
 
 from biwkit.cli import random_parameter_set
-from biwkit.errors import InvalidParameters, OperatorNotPolynomialPreserving
+from biwkit.errors import DegenerateParameters, InvalidParameters, OperatorNotPolynomialPreserving
 from biwkit.exact import I, ComplexRational, Polynomial
 from biwkit.operators import (
     CasimirReport,
@@ -14,6 +16,7 @@ from biwkit.operators import (
     StructureConstants,
     Substitution,
     _check_eigen_pairs,
+    _realization,
     _report,
     bi_realization,
     build_daha_generators,
@@ -34,9 +37,11 @@ from biwkit.operators import (
     verify_prop1_operator_transform,
 )
 from biwkit.polyfam import (
+    SHARED_SETS,
     DAHAParameterSet,
     ParameterSet,
     RealParameterQuad,
+    bi_polynomials,
     param_map_bi_to_daha,
 )
 
@@ -279,3 +284,77 @@ class TestProp1:
         L, M = build_L(ZERO_PARAMS), build_M(ZERO_PARAMS)
         x2 = Polynomial.monomial(2)
         assert L.apply(x2) != M.apply(x2)
+
+
+class TestSharedBuilders:
+    """A process builds each parameter set's operators and B_n family once, keyed by value."""
+
+    P = ParameterSet(ComplexRational(1, 2), Fraction(-1, 3), ComplexRational(Fraction(2, 3), -1),
+                     ComplexRational(0, Fraction(1, 7)))
+
+    def test_equal_sets_share_one_object(self):
+        p = self.P
+        twin = ParameterSet(*(ComplexRational(v.re, v.im) for v in (p.a, p.b, p.c, p.d)))
+        assert twin is not p and twin == p
+        assert build_L(twin) is build_L(p)
+        assert build_M(twin) is build_M(p)
+        assert build_daha_generators(param_map_bi_to_daha(twin)) is \
+            build_daha_generators(param_map_bi_to_daha(p))
+        for mine, theirs in zip(bi_realization(twin)[:3], bi_realization(p)[:3]):
+            assert mine is theirs
+
+    def test_other_sets_get_other_objects(self):
+        p = self.P
+        for other in (ParameterSet(p.a, p.b + 1, p.c, p.d), ParameterSet(p.a, p.b, p.d, p.c)):
+            assert other != p
+            assert build_L(other) is not build_L(p)
+            assert build_M(other) is not build_M(p)
+            assert build_daha_generators(param_map_bi_to_daha(other)) is not \
+                build_daha_generators(param_map_bi_to_daha(p))
+
+    def test_triple_is_keyed_by_its_own_constant(self):
+        # omega1 is not part of the compact triple, omega3 is.
+        p, sc = self.P, structure_constants(self.P)
+        triple = _realization(p, sc, "compact")
+        assert _realization(p, replace(sc, omega1=sc.omega1 + 1), "compact") is triple
+        assert _realization(p, replace(sc, omega3=sc.omega3 + 1), "compact")[2] is not triple[2]
+        assert _realization(p, sc, "noncompact")[0] is build_M(p)
+
+    def test_caches_stay_bounded(self):
+        rng = random.Random(25)
+        for _ in range(SHARED_SETS + 3):
+            p = random_parameter_set(rng, 4)
+            for which in ("compact", "noncompact"):
+                assert verify_casimir(p, 0, which).passed
+            assert verify_daha_relations(param_map_bi_to_daha(p), 0).passed
+            bi_polynomials(2, p)
+        caches = shared_caches()
+        assert len(caches) == 5
+        for cache in caches:
+            info = cache.cache_info()
+            assert info.maxsize == SHARED_SETS and info.misses > SHARED_SETS
+            assert info.currsize <= info.maxsize
+
+    def test_family_is_returned_as_a_new_list(self):
+        polys = bi_polynomials(4, self.P)
+        kept = list(polys)
+        polys[0] = Polynomial.zero()
+        polys.append(Polynomial.one())
+        assert bi_polynomials(4, self.P) == kept
+
+    def test_longer_request_extends_the_family(self):
+        short, long = bi_polynomials(3, self.P), bi_polynomials(9, self.P)
+        assert long[:4] == short and bi_polynomials(6, self.P) == long[:7]
+        for cache in shared_caches():
+            cache.cache_clear()
+        assert bi_polynomials(9, self.P) == long
+
+    def test_degenerate_request_leaves_the_family_as_it_was(self):
+        # a+b+c+d = -5: n+s+2 vanishes at n = 3.
+        p = ParameterSet(-5, 0, 0, 0)
+        short = bi_polynomials(2, p)
+        for _ in range(2):
+            with pytest.raises(DegenerateParameters) as info:
+                bi_polynomials(5, p)
+            assert info.value.n == 3
+        assert bi_polynomials(2, p) == short
