@@ -10,23 +10,24 @@ Errors are reported as JSON documents too.
 A verifying command's document is its header fields (parameters and
 sizes), then one entry per report it ran, then ``pass``: true only if
 every report passed.  Each stage of ``all`` is ``{report, pass}``.
-Reports hand over their numbers as values; ``_tagged`` alone writes them,
-choosing each tag by the value's type: a ``Fraction`` is ``{"exact":
-"p/q"}``, a ``ComplexRational`` is ``{"exact": {"re", "im"}}``, a
-``Polynomial`` is the list of its coefficients, an ``Approx`` is
-``{"approx": decimal string, "precision_digits": the digits printed}``, and
-any other dataclass (a parameter record) is the object of its fields, in order.
+Reports hand over their numbers as values; ``_write`` alone writes them, in
+``json.dumps(indent=2)``'s layout, tagging each by its type: a ``Fraction`` is
+``{"exact": "p/q"}``, a ``ComplexRational`` ``{"exact": {"re", "im"}}``, a
+``Polynomial`` the list of its coefficients, an ``Approx`` ``{"approx": decimal
+string, "precision_digits": the digits printed}``, and any other dataclass (a
+parameter record) the object of its fields, in order.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import random
 import sys
 from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
+from math import gcd
 from typing import Optional
 
 from mpmath import mp
@@ -83,30 +84,54 @@ EXIT_INVALID_PARAMETERS = 3
 EXIT_NOT_CONVERGED = 4
 
 
-def _tagged(node):
-    """The document tree with every number as its tagged leaf (see module docstring).
+def _rational(x: int, d: int) -> str:
+    """``str(Fraction(x, d))`` for d > 0, without building the Fraction."""
+    g = gcd(x, d)
+    return str(x // g) if d == g else f"{x // g}/{d // g}"
 
-    Strings (labels), ints (sizes and counts), booleans and None stay as
-    they are; any other leaf, such as a bare mpf, raises TypeError.
-    """
-    kind = type(node)
-    if kind is dict:
-        return {k: _tagged(v) for k, v in node.items()}
-    if kind is list:
-        return [_tagged(v) for v in node]
-    if kind is ComplexRational:
-        return {"exact": {"re": str(node.re), "im": str(node.im)}}
-    if kind is Fraction:
-        return {"exact": str(node)}
-    if kind is Polynomial:
-        return [_tagged(c) for c in node.coeffs]
-    if kind is Approx:
-        return {"approx": mp.nstr(node.value, node.digits), "precision_digits": node.digits}
-    if node is None or kind in (bool, int, str):
-        return node
-    if is_dataclass(node):
-        return {f.name: _tagged(getattr(node, f.name)) for f in fields(node)}
-    raise TypeError(f"unserializable leaf of type {kind.__name__}")
+
+def _write(node, out: list, nl: str) -> list:
+    """Append ``node``'s text to ``out``; ``nl`` is a newline and the indent of its first line.
+    Besides the tagged types, str, int, bool and None are leaves; any other, such as a bare
+    mpf, or a key that is not a str raises TypeError."""
+    kind, inner = type(node), nl + "  "
+    if kind is str:
+        out.append(_quote(node))
+    elif kind is ComplexRational:
+        out.append(f'{{{inner}"exact": {{{inner}  "re": "{_rational(node._x, node._d)}",'
+                   f'{inner}  "im": "{_rational(node._y, node._d)}"{inner}}}{nl}}}')
+    elif kind is Fraction:
+        out.append(f'{{{inner}"exact": "{node}"{nl}}}')
+    elif kind is Approx:
+        out.append(f'{{{inner}"approx": "{mp.nstr(node.value, node.digits)}",'
+                   f'{inner}"precision_digits": {node.digits}{nl}}}')
+    elif kind is int or kind is bool or node is None:
+        out.append("null" if node is None else str(node).lower())
+    elif kind is list or kind is Polynomial:
+        sep = "["
+        for value in node if kind is list else node.coeffs:
+            out.append(sep + inner)
+            _write(value, out, inner)
+            sep = ","
+        out.append("[]" if sep == "[" else nl + "]")
+    elif kind is dict or is_dataclass(node):
+        sep = "{"
+        for key, value in node.items() if kind is dict else (
+                (f.name, getattr(node, f.name)) for f in fields(node)):
+            if type(key) is not str:
+                raise TypeError(f"document key of type {type(key).__name__}")
+            out.append(f"{sep}{inner}{_quote(key)}: ")
+            _write(value, out, inner)
+            sep = ","
+        out.append("{}" if sep == "{" else nl + "}")
+    else:
+        raise TypeError(f"unserializable leaf of type {kind.__name__}")
+    return out
+
+
+def document_text(doc) -> str:
+    """``doc`` as the command line writes it, less the final newline."""
+    return "".join(_write(doc, [], "\n"))
 
 
 def _parse_four(text: Optional[str], flag: str, parse, cls):
@@ -146,10 +171,6 @@ def _resolve_bi_params(args) -> ParameterSet:
 
 def _parse_quad(text: Optional[str]) -> RealParameterQuad:
     return _parse_four(text, "--quad", Fraction, RealParameterQuad)
-
-
-def _parse_daha(text: Optional[str]) -> DAHAParameterSet:
-    return _parse_four(text, "--daha", parse_complex_rational, DAHAParameterSet)
 
 
 # The accepted range of --n-max, --degree and --size.  Exact work grows
@@ -203,7 +224,7 @@ def _open_output(path: Optional[str]):
 
 
 def _emit(doc: dict, out) -> None:
-    out.write(json.dumps(_tagged(doc), indent=2) + "\n")
+    out.write(document_text(doc) + "\n")
     if out is not sys.stdout:
         out.close()
 
@@ -215,7 +236,7 @@ def _cmd_poly(args, family, label: str) -> tuple:
 
 def _cmd_wilson(args) -> tuple:
     if _parameter_style(args) == "daha":
-        t = _parse_daha(args.daha)
+        t = _parse_four(args.daha, "--daha", parse_complex_rational, DAHAParameterSet)
     else:
         t = param_map_bi_to_daha(_resolve_bi_params(args))
     polys = nonsym_wilson_family(args.n_max, t)
@@ -255,7 +276,7 @@ def _cmd_verify_algebra(args) -> tuple:
 
 
 def _cmd_verify_daha(args) -> tuple:
-    t = _parse_daha(args.daha)
+    t = _parse_four(args.daha, "--daha", parse_complex_rational, DAHAParameterSet)
     wilson = verify_nonsym_wilson_eigen(args.n_max, t)
     return _document({"params": t, "degree": args.degree}, {
         "relations": verify_daha_relations(t, args.degree),
@@ -336,7 +357,7 @@ def _cmd_all(args) -> tuple:
         "iso_forward": _stage(iso_forward(*bi_realization(p), 8)),
         "iso_inverse": _stage(iso_inverse(t, 8)),
         "prop1_coefficients": _stage(verify_prop1_coefficients(10, p)),
-        "prop1_operator": _stage(verify_prop1_operator_transform(p, 8)),
+        "prop1_operator": _stage(verify_prop1_operator_transform(p, 8, t)),
         "q_symmetries": _stage(q_symmetry_check(8, p)),
         "positivity": _stage(positivity_scan(quad, 100)),
         "representation": _stage(verify_rep_relations(build_rep(20, quad))),

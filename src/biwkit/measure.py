@@ -49,8 +49,11 @@ from mpmath.libmp import (MPZ_ONE, MPZ_ZERO, from_int, from_man_exp, fzero, mpc_
                           mpc_loggamma, mpf_abs, mpf_add, mpf_cosh, mpf_cosh_sinh, mpf_div,
                           mpf_exp, mpf_gt, mpf_le, mpf_log_hypot, mpf_mul, mpf_mul_int, mpf_pi,
                           mpf_pos, mpf_pow_int, mpf_sub, to_fixed, to_int)
-from mpmath.libmp.gammazeta import GAMMA_STIRLING_BETA, complex_stirling_series
-from mpmath.libmp.libmpf import round_fast
+try:  # private to mpmath: without them, _log_abs_gamma is mpc_loggamma's real part
+    from mpmath.libmp.gammazeta import GAMMA_STIRLING_BETA, complex_stirling_series
+    from mpmath.libmp.libmpf import round_fast
+except ImportError:
+    GAMMA_STIRLING_BETA = None
 
 from .errors import InvalidParameters, PoleError, QuadratureNotConverged
 from .exact import ComplexRational
@@ -170,12 +173,13 @@ def _log_abs_gamma(w, prec, rnd):
     steps: w is shifted right by d, r = w (w+1) ... (w+d-1), and Stirling's series
     gives log Gamma(w+d), whose real part less log|r| is the result.  The
     imaginary half (the atan2 of log r and its branch correction) is skipped.
-    Elsewhere it calls mpc_loggamma.
+    Elsewhere, and without mpmath's private Stirling names, it calls mpc_loggamma.
     """
     a, b = w
     wp = prec + 20
     bmag = b[2] + b[3]
-    if a[0] or not a[1] or not b[1] or bmag < -10 or not -8 <= max(a[2] + a[3], bmag) <= wp:
+    if (GAMMA_STIRLING_BETA is None or a[0] or not a[1] or not b[1] or bmag < -10
+            or not -8 <= max(a[2] + a[3], bmag) <= wp):
         return mpc_loggamma(w, prec, rnd)[0]
     an, bn = to_int(a), abs(to_int(b))
     n = int(GAMMA_STIRLING_BETA * wp)
@@ -314,13 +318,14 @@ def _strip_halvings(p: ParameterSet, n_max: int, dps: int) -> Tuple[float, float
     return x, c, q, first, last
 
 
-def _accumulate(acc, vals, scale, prec, rnd):
-    """acc[n][m] += scale * vals[n] * vals[m] on the upper triangle, on raw mpf values."""
+def _accumulate(accs, vals, scale, prec, rnd):
+    """Each acc[n][m] += scale * vals[n] * vals[m] on the upper triangle, on raw mpf values."""
     for n, vn in enumerate(vals):
         vn = mpf_mul(vn, scale, prec, rnd)
-        row = acc[n]
         for m in range(n, len(vals)):
-            row[m] = mpf_add(row[m], mpf_mul(vn, vals[m], prec, rnd), prec, rnd)
+            term = mpf_mul(vn, vals[m], prec, rnd)
+            for acc in accs:
+                acc[n][m] = mpf_add(acc[n][m], term, prec, rnd)
 
 
 def orthogonality_gram(
@@ -410,10 +415,8 @@ def orthogonality_gram(
                 for coeff in reversed(coeffs):
                     v = mpf_add(mpf_mul(v, z, prec, rnd), coeff, prec, rnd)
                 vals.append(v)
-            _accumulate(full, vals, w, prec, rnd)
             size = mpf_abs(z, prec, rnd)
-            if mpf_le(size, L_raw):
-                _accumulate(inner, vals, w, prec, rnd)
+            _accumulate((full, inner) if mpf_le(size, L_raw) else (full,), vals, w, prec, rnd)
             return size, mpf_mul(w, mpf_pow_int(size, 2 * n_max, prec, rnd), prec, rnd)
 
         threshold = min(tol / 10, mpf(10) ** (OFFDIAG_REL_EXPONENT - 1)) * abs(h0_val)

@@ -441,13 +441,14 @@ def verify_prop1_coefficients(n_max: int, p: ParameterSet) -> VerificationReport
     return VerificationReport([_relation_check("(-2)^n p_n(-x/2+1/4) = B_n", n_max, residuals)])
 
 
-def verify_prop1_operator_transform(p: ParameterSet, degree: int) -> VerificationReport:
+def verify_prop1_operator_transform(p: ParameterSet, degree: int,
+                                    t: Optional[DAHAParameterSet] = None) -> VerificationReport:
     """Check that 2(T0+T1) + 1/2, conjugated by z = -x/2 + 1/4, acts as L.
 
-    The conjugation takes a test polynomial q(x) to q(1/2 - 2z), applies
-    the operator in the z variable, and substitutes back.
+    The conjugation takes a test polynomial q(x) to q(1/2 - 2z), applies the operator
+    in the z variable, and substitutes back.  ``t`` is p's DAHA set, mapped here if not given.
     """
-    T0, T1, _, _ = build_daha_generators(param_map_bi_to_daha(p))
+    T0, T1, _, _ = build_daha_generators(t or param_map_bi_to_daha(p))
     op_z = 2 * T0 + 2 * T1 + HALF
     conj = Substitution(Fraction(-1, 2), QUARTER) * op_z * Substitution(-2, HALF)
     return _report(degree, ["conjugated 2(T0+T1)+1/2 = L"], [conj - build_L(p)])

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line driver: exit codes, JSON schema,
-determinism, and the exactness tagging of leaves."""
+determinism, the exactness tagging of leaves and the document writer."""
 
+import dataclasses
+import importlib.util
 import io
 import json
 import os
@@ -10,9 +12,10 @@ import sys
 from contextlib import redirect_stdout
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
 from biwkit import measure, polyfam, reptheory
@@ -22,13 +25,13 @@ from biwkit.cli import (
     EXIT_OK,
     EXIT_VERIFICATION_FAILED,
     SCHEMA,
-    _tagged,
     build_parser,
+    document_text,
     main,
     random_parameter_set,
 )
 from biwkit.errors import DegenerateParameters
-from biwkit.exact import ComplexRational
+from biwkit.exact import ComplexRational, Polynomial
 
 # Reduced settings for the full-suite runs.
 FAST_ALL = [
@@ -42,6 +45,11 @@ def run(argv, tmp_path, name="out.json"):
     path = tmp_path / name
     code = main(argv + ["--output", str(path)])
     return code, json.loads(path.read_text())
+
+
+def written(value):
+    """``value`` as the command line writes it into a document, read back as JSON."""
+    return json.loads(document_text(value))
 
 
 def run_stdout(argv):
@@ -477,16 +485,98 @@ class TestLeafTagging:
              ("omega1", "omega2", "omega3", "alpha1", "alpha2", "alpha3")),
         ]
         for record, names in records:
-            doc = _tagged(record)
+            doc = written(record)
             assert tuple(doc) == names
-            assert doc == {name: _tagged(getattr(record, name)) for name in names}
+            assert doc == {name: written(getattr(record, name)) for name in names}
         # total is a cached_property: reading it fills __dict__, not the fields.
         assert p.total == ComplexRational(Fraction(3, 2), 1)
-        assert tuple(_tagged(p)) == ("a", "b", "c", "d")
+        assert tuple(written(p)) == ("a", "b", "c", "d")
 
     def test_encoder_rejects_a_bare_mpf(self):
         with pytest.raises(TypeError, match="mpf"):
-            _tagged({"gram": [[mpf(1)]]})
+            document_text({"gram": [[mpf(1)]]})
+
+    def test_encoder_rejects_a_key_that_is_not_a_str(self):
+        with pytest.raises(TypeError, match="document key of type int"):
+            document_text({"gram": {0: "row"}})
+
+
+def in_json_dumps_form(text: str) -> bool:
+    """Whether ``text`` is what ``json.dumps(indent=2)`` writes for its own tree."""
+    return text == json.dumps(json.loads(text), indent=2) + "\n"
+
+
+def exact_wide_documents(tmp_path, monkeypatch, seed):
+    """The documents of one pass of the benchmark's exact-wide workload."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("exact_wide_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
+    spec.loader.exec_module(workloads)
+    documents = []  # each document's bytes, as the pass feeds them to its digest
+    context = SimpleNamespace(scratch_dir=str(tmp_path), add=lambda name, value: None,
+                              digest=SimpleNamespace(update=documents.append))
+    certs = workloads.exact_wide(random.Random(seed))
+    for cert in certs:
+        assert cert.run(context) == cert.expected, cert.name
+    assert len(documents) == len(certs)
+    return [data.decode("utf-8") for data in documents]
+
+
+class TestWriter:
+    """The writer's text is what ``json.dumps(indent=2)`` writes for the same tree."""
+
+    GOLDEN = Path(__file__).parent / "data" / "golden"
+
+    def test_goldens_are_in_json_dumps_form(self):
+        names = sorted(self.GOLDEN.glob("*.json"))
+        assert len(names) == 15
+        for path in names:
+            assert in_json_dumps_form(path.read_text(encoding="utf-8")), path.name
+
+    def test_exact_wide_pass_documents_are_in_json_dumps_form(self, tmp_path, monkeypatch):
+        documents = exact_wide_documents(tmp_path, monkeypatch, seed=1)
+        for text in documents:
+            assert in_json_dumps_form(text), text[:200]
+
+    @pytest.mark.parametrize("argv, detail", [
+        (["poly", "--params", 'é,0,0,"\\x'], 'é,0,0,"\\\\x'),
+        (["poly", "--params", "0,0,0,0", 'é"\\\t\x01'], 'é"\\\t\x01'),
+    ], ids=["params", "control-character"])
+    def test_error_detail_is_escaped_as_json_dumps_escapes_it(self, argv, detail):
+        # A usage error is reported before --output is read, so both go to stdout.
+        out = io.StringIO()
+        with redirect_stdout(out):
+            assert main(argv) == EXIT_INVALID_PARAMETERS
+        text = out.getvalue()
+        assert text.isascii() and in_json_dumps_form(text)
+        assert detail in json.loads(text)["error"]["detail"]
+
+    def test_every_leaf_type_as_json_dumps_writes_its_tag(self):
+        p = polyfam.ParameterSet(1, ComplexRational(0, 1), Fraction(-1, 2), 0)
+        value = {"p": p, "q": Fraction(3, -6), "poly": Polynomial([ComplexRational(1, -2), 0]),
+                 "zero": Polynomial([]), "a": measure.Approx(mpf(2) / 3, 6), "empty": {},
+                 "none": [], "flags": [True, False, None, 7, "\u00e9\"\\\n"]}
+        tree = {"p": {"a": {"exact": {"re": "1", "im": "0"}},
+                      "b": {"exact": {"re": "0", "im": "1"}},
+                      "c": {"exact": {"re": "-1/2", "im": "0"}},
+                      "d": {"exact": {"re": "0", "im": "0"}}},
+                "q": {"exact": "-1/2"},
+                "poly": [{"exact": {"re": "1", "im": "-2"}}],
+                "zero": [], "a": {"approx": "0.666667", "precision_digits": 6}, "empty": {},
+                "none": [], "flags": [True, False, None, 7, "\u00e9\"\\\n"]}
+        assert document_text(value) == json.dumps(tree, indent=2)
+
+    # Signs, zero, and integers over the other part's denominator (re = 5 is 20/4 below).
+    @example(Fraction(0), Fraction(0))
+    @example(Fraction(5), Fraction(-3, 4))
+    @example(Fraction(-5), Fraction(0))
+    @example(Fraction(-10 ** 30, 3), Fraction(7))
+    @given(st.fractions(), st.fractions())
+    def test_rational_text_is_str_of_the_fraction(self, re, im):
+        leaf = written(ComplexRational(re, im))
+        assert leaf == {"exact": {"re": str(re), "im": str(im)}}
+        assert written(re) == {"exact": str(re)}
 
 
 class TestRunAll:
@@ -503,6 +593,20 @@ class TestRunAll:
         # Other stages still ran and passed: failures accumulate.
         assert doc["stages"]["noncompact_algebra"]["pass"] is True
         assert doc["stages"]["orthogonality"]["pass"] is True
+
+    def test_prop1_operator_checks_the_daha_set_that_all_maps(self, tmp_path, monkeypatch):
+        # ``all`` maps p to its DAHA set once; the operator transform must check
+        # that set, so a wrong map fails it even where the other DAHA stages,
+        # which hold for any set, pass.
+        def shifted(p):
+            t = polyfam.param_map_bi_to_daha(p)
+            return dataclasses.replace(t, t0=t.t0 + Fraction(1, 7))
+
+        monkeypatch.setattr("biwkit.cli.param_map_bi_to_daha", shifted)
+        code, doc = run(["all"] + FAST_ALL, tmp_path)
+        assert code == EXIT_VERIFICATION_FAILED
+        assert doc["stages"]["prop1_operator"]["pass"] is False
+        assert doc["stages"]["daha_relations"]["pass"] is True
 
 
 def run_python(argv):

@@ -7,7 +7,7 @@ from math import gcd
 import pytest
 from hypothesis import assume, given, strategies as st
 
-from biwkit.cli import _tagged
+from biwkit.cli import document_text
 from biwkit.errors import NonzeroRemainder, OperatorNotPolynomialPreserving
 from biwkit.exact import ComplexRational, Polynomial, RationalFunction, parse_complex_rational
 from biwkit.operators import DividedDifference
@@ -15,7 +15,7 @@ from biwkit.operators import DividedDifference
 
 def written(value):
     """``value`` as the command line writes it into a document, read back as JSON."""
-    return json.loads(json.dumps(_tagged(value)))
+    return json.loads(document_text(value))
 
 
 def read_complex(leaf) -> ComplexRational:

@@ -15,14 +15,13 @@ pins the same run with its negative control, which exits 2.  ``poly.json``,
 ``q-poly.json`` and ``wilson.json`` pin the three construction commands.
 """
 
-import json
 import shutil
 import subprocess
 from pathlib import Path
 
 import pytest
 
-from biwkit.cli import EXIT_OK, EXIT_VERIFICATION_FAILED, _parse_four, _tagged, main
+from biwkit.cli import EXIT_OK, EXIT_VERIFICATION_FAILED, _parse_four, document_text, main
 from biwkit.exact import parse_complex_rational
 from biwkit.operators import (
     StructureConstants,
@@ -62,7 +61,7 @@ CLI_CASES = {
 
 
 def control_documents() -> dict:
-    """The three negative controls, as ``to_json()`` written by the CLI's encoder."""
+    """The three negative controls, as ``to_json()`` written by the CLI's writer."""
     p = _parse_four(PARAMS, "--params", parse_complex_rational, ParameterSet)
     sc = structure_constants(p)
     perturbed = StructureConstants(sc.omega1 + 1, sc.omega2, sc.omega3,
@@ -72,7 +71,7 @@ def control_documents() -> dict:
         "control-flip-sign": verify_nc_algebra(p, CONTROL_DEGREE, flip_first_sign=True),
         "control-iso-omega1": iso_forward(*bi_realization(p)[:3], perturbed, CONTROL_DEGREE),
     }
-    return {name: json.dumps(_tagged(r.to_json()), indent=2) + "\n"
+    return {name: document_text(r.to_json()) + "\n"
             for name, r in reports.items()}
 
 

@@ -6,8 +6,13 @@ mpmath's libmp function mpc_loggamma; each is checked against Gamma values built
 from mpmath.gamma, which goes through neither.
 """
 
+import ast
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import mpmath
 import pytest
@@ -132,6 +137,45 @@ class TestLogAbsGamma:
                     w = _gram_argument(rng)._mpc_
                     assert measure._log_abs_gamma(w, prec, rnd) == mpc_loggamma(w, prec, rnd)[0], (
                         dps, mpc(*w))
+
+    def test_without_mpmath_private_names_the_grams_are_unchanged(self):
+        # A fresh interpreter in which mpmath.libmp.gammazeta cannot be imported:
+        # every log|Gamma| of W is mpc_loggamma's real part, and the benchmark's
+        # Grams keep every bit of their pins.
+        script = """if True:
+            import sys, mpmath
+            sys.modules["mpmath.libmp.gammazeta"] = None
+            from fractions import Fraction
+            from biwkit import measure
+            from biwkit.polyfam import ParameterSet, RealParameterQuad
+            calls, original = [], measure.mpc_loggamma
+            measure.mpc_loggamma = lambda w, prec, rnd: calls.append(w) or original(w, prec, rnd)
+            out = {"fallback": measure.GAMMA_STIRLING_BETA is None}
+            for name, quad, truncation in (("half", "1/2,1/2,1/2,1/2", 19),
+                                           ("narrow", "1/10,1/3,1/8,2/3", 17)):
+                p = ParameterSet.from_quad(RealParameterQuad(*map(Fraction, quad.split(","))))
+                del calls[:]
+                r = measure.orthogonality_gram(2, p, tol=Fraction(1, 10 ** 8), precision=20,
+                                               truncation=truncation)
+                out[name] = {"gram": [[v._mpf_ for v in row] for row in r.gram],
+                             "expected_diag": [v._mpf_ for v in r.expected_diag],
+                             "l_stability": r.l_stability._mpf_,
+                             "max_offdiag_rel": r.max_offdiag_rel._mpf_,
+                             "panels": r.panels, "truncation_L": r.truncation_L,
+                             "delegated": len(calls)}
+            print(repr(out))
+        """
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": path}, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        out = ast.literal_eval(proc.stdout)
+        assert out["fallback"] is True
+        for name, pin, kappas in (("half", BENCH_HALF_PIN, 2), ("narrow", BENCH_NARROW_PIN, 4)):
+            got = out[name]
+            assert got.pop("delegated") == got["panels"] * kappas, name
+            assert got == pin, name
 
     @pytest.mark.parametrize("dps", _GRAM_DPS)
     def test_domain_boundaries(self, dps, monkeypatch):
