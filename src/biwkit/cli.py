@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import random
+import re
 import sys
 from dataclasses import fields, is_dataclass, replace
 from fractions import Fraction
@@ -333,6 +334,16 @@ def _stage(report) -> dict:
     return {"report": report.to_json(), "pass": report.passed}
 
 
+def _checked_stage(run) -> dict:
+    """``run()``'s report as a stage; an error that names its ``first_failure`` fails the stage."""
+    try:
+        return _stage(run())
+    except BiwkitError as exc:
+        if exc.first_failure is None:
+            raise
+        return {"report": {"first_failure": exc.first_failure, "pass": False}, "pass": False}
+
+
 def _cmd_all(args) -> tuple:
     tol = _parse_tol(args.tol)
     quad = _parse_quad(args.quad) if args.quad else RealParameterQuad(
@@ -359,9 +370,9 @@ def _cmd_all(args) -> tuple:
         "prop1_coefficients": _stage(verify_prop1_coefficients(10, p)),
         "prop1_operator": _stage(verify_prop1_operator_transform(p, 8, t)),
         "q_symmetries": _stage(q_symmetry_check(8, p)),
-        "positivity": _stage(positivity_scan(quad, 100)),
-        "representation": _stage(verify_rep_relations(build_rep(20, quad))),
-        "orthogonality": _stage(orthogonality_gram(
+        "positivity": _checked_stage(lambda: positivity_scan(quad, 100)),
+        "representation": _checked_stage(lambda: verify_rep_relations(build_rep(20, quad))),
+        "orthogonality": _checked_stage(lambda: orthogonality_gram(
             args.n_max, p, tol=tol, precision=args.precision, truncation=args.truncation)),
     }
     passed = all(s["pass"] for s in stages.values())
@@ -393,6 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
                 degree=None, gram=False):
         """Declare subcommand ``name``, its flags and ``run``, the handler ``main`` calls."""
         sp = sub.add_parser(name, help=summary)
+        sp._negative_number_matcher = re.compile(r"-[\di]")  # "-1/4,..." is a value, not a flag
         sp.set_defaults(run=run)
         if params:
             sp.add_argument("--params", help="a,b,c,d as exact rationals, e.g. '0,0,0,0' or '1/2+1/2i,...'")

@@ -2,7 +2,11 @@
 
 
 class BiwkitError(Exception):
-    """Base class for all biwkit errors."""
+    """Base class for all biwkit errors; ``first_failure``, if given, names the failed check."""
+
+    def __init__(self, message="", first_failure=None):
+        super().__init__(message)
+        self.first_failure = first_failure
 
 
 class NonzeroRemainder(BiwkitError, ArithmeticError):

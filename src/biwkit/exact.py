@@ -317,6 +317,13 @@ class Polynomial:
 
     __rmul__ = __mul__
 
+    @staticmethod
+    def combination(terms) -> "Polynomial":
+        """The sum of c * x^k * p over the terms (c, k, p), ComplexRational c, reduced once."""
+        d = _lcm(*(c._d for c, _, _ in terms))
+        return _combination([(c._x * (d // c._d), c._y * (d // c._d), k, p)
+                             for c, k, p in terms], d)
+
     def linear_map(self, image_of: Callable[[int], "Polynomial"]) -> "Polynomial":
         """The sum of p_k * image_of(k): p under the linear map x^k -> image_of(k)."""
         pairs = enumerate(zip(self._xs, self._ys))
@@ -358,15 +365,15 @@ class Polynomial:
                                    remainder=_canonical(rx[:dd], ry[:dd], self._d * scale))
         return _canonical(qx, qy, self._d * nl ** m)
 
-    def affine_substitute(self, s: ScalarLike, t: ScalarLike) -> "Polynomial":
-        """Return the polynomial x -> p(s*x + t), exactly.
+    def affine_substitute(self, s: ScalarLike, t: ScalarLike, scale=ONE) -> "Polynomial":
+        """Return the polynomial x -> scale * p(s*x + t), exactly.
 
-        With s*x + t = (S*x + T)/D for Gaussian integers S, T and D > 0,
-        p(s*x + t) * d * D^deg is the sum of the numerators' c_k (S*x + T)^k
-        D^(deg-k): for t = 0 each coefficient is scaled by S^k D^(deg-k),
-        otherwise Horner's rule runs on (S*x + T) in integers.
+        With s*x + t = (S*x + T)/D and scale = G/F for Gaussian integers S, T,
+        G, the result times d * D^deg * F is the sum of G c_k (S*x + T)^k
+        D^(deg-k) over the numerators c_k: for t = 0 each is scaled by G S^k
+        D^(deg-k), otherwise Horner's rule runs on (S*x + T) in integers.
         """
-        s, t = ComplexRational.coerce(s), ComplexRational.coerce(t)
+        s, t, scale = (ComplexRational.coerce(v) for v in (s, t, scale))
         if not self._xs:
             return self
         D = _lcm(s._d, t._d)
@@ -375,26 +382,26 @@ class Polynomial:
         deg = len(self._xs) - 1
         if not tx and not ty:
             xs, ys = [], []
-            px, py = 1, 0  # S^k
+            px, py = scale._x, scale._y  # G S^k
             for k, (x, y) in enumerate(zip(self._xs, self._ys)):
                 m = D ** (deg - k)
                 a, b = px * m, py * m
                 xs.append(a * x - b * y)
                 ys.append(a * y + b * x)
                 px, py = px * sx - py * sy, px * sy + py * sx
-            return _canonical(xs, ys, self._d * D ** deg)
-        xs, ys, m = [], [], 1
+            return _canonical(xs, ys, self._d * D ** deg * scale._d)
+        xs, ys, mx, my = [], [], scale._x, scale._y
         for x, y in zip(reversed(self._xs), reversed(self._ys)):
-            # acc <- acc * (S*x + T) + c * D^j after j steps
+            # acc <- acc * (S*x + T) + c * G * D^j after j steps
             nx = [0] + [sx * a - sy * b for a, b in zip(xs, ys)]
             ny = [0] + [sx * b + sy * a for a, b in zip(xs, ys)]
             for j, (a, b) in enumerate(zip(xs, ys)):
                 nx[j] += tx * a - ty * b
                 ny[j] += tx * b + ty * a
-            nx[0] += x * m
-            ny[0] += y * m
-            xs, ys, m = nx, ny, m * D
-        return _canonical(xs, ys, self._d * D ** deg)
+            nx[0] += x * mx - y * my
+            ny[0] += x * my + y * mx
+            xs, ys, mx, my = nx, ny, mx * D, my * D
+        return _canonical(xs, ys, self._d * D ** deg * scale._d)
 
     def __call__(self, z: ScalarLike) -> ComplexRational:
         z = ComplexRational.coerce(z)

@@ -357,12 +357,14 @@ def orthogonality_gram(
     polys = q_polynomials(n_max, p)
     for n, poly in enumerate(polys):
         if not poly.has_real_coefficients():
-            raise InvalidParameters(f"polynomial {n} has non-real coefficients")
+            raise InvalidParameters(f"polynomial {n} has non-real coefficients",
+                                    {"polynomial": n, "expected": "real coefficients"})
 
     data = bi_coefficients(n_max, p)
     for n in range(1, n_max + 1):
         if not data.u_mod[n].is_real():
-            raise InvalidParameters(f"u_{n} is not real")
+            raise InvalidParameters(f"u_{n} is not real",
+                                    {"coefficient": f"u_{n}", "expected": "real"})
 
     with mp.workdps(precision + _GUARD_DPS):
         x, c, q, first, last = _strip_halvings(p, n_max, mp.dps)

@@ -9,9 +9,11 @@ the linear factor vanishing at its fixed point (2x+1, 2x-1, 1-2ix, 1+2ix,
 1-2z or 2z).  Such a block is exactly divisible on its own, so each block
 divides where it occurs and every image is a polynomial.
 
-Applying an operator to f is a linear combination of its images; a sum
-adds the images of its operands, a scalar multiple scales them, and a
-product applies its left factor to the image of its right factor.  Every
+Applying an operator to f is a linear combination of its images.  Sums,
+differences, negations and scalar multiples make one flat node: a list of
+(scalar, operator) terms, like operators merged, whose image of x^k is one
+exact combination of the terms' memoized images.  A product applies its
+left factor to the image of its right factor.  Every
 relation is checked on the images of x^0..x^degree, column by column of
 its matrix.  A block is checked once, when it is built: with r the root
 of den, it preserves every polynomial iff num(r) * (sigma(r) - r) is zero.
@@ -36,7 +38,7 @@ from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional
 
 from .errors import InvalidParameters, OperatorNotPolynomialPreserving
-from .exact import HALF, I, QUARTER, ComplexRational, Polynomial
+from .exact import HALF, I, ONE, QUARTER, ComplexRational, Polynomial
 from .polyfam import (
     SHARED_SETS,
     DAHAParameterSet,
@@ -57,12 +59,13 @@ from .polyfam import (
 class DifferenceOperator:
     """A linear operator on polynomials, given by ``image_of(k)``, its image of x^k.
 
-    A plain scalar c in an operator expression is the operator x^k -> c*x^k.
+    A flat node (see ``_flat``) also holds its ``terms``; any other operator has none.
     """
 
-    def __init__(self, image_of: Callable[[int], Polynomial]):
+    def __init__(self, image_of: Callable[[int], Polynomial], terms: tuple = ()):
         self._image_of = image_of
         self._images: Dict[int, Polynomial] = {}
+        self.terms = terms
 
     def image(self, k: int) -> Polynomial:
         """The image of x^k, computed once per operator object."""
@@ -75,35 +78,46 @@ class DifferenceOperator:
         """The sum of p_k times the image of x^k."""
         return p.linear_map(self.image)
 
-    @staticmethod
-    def _coerce(v) -> DifferenceOperator:
-        if isinstance(v, DifferenceOperator):
-            return v
-        c = ComplexRational.coerce(v)
-        return DifferenceOperator(lambda k: Polynomial.monomial(k, c))
-
     def __add__(self, other):
-        other = self._coerce(other)
-        return DifferenceOperator(lambda k: self.image(k) + other.image(k))
+        return _flat((1, self), (1, other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + -self._coerce(other)
+        return _flat((1, self), (-1, other))
 
     def __rsub__(self, other):
-        return self._coerce(other) + -self
+        return _flat((1, other), (-1, self))
 
     def __neg__(self):
-        return self * -1
+        return _flat((-1, self))
 
     def __mul__(self, other):
         if isinstance(other, DifferenceOperator):
             return DifferenceOperator(lambda k: self.apply(other.image(k)))
-        c = ComplexRational.coerce(other)
-        return DifferenceOperator(lambda k: c * self.image(k))
+        return _flat((ComplexRational.coerce(other), self))
 
     __rmul__ = __mul__  # reached only with a scalar on the left
+
+
+_IDENTITY = DifferenceOperator(Polynomial.monomial)
+_ONE_POLY = Polynomial.one()
+
+
+def _flat(*operands) -> DifferenceOperator:
+    """The sum of c * v over the (scalar c, v) operands, v an operator or a plain scalar, as
+    one node of terms: a flat v gives its terms, a scalar v the term (v, identity).  Terms
+    of one operator object merge, and zero terms drop out."""
+    merged = {}
+    for c, v in operands:
+        terms = ((v.terms or ((ONE, v),)) if isinstance(v, DifferenceOperator)
+                 else ((ComplexRational.coerce(v), _IDENTITY),))
+        for e, op in terms:
+            e = e if c == 1 else c * e
+            merged[op] = merged[op] + e if op in merged else e
+    terms = tuple((c, op) for op, c in merged.items() if not c.is_zero())
+    return DifferenceOperator(lambda k: Polynomial.combination(
+        [(c, k, _ONE_POLY) if op is _IDENTITY else (c, 0, op.image(k)) for c, op in terms]), terms)
 
 
 def Substitution(s, t) -> DifferenceOperator:
@@ -191,13 +205,9 @@ def _shared_realization(p: ParameterSet, which: str, w3: ComplexRational):
     return X1, X2, anticommutator(X1, X2) - w3
 
 
-def _bannai_ito_residuals(X1, X2, X3, w1, w2, w3, sign=None):
-    """Residuals of {X2,X3} = sign*X1 + w1, {X3,X1} = X2 + w2, {X1,X2} = X3 + w3.
-
-    ``sign`` None is +X1 with no scalar multiple, as in the compact algebra.
-    """
-    first = X1 if sign is None else sign * X1
-    return (anticommutator(X2, X3) - first - w1,
+def _bannai_ito_residuals(X1, X2, X3, w1, w2, w3, sign=1):
+    """Residuals of {X2,X3} = sign*X1 + w1, {X3,X1} = X2 + w2, {X1,X2} = X3 + w3."""
+    return (anticommutator(X2, X3) - sign * X1 - w1,
             anticommutator(X3, X1) - X2 - w2,
             anticommutator(X1, X2) - X3 - w3)
 

@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 from typing import Callable, List
 
 from .errors import BiwkitError, DegenerateParameters
-from .exact import HALF, I, QUARTER, ZERO, ComplexRational, Polynomial, RationalFunction
+from .exact import HALF, I, ONE, QUARTER, ZERO, ComplexRational, Polynomial, RationalFunction
 
 THREE_HALVES = ComplexRational(Fraction(3, 2))
 # How many parameter sets' B_n families and operators a process keeps.
@@ -156,15 +156,17 @@ def check_denominators(n_max: int, s: ComplexRational) -> None:
             raise DegenerateParameters(f"denominator n+a+b+c+d+{shift} vanishes at n={n}", n=n)
 
 
-def _branch(n, parity: int, p: ParameterSet):
-    """``(A_n, C_n)`` by the formulas of the given parity, for a number n or the variable n."""
-    if parity == 0:
-        A = (n + 2 * (p.a + p.c + 1)) * (n + 2 * (p.a + p.d + 1)) / (2 * (n + p.total + 2))
-        C = -(n * (n + 2 * (p.c + p.d) + 1)) / (2 * (n + p.total + 1))
-    else:
-        A = (n + 2 * (p.a + p.b + 1)) * (n + 2 * p.total + 3) / (2 * (n + p.total + 2))
-        C = -((n + 2 * (p.b + p.c) + 1) * (n + 2 * (p.b + p.d) + 1)) / (2 * (n + p.total + 1))
-    return A, C
+def _shifts(p: ParameterSet):
+    """The shifts (e1, e2, e3, e4) of ``_branch`` for even n, then for odd n."""
+    return ((2 * (p.a + p.c + 1), 2 * (p.a + p.d + 1), ZERO, 2 * (p.c + p.d) + 1),
+            (2 * (p.a + p.b + 1), 2 * p.total + 3, 2 * (p.b + p.c) + 1, 2 * (p.b + p.d) + 1))
+
+
+def _branch(n, shifts, s: ComplexRational):
+    """``(A_n, C_n)`` for a number n or the variable n, given the ``_shifts`` of its parity
+    and s = a+b+c+d: A_n = (n+e1)(n+e2)/(2(n+s+2)), C_n = -(n+e3)(n+e4)/(2(n+s+1))."""
+    e1, e2, e3, e4 = shifts
+    return (n + e1) * (n + e2) / (2 * (n + s + 2)), -((n + e3) * (n + e4)) / (2 * (n + s + 1))
 
 
 def bi_coefficients(n_max: int, p: ParameterSet) -> RecurrenceData:
@@ -174,10 +176,10 @@ def bi_coefficients(n_max: int, p: ParameterSet) -> RecurrenceData:
     reporting the offending n.
     """
     check_denominators(n_max, p.total)
-    data = RecurrenceData()
+    data, shifts, diag0 = RecurrenceData(), _shifts(p), 2 * p.a + 1
     for n in range(n_max + 1):
-        A, C = _branch(ComplexRational(n), n % 2, p)
-        diag = 2 * p.a + 1 - A - C
+        A, C = _branch(n, shifts[n % 2], p.total)
+        diag = diag0 - A - C
         data.A.append(A)
         data.C.append(C)
         data.b_coeff.append(diag)
@@ -201,11 +203,11 @@ def bi_polynomials(n_max: int, p: ParameterSet) -> List[Polynomial]:
     polys = _bi_family(p)
     if len(polys) <= n_max:
         data = bi_coefficients(n_max, p)
-        x = Polynomial.x()
         for n in range(len(polys) - 1, n_max):
-            # A_{n-1}C_n = -u_mod[n]; u_mod[0] = 0 multiplies B_{-1} = 0.
+            # B_{n+1} = x B_n - b_n B_n + u_n B_{n-1}; u_0 = 0 multiplies B_{-1} = 0.
             prev = polys[n - 1] if n else Polynomial.zero()
-            polys.append((x - data.b_coeff[n]) * polys[n] + data.u_mod[n] * prev)
+            polys.append(Polynomial.combination(
+                [(ONE, 1, polys[n]), (-data.b_coeff[n], 0, polys[n]), (data.u_mod[n], 0, prev)]))
     return polys[:n_max + 1]
 
 
@@ -217,7 +219,7 @@ def bi_eigenvalue(n: int, p: ParameterSet) -> ComplexRational:
 
 def affine_family(polys: List[Polynomial], scale, s, t) -> List[Polynomial]:
     """The family scale^n * P_n(s*x + t) of ``polys`` = [P_0, P_1, ...], exactly."""
-    return [(scale ** n) * poly.affine_substitute(s, t) for n, poly in enumerate(polys)]
+    return [poly.affine_substitute(s, t, scale ** n) for n, poly in enumerate(polys)]
 
 
 def q_polynomials(n_max: int, p: ParameterSet) -> List[Polynomial]:
@@ -265,11 +267,12 @@ def prove_closed_forms(q: RealParameterQuad) -> ModifiedClosedForm:
     zero numerator as a rational function of n, A_{n-1} being the other class's A_n
     shifted by -1: then the two agree at every n of the class where neither divides
     by zero.  Otherwise raises BiwkitError naming the class and c_k or u_k at the
-    least k >= 1 of it where the difference is defined and nonzero.
+    least k >= 1 of it where the difference is defined and nonzero, also as its
+    ``first_failure``.
     """
     closed = ModifiedClosedForm(q)
     p, n = closed.p, RationalFunction(Polynomial.x())
-    branches = [_branch(n, parity, p) for parity in (0, 1)]
+    branches = [_branch(n, shifts, p.total) for shifts in _shifts(p)]
     for parity, cls in ((1, "odd"), (0, "even")):
         (A, C), (c_n, u_n) = branches[parity], closed.at(n, parity)
         c_rec, u_rec = -I * (2 * p.a + 1 - A - C), -(branches[1 - parity][0].shift(-1) * C)
@@ -278,7 +281,8 @@ def prove_closed_forms(q: RealParameterQuad) -> ModifiedClosedForm:
                 k = 2 - parity
                 while diff.num(k).is_zero() or diff.den(k).is_zero():
                     k += 2
-                raise BiwkitError(f"{name}_{k} closed form disagrees with recurrence on {cls} n")
+                raise BiwkitError(f"{name}_{k} closed form disagrees with recurrence on {cls} n",
+                                  {"coefficient": f"{name}_{k}", "parity": cls})
     return closed
 
 

@@ -75,9 +75,11 @@ def build_rep(N: int, q: RealParameterQuad,
     data = q_modified_coefficients(N - 1, q)
     for n in range(N):
         if not data.c_mod[n].is_real():
-            raise InvalidParameters(f"c_{n} is not real")
+            raise InvalidParameters(f"c_{n} is not real",
+                                    {"coefficient": f"c_{n}", "expected": "real"})
         if n >= 1 and not (data.u_mod[n].is_real() and data.u_mod[n].re > 0):
-            raise InvalidParameters(f"u_{n} is not positive")
+            raise InvalidParameters(f"u_{n} is not positive",
+                                    {"coefficient": f"u_{n}", "expected": "positive"})
     p = ParameterSet.from_quad(q)
     return TridiagonalRep(
         size=N,

@@ -7,9 +7,15 @@ the pass/fail lines always appear in the log.
 ``polyfam`` and ``operators`` keep each parameter set's B_n family and
 operators for the life of the process.  An autouse fixture empties those
 caches after each test, so a family built while a test had patched
-``polyfam.bi_coefficients`` or ``polyfam._branch`` never reaches a later
+``polyfam.bi_coefficients`` or ``polyfam._shifts`` never reaches a later
 test at the same parameter set.
+
+``mutate_polyfam`` replaces a function of ``polyfam`` by its own source with
+one text change: the source mutants of ``test_reptheory`` and ``test_cli``.
 """
+
+import inspect
+import textwrap
 
 import pytest
 
@@ -22,6 +28,16 @@ def shared_caches():
     """Every ``functools`` cache of ``polyfam`` and ``operators``."""
     return {obj for module in (polyfam, operators) for obj in vars(module).values()
             if hasattr(obj, "cache_clear")}
+
+
+def mutate_polyfam(monkeypatch, owner, name, old, new):
+    """Replace ``owner.name``, a function of ``polyfam`` or a method of one of its classes, by
+    its own source with the one occurrence of ``old`` replaced by ``new``."""
+    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
+    assert source.count(old) == 1, old
+    namespace = dict(vars(polyfam))
+    exec(compile(source.replace(old, new), polyfam.__file__, "exec"), namespace)
+    monkeypatch.setattr(owner, name, namespace[name])
 
 
 @pytest.fixture(autouse=True)

@@ -15,6 +15,7 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from conftest import mutate_polyfam
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
@@ -30,7 +31,7 @@ from biwkit.cli import (
     main,
     random_parameter_set,
 )
-from biwkit.errors import DegenerateParameters
+from biwkit.errors import BiwkitError, DegenerateParameters
 from biwkit.exact import ComplexRational, Polynomial
 
 # Reduced settings for the full-suite runs.
@@ -253,6 +254,26 @@ class TestErrorPaths:
         assert code == EXIT_INVALID_PARAMETERS
         assert doc["schema"] == SCHEMA
         assert doc["error"]["kind"] == "InvalidParameters"
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["verify-eigen", "--params", "-1/4,-1/4,-1/4,-1/5", "--n-max", "4"], EXIT_OK),
+        # a+b+c+d = -1: degenerate, and said so, not a usage error.
+        (["verify-eigen", "--params", "-1/4,-1/4,-1/4,-1/4"], EXIT_INVALID_PARAMETERS),
+        (["q-poly", "--params", "-i,1/2,-1/3+i,2", "--n-max", "2"], EXIT_OK),
+        (["verify-daha", "--daha", "-1/3,1/5,-2/7,1/2", "--n-max", "2", "--degree", "2"], EXIT_OK),
+        (["rep", "--quad", "-1,1,1,1"], EXIT_INVALID_PARAMETERS),
+    ])
+    def test_a_leading_minus_is_read_as_the_value(self, argv, expected, tmp_path):
+        # "--params -1/4,..." once read the value as a flag: exit 3, "expected one argument".
+        glued = argv[:1] + [f"{argv[1]}={argv[2]}"] + argv[3:]
+        code, doc = run(argv, tmp_path, "spaced.json")
+        assert (code, doc) == run(glued, tmp_path, "glued.json")
+        assert code == expected and doc["command"] == argv[0]
+
+    def test_a_negative_quad_names_positivity(self, tmp_path):
+        code, doc = run(["all", "--quad", "-1,1,1,1"], tmp_path)
+        assert code == EXIT_INVALID_PARAMETERS
+        assert "must be positive" in doc["error"]["detail"]
 
     def test_closed_form_mismatch_exit_2(self, tmp_path, monkeypatch):
         recurrence = polyfam.bi_coefficients
@@ -593,6 +614,35 @@ class TestRunAll:
         # Other stages still ran and passed: failures accumulate.
         assert doc["stages"]["noncompact_algebra"]["pass"] is True
         assert doc["stages"]["orthogonality"]["pass"] is True
+
+    def test_all_passes_at_four_distinct_parameters(self, tmp_path):
+        code, doc = run(["all", "--quad", "1/3,2/5,3/4,1/7", "--n-max", "1", "--precision", "20"],
+                        tmp_path)
+        assert code == EXIT_OK
+        assert len(doc["stages"]) == 17 and all(s["pass"] for s in doc["stages"].values())
+        assert "first_failure" not in doc["stages"]["positivity"]["report"]
+
+    def test_closed_form_disagreement_fails_positivity_and_keeps_every_verdict(
+            self, tmp_path, monkeypatch):
+        # b for a in one factor of the odd C_n: the recurrence no longer meets its closed forms.
+        mutate_polyfam(monkeypatch, polyfam, "_shifts", "2 * (p.b + p.c) + 1",
+                       "2 * (p.a + p.c) + 1")
+        quad = polyfam.RealParameterQuad(Fraction(1, 3), Fraction(2, 5), Fraction(3, 4),
+                                         Fraction(1, 7))
+        with pytest.raises(BiwkitError, match="^c_1 closed form disagrees .* on odd n$"):
+            reptheory.positivity_scan(quad, 100)
+        code, doc = run(["rep", "--quad", "1/3,2/5,3/4,1/7"], tmp_path, "rep.json")
+        assert code != EXIT_OK and "error" in doc
+        code, doc = run(["all", "--quad", "1/3,2/5,3/4,1/7", "--n-max", "1", "--precision", "20"],
+                        tmp_path)
+        assert code == EXIT_VERIFICATION_FAILED
+        stages = doc["stages"]
+        assert len(stages) == 17 and all(type(s["pass"]) is bool for s in stages.values())
+        assert stages["positivity"] == {
+            "report": {"first_failure": {"coefficient": "c_1", "parity": "odd"}, "pass": False},
+            "pass": False}
+        assert not stages["bi_eigen"]["pass"]
+        assert stages["compact_algebra"]["pass"]
 
     def test_prop1_operator_checks_the_daha_set_that_all_maps(self, tmp_path, monkeypatch):
         # ``all`` maps p to its DAHA set once; the operator transform must check

@@ -363,11 +363,13 @@ class TestPolynomialOracle:
         assert_poly(pa - r, poly_add(a, poly_trim([ComplexRational(-r)])))
         assert_poly(r + pa, poly_add(a, poly_trim([ComplexRational(r)])))
 
-    @given(coeff_lists, scalars, scalars)
-    def test_affine_substitute(self, a, s, t):
+    @given(coeff_lists, scalars, scalars, scalars)
+    def test_affine_substitute(self, a, s, t, scale):
         pa, a = Polynomial(a), poly_trim(a)
         assert_poly(pa.affine_substitute(s, t), poly_affine(a, s, t))
         assert_poly(pa.affine_substitute(s, 0), poly_affine(a, s, ZERO_C))
+        assert_poly(pa.affine_substitute(s, t, scale), poly_scale(scale, poly_affine(a, s, t)))
+        assert_poly(pa.affine_substitute(s, 0, scale), poly_scale(scale, poly_affine(a, s, ZERO_C)))
 
     @given(coeff_lists, divisors, st.booleans())
     def test_exact_div(self, a, d, exact):

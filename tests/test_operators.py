@@ -7,12 +7,15 @@ from fractions import Fraction
 import pytest
 from conftest import shared_caches
 
+from biwkit import exact
 from biwkit.cli import random_parameter_set
 from biwkit.errors import DegenerateParameters, InvalidParameters, OperatorNotPolynomialPreserving
-from biwkit.exact import I, ComplexRational, Polynomial
+from biwkit.exact import HALF, I, ONE, ComplexRational, Polynomial
 from biwkit.operators import (
     CasimirReport,
+    DifferenceOperator,
     DividedDifference,
+    PolynomialMultiple,
     StructureConstants,
     Substitution,
     _check_eigen_pairs,
@@ -152,6 +155,120 @@ class TestOracle:
         image = L.image(4)
         assert L.image(4) is image
         assert build_L(HALF_QUAD_PARAMS).image(4) == image
+
+
+def _leaves(rng):
+    """A polynomial multiple, a substitution and a divided-difference block, at random."""
+    x = Polynomial.x()
+    num = Polynomial([_gaussian_rational(rng) for _ in range(rng.randint(1, 3))])
+    return [PolynomialMultiple(Polynomial([_gaussian_rational(rng) for _ in range(3)])),
+            Substitution(_gaussian_rational(rng), _gaussian_rational(rng)),
+            DividedDifference(num, 2 * x + 1, -1, -1)]
+
+
+def _scalar(rng):
+    return rng.choice([rng.randint(-3, 3), Fraction(rng.randint(-5, 5), rng.randint(1, 4)),
+                       _gaussian_rational(rng)])
+
+
+def _expression(rng, leaves, depth):
+    """A random operator expression over the leaves: (its tree, what ``+ - *`` built)."""
+    if depth == 0 or rng.random() < 0.2:
+        leaf = rng.choice(leaves)
+        return ("leaf", leaf), leaf
+    a, op_a = _expression(rng, leaves, depth - 1)
+    shape = rng.choice(["neg", "operators", "scalar on the left", "scalar on the right"])
+    if shape == "neg":
+        return ("neg", a), -op_a
+    if shape == "operators":
+        b, op_b = _expression(rng, leaves, depth - 1)
+    else:
+        c = _scalar(rng)
+        b, op_b = ("scalar", c), c
+        if shape == "scalar on the left":
+            (a, op_a), (b, op_b) = (b, op_b), (a, op_a)
+    kind = rng.choice(["add", "sub", "mul"])
+    op = {"add": lambda: op_a + op_b, "sub": lambda: op_a - op_b, "mul": lambda: op_a * op_b}
+    return (kind, a, b), op[kind]()
+
+
+def _reference(node, f: Polynomial) -> Polynomial:
+    """The image of f under the expression ``node``, evaluated node by node."""
+    kind = node[0]
+    if kind == "scalar":
+        return ComplexRational.coerce(node[1]) * f
+    if kind == "leaf":
+        return node[1].apply(f)
+    if kind == "neg":
+        return -_reference(node[1], f)
+    a, b = node[1], node[2]
+    if kind == "add":
+        return _reference(a, f) + _reference(b, f)
+    if kind == "sub":
+        return _reference(a, f) - _reference(b, f)
+    return _reference(a, _reference(b, f))  # a product: b first, then a
+
+
+class TestFlatCombinations:
+    """Sums, differences, negations and scalar multiples as one flat node of terms."""
+
+    def test_random_expressions_match_a_node_by_node_reference(self):
+        rng = random.Random(27)
+        for _ in range(50):
+            node, op = _expression(rng, _leaves(rng), rng.randint(1, 4))
+            for k in range(9):
+                assert op.image(k) == _reference(node, Polynomial.monomial(k)), node
+
+    def test_scalars_on_either_side(self):
+        A, B, _ = _leaves(random.Random(1))
+        c = ComplexRational(Fraction(2, 3), -1)
+        for k in range(6):
+            f = Polynomial.monomial(k)
+            assert (c - A).image(k) == c * f - A.apply(f)
+            assert (A - c).image(k) == A.apply(f) - c * f
+            assert (2 + B).image(k) == (B + 2).image(k) == B.apply(f) + 2 * f
+            assert (c * A).image(k) == (A * c).image(k) == c * A.apply(f)
+
+    def test_like_terms_merge_and_cancelled_terms_drop(self):
+        A, B, C = _leaves(random.Random(2))
+        expr = 2 * (A + B) - (C - 3) + Fraction(1, 2) * -(A - HALF)
+        coefficients = {op: c for c, op in expr.terms}
+        assert len(expr.terms) == 4 and coefficients[A] == Fraction(3, 2)
+        assert coefficients[B] == 2 and coefficients[C] == -1
+        assert (A + B - A).terms == ((ONE, B),)
+        zero = A - A
+        assert zero.terms == () and all(zero.image(k).is_zero() for k in range(4))
+        assert (zero + B).image(3) == B.image(3)
+
+    def test_products_are_not_flattened(self):
+        A, B, _ = _leaves(random.Random(3))
+        product = A * B
+        assert product.terms == ()
+        assert (product + A).terms == ((ONE, product), (ONE, A))
+
+    def test_one_combination_per_image(self, monkeypatch):
+        A, B, C = _leaves(random.Random(4))
+        expr = 2 * (A + B) - (C - 3) + Fraction(1, 2) * -(A - HALF) - I * (B - C + 1)
+        for k in range(7):  # the leaves' own images, made beforehand
+            A.image(k), B.image(k), C.image(k)
+        calls, combination = [], exact._combination
+        monkeypatch.setattr(exact, "_combination",
+                            lambda *args: calls.append(1) or combination(*args))
+        for k in range(7):
+            expr.image(k)
+        assert len(calls) == 7
+
+    @pytest.mark.parametrize("operand", [Polynomial.x(), 0.5, "1"])
+    def test_an_operand_that_is_not_a_scalar_is_rejected_when_built(self, operand):
+        A, _, _ = _leaves(random.Random(6))
+        for build in (lambda: A + operand, lambda: operand - A, lambda: A * operand,
+                      lambda: operand * A):
+            with pytest.raises(TypeError):
+                build()
+
+    def test_flat_nodes_are_difference_operators(self):
+        A, _, _ = _leaves(random.Random(5))
+        assert type(A + 1) is type(-A) is type(2 * A) is type(A * A) is DifferenceOperator
 
 
 class TestNoVacuousPass:

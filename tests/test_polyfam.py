@@ -7,7 +7,7 @@ import pytest
 
 from biwkit.cli import random_parameter_set
 from biwkit.errors import DegenerateParameters
-from biwkit.exact import ComplexRational, Polynomial
+from biwkit.exact import I, ComplexRational, Polynomial
 from biwkit.polyfam import (
     DAHAParameterSet,
     ModifiedClosedForm,
@@ -30,6 +30,26 @@ ZERO_PARAMS = ParameterSet(0, 0, 0, 0)
 HALF_QUAD = RealParameterQuad(
     Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), Fraction(1, 2)
 )
+
+
+def _coefficients_written_out(n_max, p):
+    """(A, C, b, c, u) lists for n <= n_max, or (None, n) at the first n with a zero denominator."""
+    a, b, c, d, s = p.a, p.b, p.c, p.d, p.a + p.b + p.c + p.d
+    A, C = [], []
+    for k in range(n_max + 1):
+        n = ComplexRational(k)
+        try:
+            if k % 2 == 0:
+                A.append((n + 2 * (a + c + 1)) * (n + 2 * (a + d + 1)) / (2 * (n + s + 2)))
+                C.append(-(n * (n + 2 * (c + d) + 1)) / (2 * (n + s + 1)))
+            else:
+                A.append((n + 2 * (a + b + 1)) * (n + 2 * s + 3) / (2 * (n + s + 2)))
+                C.append(-((n + 2 * (b + c) + 1) * (n + 2 * (b + d) + 1)) / (2 * (n + s + 1)))
+        except ZeroDivisionError:
+            return None, k
+    diag = [2 * a + 1 - A[k] - C[k] for k in range(n_max + 1)]
+    u = [ComplexRational(0)] + [-(A[k - 1] * C[k]) for k in range(1, n_max + 1)]
+    return (A, C, diag, [-I * v for v in diag], u), None
 
 
 class TestRecurrence:
@@ -72,6 +92,30 @@ class TestRecurrence:
         for n in range(31):
             lam = bi_eigenvalue(n, p)
             assert data.b_coeff[n] * (4 * lam * lam - 1) == 2 * sc.omega3 * lam + sc.omega2, n
+
+    def test_coefficients_equal_the_formulas_written_out(self):
+        # Each A_n, C_n by its parity's formula in full, with every parameter sum
+        # rebuilt at each n; a zero denominator is where the recurrence must stop.
+        rng = random.Random(2027)
+        degenerate = 0
+        for _ in range(200):
+            a, b, c = (ComplexRational(Fraction(rng.randint(-9, 9), rng.randint(1, 4)),
+                                       Fraction(rng.randint(-9, 9), rng.randint(1, 4)))
+                       for _ in range(3))
+            # A third of the sets put a+b+c+d at an integer in -22..1.
+            d = (rng.randint(-22, 1) - a - b - c if rng.random() < 0.35
+                 else ComplexRational(Fraction(rng.randint(-9, 9), rng.randint(1, 4))))
+            p, n_max = ParameterSet(a, b, c, d), rng.randint(0, 20)
+            expected, pole = _coefficients_written_out(n_max, p)
+            if pole is not None:
+                degenerate += 1
+                with pytest.raises(DegenerateParameters) as info:
+                    bi_coefficients(n_max, p)
+                assert info.value.n == pole
+                continue
+            data = bi_coefficients(n_max, p)
+            assert (data.A, data.C, data.b_coeff, data.c_mod, data.u_mod) == expected, p
+        assert degenerate >= 20
 
     def test_eigenvalue_alternation(self):
         assert bi_eigenvalue(0, ZERO_PARAMS) == ComplexRational(Fraction(3, 2))

@@ -1,12 +1,11 @@
 """Tests for the truncated tridiagonal representation."""
 
 import dataclasses
-import inspect
 import random
-import textwrap
 from fractions import Fraction
 
 import pytest
+from conftest import mutate_polyfam
 from mpmath import mpf
 
 from biwkit import polyfam, reptheory
@@ -241,15 +240,6 @@ def _seeded_cases(count: int):
         yield RealParameterQuad(al, be, ga, de), rng.choice([0, 1, 2, 3, 4, 5, 9, 17, 40])
 
 
-def _mutate(monkeypatch, owner, name, old, new):
-    """Replace owner.name by its own source with the one occurrence of ``old`` replaced by ``new``."""
-    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
-    assert source.count(old) == 1, old
-    namespace = dict(vars(polyfam))
-    exec(compile(source.replace(old, new), polyfam.__file__, "exec"), namespace)
-    monkeypatch.setattr(owner, name, namespace[name])
-
-
 EPSILON = "Fraction(1, 10 ** 30)"
 
 
@@ -321,13 +311,12 @@ class TestPositivityProof:
         # The denominator 4*lambda_n^2 - 1 of c_n, and alpha3 in its numerator.
         (ModifiedClosedForm, "at", "4 * lam * lam - 1", f"4 * lam * lam - 1 + {EPSILON}", "c_1"),
         (ModifiedClosedForm, "__init__", "sc.alpha3\n", f"sc.alpha3 + {EPSILON}\n", "c_1"),
-        # One factor of C_n for even n, and one of A_n for odd n.
-        (polyfam, "_branch", "2 * (p.c + p.d) + 1)", f"2 * (p.c + p.d) + 1 + {EPSILON})", "c_2"),
-        (polyfam, "_branch", "(n + 2 * (p.a + p.b + 1))", f"(n + 2 * (p.a + p.b + 1) + {EPSILON})",
-         "c_1"),
+        # The shift of one factor of C_n for even n, and of one of A_n for odd n.
+        (polyfam, "_shifts", "2 * (p.c + p.d) + 1)", f"2 * (p.c + p.d) + 1 + {EPSILON})", "c_2"),
+        (polyfam, "_shifts", "2 * (p.a + p.b + 1),", f"2 * (p.a + p.b + 1) + {EPSILON},", "c_1"),
     ], ids=["closed-u-odd", "closed-c", "closed-alpha3", "recurrence-C-even", "recurrence-A-odd"])
     def test_perturbed_coefficient_fails_the_proof(self, monkeypatch, owner, name, old, new, named):
-        _mutate(monkeypatch, owner, name, old, new)
+        mutate_polyfam(monkeypatch, owner, name, old, new)
         with pytest.raises(BiwkitError, match=f"^{named} closed form disagrees"):
             positivity_scan(OTHER_QUAD, 100)
 
@@ -335,11 +324,11 @@ class TestPositivityProof:
         # The square 4(beta+delta)^2 of u_n for even n only.
         (ModifiedClosedForm, "__init__", "(2 * (be + de)) ** 2",
          f"(2 * (be + de)) ** 2 + {EPSILON}", "u_2"),
-        # The factor n of C_n for even n: c_n and u_n of the even class.
-        (polyfam, "_branch", "-(n * (n +", f"-((n + {EPSILON}) * (n +", "c_2"),
+        # The factor n of C_n for even n (its shift 0): c_n and u_n of the even class.
+        (polyfam, "_shifts", "ZERO,", f"ZERO + {EPSILON},", "c_2"),
     ], ids=["closed-u-even", "recurrence-C-even-n"])
     def test_even_class_break_is_named_even(self, monkeypatch, owner, name, old, new, named):
-        _mutate(monkeypatch, owner, name, old, new)
+        mutate_polyfam(monkeypatch, owner, name, old, new)
         with pytest.raises(BiwkitError, match=f"^{named} closed form disagrees") as info:
             positivity_scan(OTHER_QUAD, 100)
         assert str(info.value).endswith(" on even n")
@@ -352,7 +341,7 @@ class TestPositivityProof:
     ], ids=["numerator-zero-at-1", "denominator-zero-at-1"])
     def test_names_the_least_k_where_the_difference_is_defined_and_nonzero(self, monkeypatch,
                                                                             gamma):
-        _mutate(monkeypatch, ModifiedClosedForm, "__init__", "-4 * al - 1,",
+        mutate_polyfam(monkeypatch, ModifiedClosedForm, "__init__", "-4 * al - 1,",
                 f"-4 * al - 1 + {EPSILON},")
         q = RealParameterQuad(Fraction(1), Fraction(2, 5), gamma, Fraction(1, 7))
         with pytest.raises(BiwkitError, match="^u_3 closed form disagrees .* on odd n$"):
