@@ -10,12 +10,15 @@ Errors are reported as JSON documents too.
 A verifying command's document is its header fields (parameters and
 sizes), then one entry per report it ran, then ``pass``: true only if
 every report passed.  Each stage of ``all`` is ``{report, pass}``.
-Reports hand over their numbers as values; ``_write`` alone writes them, in
-``json.dumps(indent=2)``'s layout, tagging each by its type: a ``Fraction`` is
-``{"exact": "p/q"}``, a ``ComplexRational`` ``{"exact": {"re", "im"}}``, a
-``Polynomial`` the list of its coefficients, an ``Approx`` ``{"approx": decimal
-string, "precision_digits": the digits printed}``, and any other dataclass (a
-parameter record) the object of its fields, in order.
+Reports are records: ``_write`` alone writes them and the numbers they hold,
+in ``json.dumps(indent=2)``'s layout, tagging each number by its type: a
+``Fraction`` is ``{"exact": "p/q"}``, a ``ComplexRational`` ``{"exact": {"re",
+"im"}}``, a ``Polynomial`` the list of its coefficients, an ``Approx``
+``{"approx": decimal string, "precision_digits": the digits printed}``.  Any
+other dataclass, a parameter record or a report, is the object of its fields
+in declaration order, each under its ``metadata["key"]`` if it has one (a
+report's ``passed`` is written ``pass``) and under its name otherwise.  A
+property, such as ``CasimirReport.passed``, is not a field and is not written.
 """
 
 from __future__ import annotations
@@ -93,8 +96,9 @@ def _rational(x: int, d: int) -> str:
 
 def _write(node, out: list, nl: str) -> list:
     """Append ``node``'s text to ``out``; ``nl`` is a newline and the indent of its first line.
-    Besides the tagged types, str, int, bool and None are leaves; any other, such as a bare
-    mpf, or a key that is not a str raises TypeError."""
+    Besides the tagged types, str, int, bool and None are leaves; a dict is its items and a
+    dataclass its fields in declaration order, keyed by ``metadata["key"]`` or else by name.
+    Any other type, such as a bare mpf, or a key that is not a str raises TypeError."""
     kind, inner = type(node), nl + "  "
     if kind is str:
         out.append(_quote(node))
@@ -118,7 +122,7 @@ def _write(node, out: list, nl: str) -> list:
     elif kind is dict or is_dataclass(node):
         sep = "{"
         for key, value in node.items() if kind is dict else (
-                (f.name, getattr(node, f.name)) for f in fields(node)):
+                (f.metadata.get("key", f.name), getattr(node, f.name)) for f in fields(node)):
             if type(key) is not str:
                 raise TypeError(f"document key of type {type(key).__name__}")
             out.append(f"{sep}{inner}{_quote(key)}: ")
@@ -251,10 +255,9 @@ def _cmd_wilson(args) -> tuple:
 
 
 def _document(header: dict, reports: dict) -> tuple:
-    """``(document, passed)``: the header's fields, then each named report's
-    JSON in the order given; it passes only if every report passed."""
-    doc = {**header, **{name: r.to_json() for name, r in reports.items()}}
-    return doc, all(r.passed for r in reports.values())
+    """``(document, passed)``: the header's fields, then each named report in the order
+    given, written by its fields; it passes only if every report passed."""
+    return {**header, **reports}, all(r.passed for r in reports.values())
 
 
 def _cmd_verify_eigen(args) -> tuple:
@@ -326,12 +329,13 @@ def _random_eigen_stage(rng: random.Random) -> dict:
     checks = []
     for _ in range(3):
         rp = random_parameter_set(rng, 10)
-        checks.append({"params": rp, **verify_eigen_bi(10, rp).to_json()})
+        report = verify_eigen_bi(10, rp)
+        checks.append({"params": rp, "checks": report.checks, "pass": report.passed})
     return {"report": {"checks": checks}, "pass": all(c["pass"] for c in checks)}
 
 
 def _stage(report) -> dict:
-    return {"report": report.to_json(), "pass": report.passed}
+    return {"report": report, "pass": report.passed}
 
 
 def _checked_stage(run) -> dict:

@@ -57,7 +57,7 @@ except ImportError:
 
 from .errors import InvalidParameters, PoleError, QuadratureNotConverged
 from .exact import ComplexRational
-from .polyfam import ParameterSet, bi_coefficients, q_polynomials
+from .polyfam import ParameterSet, bi_coefficients, document_key, q_polynomials
 
 DEFAULT_PRECISION = 50
 DEFAULT_TOL = Fraction(1, 10**8)
@@ -248,42 +248,21 @@ OFFDIAG_REL_EXPONENT = -20
 
 @dataclass
 class OrthogonalityReport:
+    """The Gram and ``expected_diag`` at ``precision_digits``, the summary figures at
+    SUMMARY_DIGITS; ``panels`` counts the evaluations of W."""
+
     n_max: int
-    gram: List[List[mpf]]
-    expected_diag: List[mpf]
-    max_offdiag_rel: mpf
-    max_diag_rel_err: mpf
-    max_ratio_err: mpf
+    gram: List[List[Approx]]
+    expected_diag: List[Approx]
+    max_offdiag_rel: Approx
+    max_diag_rel_err: Approx
+    max_ratio_err: Approx
     truncation_L: int
     panels: int
-    l_stability: mpf
+    l_stability: Approx
     precision_digits: int
-    tol: mpf
-
-    @property
-    def passed(self) -> bool:
-        return bool(
-            self.max_offdiag_rel <= mpf(10) ** OFFDIAG_REL_EXPONENT
-            and self.max_diag_rel_err <= self.tol
-            and self.max_ratio_err <= self.tol
-        )
-
-    def to_json(self) -> dict:
-        d, s = self.precision_digits, SUMMARY_DIGITS
-        return {
-            "n_max": self.n_max,
-            "gram": [[Approx(v, d) for v in row] for row in self.gram],
-            "expected_diag": [Approx(v, d) for v in self.expected_diag],
-            "max_offdiag_rel": Approx(self.max_offdiag_rel, s),
-            "max_diag_rel_err": Approx(self.max_diag_rel_err, s),
-            "max_ratio_err": Approx(self.max_ratio_err, s),
-            "truncation_L": self.truncation_L,
-            "panels": self.panels,
-            "l_stability": Approx(self.l_stability, s),
-            "precision_digits": d,
-            "tol": Approx(self.tol, s),
-            "pass": self.passed,
-        }
+    tol: Approx
+    passed: bool = document_key("pass")
 
 
 def _strip_halvings(p: ParameterSet, n_max: int, dps: int) -> Tuple[float, float, float, int, int]:
@@ -470,17 +449,13 @@ def orthogonality_gram(
                 f"relative to its (0, 0) entry: W rises again past L"
             )
 
-        report = OrthogonalityReport(
-            n_max=n_max,
-            gram=[[+v for v in row] for row in gram],
-            expected_diag=[+v for v in expected],
-            max_offdiag_rel=+max_off,
-            max_diag_rel_err=+max_diag,
-            max_ratio_err=+max_ratio,
-            truncation_L=L,
-            panels=evaluations,
-            l_stability=+l_stab,
-            precision_digits=precision,
-            tol=+tol,
-        )
-    return report
+        gram = [[Approx(+v, precision) for v in row] for row in gram]
+        expected = [Approx(+v, precision) for v in expected]
+        max_off, max_diag, max_ratio, l_stab, tol = (
+            Approx(+v, SUMMARY_DIGITS) for v in (max_off, max_diag, max_ratio, l_stab, tol))
+    return OrthogonalityReport(
+        n_max=n_max, gram=gram, expected_diag=expected, max_offdiag_rel=max_off,
+        max_diag_rel_err=max_diag, max_ratio_err=max_ratio, truncation_L=L, panels=evaluations,
+        l_stability=l_stab, precision_digits=precision, tol=tol,
+        passed=bool(max_off.value <= mpf(10) ** OFFDIAG_REL_EXPONENT
+                    and max_diag.value <= tol.value and max_ratio.value <= tol.value))

@@ -32,7 +32,7 @@ builds only its own residuals.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Dict, Iterable, List, Optional
@@ -48,6 +48,7 @@ from .polyfam import (
     bi_eigenvalue,
     bi_polynomials,
     casimir_scalar,
+    document_key,
     nonsym_wilson_family,
     param_map_bi_to_daha,
     q_polynomials,
@@ -229,28 +230,17 @@ def _involution_residuals(gens, squares) -> List[DifferenceOperator]:
 class RelationCheck:
     relation: str
     degree_checked: int
-    passed: bool
+    passed: bool = document_key("pass")
     first_failure: Optional[dict] = None
-
-    def to_json(self) -> dict:
-        return {
-            "relation": self.relation,
-            "degree_checked": self.degree_checked,
-            "pass": self.passed,
-            "first_failure": self.first_failure,
-        }
 
 
 @dataclass
 class VerificationReport:
-    checks: List[RelationCheck] = field(default_factory=list)
+    checks: List[RelationCheck]
+    passed: bool = document_key("pass", init=False)
 
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_json(self) -> dict:
-        return {"checks": [c.to_json() for c in self.checks], "pass": self.passed}
+    def __post_init__(self):
+        self.passed = all(c.passed for c in self.checks)
 
 
 def _relation_check(relation: str, degree: int, residuals: Iterable[Polynomial]) -> RelationCheck:
@@ -343,22 +333,15 @@ def verify_nc_algebra(p: ParameterSet, degree: int,
 
 @dataclass
 class CasimirReport:
+    which: str
     expected: ComplexRational
     realized_ok: bool
     max_degree_checked: int
-    which: str = "compact"
 
     @property
     def passed(self) -> bool:
+        """``realized_ok``; a property, so the document has no ``pass`` of its own."""
         return self.realized_ok
-
-    def to_json(self) -> dict:
-        return {
-            "which": self.which,
-            "expected": self.expected,
-            "realized_ok": self.realized_ok,
-            "max_degree_checked": self.max_degree_checked,
-        }
 
 
 def verify_casimir(p: ParameterSet, degree: int, which: str = "compact") -> CasimirReport:
@@ -366,26 +349,20 @@ def verify_casimir(p: ParameterSet, degree: int, which: str = "compact") -> Casi
     expected = casimir_scalar(p)
     cas = _casimir(*_realization(p, structure_constants(p), which), which)
     check = _report(degree, [f"Casimir ({which})"], [cas - expected])
-    return CasimirReport(expected=expected, realized_ok=check.passed,
-                         max_degree_checked=degree, which=which)
+    return CasimirReport(which=which, expected=expected, realized_ok=check.passed,
+                         max_degree_checked=degree)
 
 
 @dataclass
 class IsoForwardReport:
-    t0_sq: ComplexRational
-    t1_sq: ComplexRational
-    u0_sq: ComplexRational
-    u1_sq: ComplexRational
-    report: VerificationReport
+    """``central_values`` maps t0_sq, t1_sq, u0_sq and u1_sq to the predicted squares."""
 
-    @property
-    def passed(self) -> bool:
-        return self.report.passed
+    central_values: Dict[str, ComplexRational]
+    checks: List[RelationCheck]
+    passed: bool = document_key("pass", init=False)
 
-    def to_json(self) -> dict:
-        names = ("t0_sq", "t1_sq", "u0_sq", "u1_sq")
-        return {"central_values": {k: getattr(self, k) for k in names},
-                **self.report.to_json()}
+    def __post_init__(self):
+        self.passed = all(c.passed for c in self.checks)
 
 
 def iso_forward(K1, K2, K3, sc: StructureConstants, degree: int) -> IsoForwardReport:
@@ -406,7 +383,8 @@ def iso_forward(K1, K2, K3, sc: StructureConstants, degree: int) -> IsoForwardRe
     report = _report(degree, ["Ttilde0^2 = t0~", "Ttilde1^2 = t1~", "Utilde0^2 = u0~",
                               "Utilde1^2 = u1~", "Ttilde0+Ttilde1+Utilde0+Utilde1 = -1/2"],
                      _involution_residuals(gens, squares))
-    return IsoForwardReport(*squares, report)
+    return IsoForwardReport(dict(zip(("t0_sq", "t1_sq", "u0_sq", "u1_sq"), squares)),
+                            report.checks)
 
 
 def iso_inverse(t: DAHAParameterSet, degree: int) -> VerificationReport:

@@ -27,6 +27,11 @@ THREE_HALVES = ComplexRational(Fraction(3, 2))
 SHARED_SETS = 8
 
 
+def document_key(key: str, **kwargs):
+    """A report field that its ``biwkit/2`` document writes under ``key``, not its name."""
+    return field(metadata={"key": key}, **kwargs)
+
+
 @dataclass(frozen=True)
 class RealParameterQuad:
     """Real parameters (alpha, beta, gamma, delta) for the conjugate pairing."""
@@ -137,9 +142,6 @@ class RecurrenceData:
     b_coeff: List[ComplexRational] = field(default_factory=list)
     c_mod: List[ComplexRational] = field(default_factory=list)
     u_mod: List[ComplexRational] = field(default_factory=list)
-
-    def to_json(self) -> dict:
-        return {"A": self.A, "C": self.C, "c": self.c_mod, "u": self.u_mod}
 
 
 def check_denominators(n_max: int, s: ComplexRational) -> None:
@@ -321,31 +323,21 @@ def wilson_eigenvalue(n: int, t: DAHAParameterSet) -> ComplexRational:
 @dataclass
 class SymmetryCheck:
     identity: str
-    results: List[bool]
+    passed: bool = document_key("pass", init=False)
+    per_n: List[bool]
 
-    @property
-    def passed(self) -> bool:
-        return all(self.results)
+    def __post_init__(self):
+        self.passed = all(self.per_n)
 
 
 @dataclass
 class SymmetryReport:
     n_max: int
     checks: List[SymmetryCheck]
+    passed: bool = document_key("pass", init=False)
 
-    @property
-    def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    def to_json(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "checks": [
-                {"identity": c.identity, "pass": c.passed, "per_n": c.results}
-                for c in self.checks
-            ],
-            "pass": self.passed,
-        }
+    def __post_init__(self):
+        self.passed = all(c.passed for c in self.checks)
 
 
 def q_symmetry_check(n_max: int, p: ParameterSet) -> SymmetryReport:
@@ -372,5 +364,5 @@ def family_to_json(n_max: int, p: ParameterSet,
         "n_max": n_max,
         "polynomials": polys,
         "lambda": [bi_eigenvalue(n, p) for n in range(n_max + 1)],
-        "recurrence": data.to_json(),
+        "recurrence": {"A": data.A, "C": data.C, "c": data.c_mod, "u": data.u_mod},
     }

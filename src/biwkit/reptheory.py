@@ -28,7 +28,7 @@ from .errors import InvalidParameters
 from .exact import ONE, ZERO, ComplexRational
 from .measure import SUMMARY_DIGITS, Approx, _to_mpf
 from .polyfam import (ParameterSet, RealParameterQuad, StructureConstants, bi_eigenvalue,
-                      casimir_scalar, check_denominators, prove_closed_forms,
+                      casimir_scalar, check_denominators, document_key, prove_closed_forms,
                       q_modified_coefficients, structure_constants)
 
 # The least (double) and the default precision_digits: they set only rep_tolerance.
@@ -124,29 +124,14 @@ def _lincomb(*terms) -> Vector:
 
 @dataclass
 class RepReport:
-    size: int
+    """``residuals`` maps rel2, rel3 and casimir to the largest residual of each relation."""
+
+    size: int = document_key("N")
     precision_digits: int
     interior_block: int
-    residual_rel2: mpf
-    residual_rel3: mpf
-    residual_casimir: mpf
-    tolerance: mpf
-    passed: bool
-
-    def to_json(self) -> dict:
-        s = SUMMARY_DIGITS
-        return {
-            "N": self.size,
-            "precision_digits": self.precision_digits,
-            "interior_block": self.interior_block,
-            "residuals": {
-                "rel2": Approx(self.residual_rel2, s),
-                "rel3": Approx(self.residual_rel3, s),
-                "casimir": Approx(self.residual_casimir, s),
-            },
-            "tolerance": Approx(self.tolerance, s),
-            "pass": self.passed,
-        }
+    residuals: Dict[str, Approx]
+    tolerance: Approx
+    passed: bool = document_key("pass")
 
 
 def rep_tolerance(precision_digits: int) -> mpf:
@@ -197,38 +182,23 @@ def verify_rep_relations(rep: TridiagonalRep,
         for k, col in enumerate(columns):
             worst[k] = max([worst[k]] + [abs(x.re) for n, x in col.items() if n <= top])
 
-    r2, r3, rc = (_to_mpf(x) for x in worst)
-    return RepReport(
-        size=size,
-        precision_digits=rep.precision_digits,
-        interior_block=top,
-        residual_rel2=r2,
-        residual_rel3=r3,
-        residual_casimir=rc,
-        tolerance=rep_tolerance(rep.precision_digits),
-        passed=not any(worst),
-    )
+    return RepReport(size=size, precision_digits=rep.precision_digits, interior_block=top,
+                     residuals={name: Approx(_to_mpf(x), SUMMARY_DIGITS)
+                                for name, x in zip(("rel2", "rel3", "casimir"), worst)},
+                     tolerance=Approx(rep_tolerance(rep.precision_digits), SUMMARY_DIGITS),
+                     passed=not any(worst))
 
 
 @dataclass
 class PositivityReport:
     n_max: int
-    all_positive: bool
-    all_real: bool
-    first_nonpositive: Optional[int]
+    all_positive: bool = document_key("u_all_positive")
+    all_real: bool = document_key("c_all_real")
+    first_nonpositive: Optional[int] = document_key("first_nonpositive_n")
+    passed: bool = document_key("pass", init=False)
 
-    @property
-    def passed(self) -> bool:
-        return self.all_positive and self.all_real
-
-    def to_json(self) -> dict:
-        return {
-            "n_max": self.n_max,
-            "u_all_positive": self.all_positive,
-            "c_all_real": self.all_real,
-            "first_nonpositive_n": self.first_nonpositive,
-            "pass": self.passed,
-        }
+    def __post_init__(self):
+        self.passed = self.all_positive and self.all_real
 
 
 def positivity_scan(q: RealParameterQuad, n_max: int) -> PositivityReport:
@@ -252,12 +222,8 @@ def positivity_scan(q: RealParameterQuad, n_max: int) -> PositivityReport:
     closed = prove_closed_forms(q)
     firsts = [_first_between(roots, parity, n_max) for parity, roots in enumerate(closed.roots)]
     first_bad = min((n for n in firsts if n is not None), default=None)
-    return PositivityReport(
-        n_max=n_max,
-        all_positive=first_bad is None,
-        all_real=True,
-        first_nonpositive=first_bad,
-    )
+    return PositivityReport(n_max=n_max, all_positive=first_bad is None, all_real=True,
+                            first_nonpositive=first_bad)
 
 
 def _first_between(roots, parity: int, n_max: int) -> Optional[int]:

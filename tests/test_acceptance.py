@@ -130,16 +130,16 @@ def test_criterion_07_isomorphism_both_directions():
         q = casimir_scalar(p)
         sixteenth = ComplexRational(Fraction(1, 16))
         quarter = ComplexRational(Fraction(1, 4))
-        ok = ok and fwd.t0_sq == sixteenth * (q + sc.omega1 - sc.omega2 - sc.omega3 + quarter)
-        ok = ok and fwd.t1_sq == sixteenth * (q + sc.omega1 + sc.omega2 + sc.omega3 + quarter)
-        ok = ok and fwd.u0_sq == sixteenth * (q - sc.omega1 - sc.omega2 + sc.omega3 + quarter)
-        ok = ok and fwd.u1_sq == sixteenth * (q - sc.omega1 + sc.omega2 - sc.omega3 + quarter)
+        ok = ok and fwd.central_values["t0_sq"] == sixteenth * (q + sc.omega1 - sc.omega2 - sc.omega3 + quarter)
+        ok = ok and fwd.central_values["t1_sq"] == sixteenth * (q + sc.omega1 + sc.omega2 + sc.omega3 + quarter)
+        ok = ok and fwd.central_values["u0_sq"] == sixteenth * (q - sc.omega1 - sc.omega2 + sc.omega3 + quarter)
+        ok = ok and fwd.central_values["u1_sq"] == sixteenth * (q - sc.omega1 + sc.omega2 - sc.omega3 + quarter)
         ok = ok and iso_inverse(param_map_bi_to_daha(p), 12).passed
     # Cross-check at the zero set: ttilde_0 = t0^2 = 1/16.
     k1, k2, k3, sc = bi_realization(ZERO_PARAMS)
     fwd = iso_forward(k1, k2, k3, sc, 4)
     t = param_map_bi_to_daha(ZERO_PARAMS)
-    ok = ok and fwd.t0_sq == t.t0 * t.t0 == ComplexRational(Fraction(1, 16))
+    ok = ok and fwd.central_values["t0_sq"] == t.t0 * t.t0 == ComplexRational(Fraction(1, 16))
     _report(7, ok, "isomorphism exact both directions, k <= 12; ttilde_0 = t0^2 = 1/16 at zero")
 
 
@@ -163,7 +163,8 @@ def test_criterion_09_representation_residuals():
     elapsed = time.perf_counter() - start
     tol = mpf(10) ** -25
     ok = (report.passed
-          and max(report.residual_rel2, report.residual_rel3, report.residual_casimir) <= tol
+          and max(report.residuals["rel2"].value, report.residuals["rel3"].value,
+                  report.residuals["casimir"].value) <= tol
           and elapsed < 10.0)
     _report(9, ok, f"N=50, 30 digits: interior residuals <= 1e-25 ({elapsed:.2f}s < 10s)")
 
@@ -173,10 +174,10 @@ def test_criterion_10_orthogonality():
     p = ParameterSet.from_quad(HALF_QUAD)
     report = orthogonality_gram(6, p, tol=Fraction(1, 10 ** 8), precision=50)
     elapsed = time.perf_counter() - start
-    ok = (report.max_offdiag_rel <= mpf(10) ** -20
-          and report.max_diag_rel_err <= mpf(10) ** -8
-          and report.max_ratio_err <= mpf(10) ** -8
-          and report.l_stability < mpf(10) ** -9
+    ok = (report.max_offdiag_rel.value <= mpf(10) ** -20
+          and report.max_diag_rel_err.value <= mpf(10) ** -8
+          and report.max_ratio_err.value <= mpf(10) ** -8
+          and report.l_stability.value < mpf(10) ** -9
           and elapsed < 120.0)
     _report(10, ok, f"Gram: offdiag <= 1e-20, diag and ratio to 1e-8, L-stability < 1e-9 ({elapsed:.1f}s < 120s)")
 

@@ -19,7 +19,7 @@ from conftest import mutate_polyfam
 from hypothesis import example, given, settings, strategies as st
 from mpmath import mp, mpf
 
-from biwkit import measure, polyfam, reptheory
+from biwkit import measure, operators, polyfam, reptheory
 from biwkit.cli import (
     EXIT_INVALID_PARAMETERS,
     EXIT_NOT_CONVERGED,
@@ -512,10 +512,46 @@ class TestLeafTagging:
         # total is a cached_property: reading it fills __dict__, not the fields.
         assert p.total == ComplexRational(Fraction(3, 2), 1)
         assert tuple(written(p)) == ("a", "b", "c", "d")
+        # Reports: keys in declared order, passed as "pass", a metadata key as given.
+        quad = polyfam.RealParameterQuad(*(Fraction(1, 2),) * 4)
+        rep = reptheory.verify_rep_relations(reptheory.build_rep(8, quad))
+        positivity = reptheory.positivity_scan(quad, 10)
+        iso = operators.iso_forward(*operators.bi_realization(p), 1)
+        reports = [
+            (rep, ("N", "precision_digits", "interior_block", "residuals", "tolerance", "pass")),
+            (positivity, ("n_max", "u_all_positive", "c_all_real", "first_nonpositive_n", "pass")),
+            (iso, ("central_values", "checks", "pass")),
+            (iso.checks[0], ("relation", "degree_checked", "pass", "first_failure")),
+            (polyfam.q_symmetry_check(2, p), ("n_max", "checks", "pass")),
+        ]
+        for report, keys in reports:
+            doc = written(report)
+            assert tuple(doc) == keys
+            assert list(doc.values()) == [written(getattr(report, f.name))
+                                          for f in dataclasses.fields(report)]
+            assert doc["pass"] is report.passed
+        assert written(rep)["N"] == rep.size == 8
+        # CasimirReport.passed is a property, not a field: its document has no "pass".
+        casimir = operators.verify_casimir(p, 1)
+        assert casimir.passed is casimir.realized_ok
+        assert tuple(written(casimir)) == ("which", "expected", "realized_ok",
+                                           "max_degree_checked")
+        # A failed check writes its first failure's residual polynomial.
+        failed = operators.verify_nc_algebra(p, 2, flip_first_sign=True).checks[0]
+        residual = failed.first_failure["residual_poly"]
+        assert not failed.passed and not residual.is_zero()
+        assert written(failed)["first_failure"] == {
+            "monomial_degree": failed.first_failure["monomial_degree"],
+            "residual_poly": written(residual)}
 
     def test_encoder_rejects_a_bare_mpf(self):
         with pytest.raises(TypeError, match="mpf"):
             document_text({"gram": [[mpf(1)]]})
+        # Also as a record's field: a report hands over Approx, never a bare mpf.
+        quad = polyfam.RealParameterQuad(*(Fraction(1, 2),) * 4)
+        report = reptheory.verify_rep_relations(reptheory.build_rep(8, quad))
+        with pytest.raises(TypeError, match="mpf"):
+            document_text(dataclasses.replace(report, tolerance=report.tolerance.value))
 
     def test_encoder_rejects_a_key_that_is_not_a_str(self):
         with pytest.raises(TypeError, match="document key of type int"):
@@ -527,13 +563,19 @@ def in_json_dumps_form(text: str) -> bool:
     return text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
-def exact_wide_documents(tmp_path, monkeypatch, seed):
-    """The documents of one pass of the benchmark's exact-wide workload."""
+def benchmark_workloads(monkeypatch):
+    """The benchmark's ``perfbench/workloads.py``, loaded as a module."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("exact_wide_workloads", path)
+    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
     workloads = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
     spec.loader.exec_module(workloads)
+    return workloads
+
+
+def exact_wide_documents(tmp_path, monkeypatch, seed):
+    """The documents of one pass of the benchmark's exact-wide workload."""
+    workloads = benchmark_workloads(monkeypatch)
     documents = []  # each document's bytes, as the pass feeds them to its digest
     context = SimpleNamespace(scratch_dir=str(tmp_path), add=lambda name, value: None,
                               digest=SimpleNamespace(update=documents.append))
@@ -542,6 +584,17 @@ def exact_wide_documents(tmp_path, monkeypatch, seed):
         assert cert.run(context) == cert.expected, cert.name
     assert len(documents) == len(certs)
     return [data.decode("utf-8") for data in documents]
+
+
+@pytest.mark.parametrize("workload", ["exact-deep", "numeric"])
+def test_benchmark_pass_meets_every_expected_outcome(workload, tmp_path, monkeypatch):
+    """Pass 0 of the benchmark's library workloads at seed 1: each certificate, which
+    reads report attributes such as ``passed`` and ``first_nonpositive``, has the outcome
+    it expects."""
+    workloads = benchmark_workloads(monkeypatch)
+    context = workloads.PassContext(str(tmp_path))
+    for cert in workloads.build(workload, seed=1, pass_index=0):
+        assert cert.run(context) == cert.expected, cert.name
 
 
 class TestWriter:

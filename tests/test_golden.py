@@ -61,7 +61,7 @@ CLI_CASES = {
 
 
 def control_documents() -> dict:
-    """The three negative controls, as ``to_json()`` written by the CLI's writer."""
+    """The three negative controls' reports, as the CLI's writer writes them."""
     p = _parse_four(PARAMS, "--params", parse_complex_rational, ParameterSet)
     sc = structure_constants(p)
     perturbed = StructureConstants(sc.omega1 + 1, sc.omega2, sc.omega3,
@@ -71,7 +71,7 @@ def control_documents() -> dict:
         "control-flip-sign": verify_nc_algebra(p, CONTROL_DEGREE, flip_first_sign=True),
         "control-iso-omega1": iso_forward(*bi_realization(p)[:3], perturbed, CONTROL_DEGREE),
     }
-    return {name: document_text(r.to_json()) + "\n"
+    return {name: document_text(r) + "\n"
             for name, r in reports.items()}
 
 

@@ -7,6 +7,7 @@ from mpmath.gamma, which goes through neither.
 """
 
 import ast
+import json
 import os
 import random
 import subprocess
@@ -20,6 +21,7 @@ from mpmath import mp, mpc, mpf
 from mpmath.libmp import mpc_loggamma
 
 from biwkit import measure
+from biwkit.cli import document_text
 from biwkit.errors import InvalidParameters, PoleError, QuadratureNotConverged
 from biwkit.measure import (
     DEFAULT_PRECISION,
@@ -157,10 +159,10 @@ class TestLogAbsGamma:
                 del calls[:]
                 r = measure.orthogonality_gram(2, p, tol=Fraction(1, 10 ** 8), precision=20,
                                                truncation=truncation)
-                out[name] = {"gram": [[v._mpf_ for v in row] for row in r.gram],
-                             "expected_diag": [v._mpf_ for v in r.expected_diag],
-                             "l_stability": r.l_stability._mpf_,
-                             "max_offdiag_rel": r.max_offdiag_rel._mpf_,
+                out[name] = {"gram": [[v.value._mpf_ for v in row] for row in r.gram],
+                             "expected_diag": [v.value._mpf_ for v in r.expected_diag],
+                             "l_stability": r.l_stability.value._mpf_,
+                             "max_offdiag_rel": r.max_offdiag_rel.value._mpf_,
                              "panels": r.panels, "truncation_L": r.truncation_L,
                              "delegated": len(calls)}
             print(repr(out))
@@ -354,24 +356,24 @@ class TestGram:
     def test_quantitative_fields(self, small_report):
         # Reduced settings (precision 30, L = 15); the full-scale
         # thresholds are exercised by the acceptance suite.
-        assert small_report.max_offdiag_rel <= mpf(10) ** -18
-        assert small_report.max_diag_rel_err <= mpf(10) ** -8
-        assert small_report.max_ratio_err <= mpf(10) ** -8
-        assert small_report.l_stability <= mpf(10) ** -7
+        assert small_report.max_offdiag_rel.value <= mpf(10) ** -18
+        assert small_report.max_diag_rel_err.value <= mpf(10) ** -8
+        assert small_report.max_ratio_err.value <= mpf(10) ** -8
+        assert small_report.l_stability.value <= mpf(10) ** -7
 
     def test_diag_matches_h0(self, small_report):
         with mp.workdps(40):
             ref = h0(HALF_PARAMS, 40)
-            assert abs(small_report.gram[0][0] - ref) / ref < mpf(10) ** -8
+            assert abs(small_report.gram[0][0].value - ref) / ref < mpf(10) ** -8
 
     def test_ratio_is_u1(self, small_report):
         # u_1 = 4 at the half quad.
         with mp.workdps(40):
-            ratio = small_report.gram[1][1] / small_report.gram[0][0]
+            ratio = small_report.gram[1][1].value / small_report.gram[0][0].value
             assert abs(ratio - 4) < mpf(10) ** -6
 
     def test_json_shape(self, small_report):
-        doc = small_report.to_json()
+        doc = json.loads(document_text(small_report))
         assert isinstance(doc["pass"], bool)
         assert len(doc["gram"]) == 2
         assert doc["precision_digits"] == 30
@@ -412,10 +414,10 @@ class TestGram:
         # narrow quad's four Gamma factors and the three-term Horner sums.
         report = orthogonality_gram(2, params, tol=Fraction(1, 10 ** 8), precision=20,
                                     truncation=truncation)
-        assert [[v._mpf_ for v in row] for row in report.gram] == pin["gram"]
-        assert [v._mpf_ for v in report.expected_diag] == pin["expected_diag"]
-        assert report.l_stability._mpf_ == pin["l_stability"]
-        assert report.max_offdiag_rel._mpf_ == pin["max_offdiag_rel"]
+        assert [[v.value._mpf_ for v in row] for row in report.gram] == pin["gram"]
+        assert [v.value._mpf_ for v in report.expected_diag] == pin["expected_diag"]
+        assert report.l_stability.value._mpf_ == pin["l_stability"]
+        assert report.max_offdiag_rel.value._mpf_ == pin["max_offdiag_rel"]
         assert (report.panels, report.truncation_L) == (pin["panels"], pin["truncation_L"])
 
     @pytest.mark.parametrize("params, truncation, kappas", [

@@ -1,5 +1,6 @@
 """Tests for the difference-reflection operators and algebra checks."""
 
+import json
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -8,7 +9,7 @@ import pytest
 from conftest import shared_caches
 
 from biwkit import exact
-from biwkit.cli import random_parameter_set
+from biwkit.cli import document_text, random_parameter_set
 from biwkit.errors import DegenerateParameters, InvalidParameters, OperatorNotPolynomialPreserving
 from biwkit.exact import HALF, I, ONE, ComplexRational, Polynomial
 from biwkit.operators import (
@@ -339,12 +340,12 @@ class TestAlgebras:
 
     def test_casimir_passed_is_realized_ok(self):
         report = verify_casimir(ZERO_PARAMS, 4, "noncompact")
-        failed = CasimirReport(expected=report.expected, realized_ok=False,
+        failed = CasimirReport(which="compact", expected=report.expected, realized_ok=False,
                                max_degree_checked=4)
         for r in (report, failed):
             assert r.passed is r.realized_ok
-            assert r.to_json()["realized_ok"] is r.realized_ok
-            assert "pass" not in r.to_json()
+            assert json.loads(document_text(r))["realized_ok"] is r.realized_ok
+            assert "pass" not in json.loads(document_text(r))
         assert report.passed and not failed.passed
 
     def test_casimir_value_at_zero(self):
@@ -382,8 +383,8 @@ class TestIsomorphism:
         fwd = iso_forward(k1, k2, k3, sc, 4)
         t = param_map_bi_to_daha(ZERO_PARAMS)
         sixteenth = ComplexRational(Fraction(1, 16))
-        assert fwd.t0_sq == t.t0 * t.t0 == sixteenth
-        assert fwd.t1_sq == t.t1 * t.t1 == sixteenth
+        assert fwd.central_values["t0_sq"] == t.t0 * t.t0 == sixteenth
+        assert fwd.central_values["t1_sq"] == t.t1 * t.t1 == sixteenth
 
 
 class TestProp1:

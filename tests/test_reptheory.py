@@ -1,6 +1,7 @@
 """Tests for the truncated tridiagonal representation."""
 
 import dataclasses
+import json
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from conftest import mutate_polyfam
 from mpmath import mpf
 
 from biwkit import polyfam, reptheory
+from biwkit.cli import document_text
 from biwkit.errors import BiwkitError, DegenerateParameters, InvalidParameters
 from biwkit.exact import ComplexRational
 from biwkit.polyfam import (
@@ -96,18 +98,19 @@ class TestRelations:
         for quad in (HALF_QUAD, OTHER_QUAD):
             rep = build_rep(20, quad, 30)
             report = verify_rep_relations(rep)
-            assert report.passed, report.to_json()
+            assert report.passed, document_text(report)
 
     @pytest.mark.parametrize("quad", [HALF_QUAD, OTHER_QUAD])
     def test_residuals_exactly_zero(self, quad):
         report = verify_rep_relations(build_rep(50, quad, 30))
         assert report.passed
-        assert report.residual_rel2 == report.residual_rel3 == report.residual_casimir == 0
+        assert (report.residuals["rel2"].value == report.residuals["rel3"].value
+                == report.residuals["casimir"].value == 0)
 
     def test_double_precision_tolerance(self):
         rep = build_rep(16, HALF_QUAD, 16)
         report = verify_rep_relations(rep)
-        assert report.tolerance == rep_tolerance(16) == mpf(10) ** -12
+        assert report.tolerance.value == rep_tolerance(16) == mpf(10) ** -12
         assert report.passed
 
     def test_negative_control_flipped_alpha1(self):
@@ -119,7 +122,7 @@ class TestRelations:
         report = verify_rep_relations(rep, constants=bad)
         assert not report.passed
         # The similarity keeps the diagonal: the residual is |2 alpha1| = 5.
-        assert report.residual_rel2 == 5
+        assert report.residuals["rel2"].value == 5
 
     def test_negative_control_alpha1_shifted_below_print_digits(self):
         sc = structure_constants(ParameterSet.from_quad(HALF_QUAD))
@@ -127,8 +130,8 @@ class TestRelations:
         bad = dataclasses.replace(sc, alpha1=sc.alpha1 + ComplexRational(shift))
         report = verify_rep_relations(build_rep(50, HALF_QUAD, 30), constants=bad)
         assert not report.passed
-        assert report.residual_rel2 == _to_mpf(shift)
-        assert report.residual_rel3 == report.residual_casimir == 0
+        assert report.residuals["rel2"].value == _to_mpf(shift)
+        assert report.residuals["rel3"].value == report.residuals["casimir"].value == 0
 
     @pytest.mark.parametrize("quad", [HALF_QUAD, OTHER_QUAD])
     def test_negative_control_alpha2_shifted(self, quad):
@@ -137,7 +140,8 @@ class TestRelations:
         report = verify_rep_relations(build_rep(12, quad, 30), constants=bad)
         assert not report.passed
         # alpha2 enters only {A3,A1} - A2 - alpha2, on the diagonal.
-        assert (report.residual_rel2, report.residual_rel3, report.residual_casimir) == (0, 1, 0)
+        assert (report.residuals["rel2"].value, report.residuals["rel3"].value,
+                report.residuals["casimir"].value) == (0, 1, 0)
 
     @pytest.mark.parametrize("quad, rel2_casimir, rel3", [
         (HALF_QUAD, Fraction(7000, 121), Fraction(23)),
@@ -149,8 +153,9 @@ class TestRelations:
         report = verify_rep_relations(build_rep(12, quad, 30), constants=bad)
         assert not report.passed
         # alpha3 enters A3 itself, so every relation fails.
-        assert report.residual_rel2 == report.residual_casimir == _to_mpf(rel2_casimir)
-        assert report.residual_rel3 == _to_mpf(rel3)
+        assert (report.residuals["rel2"].value == report.residuals["casimir"].value
+                == _to_mpf(rel2_casimir))
+        assert report.residuals["rel3"].value == _to_mpf(rel3)
 
     @pytest.mark.parametrize("quad", [HALF_QUAD, RealParameterQuad(*map(Fraction, (3, 2, 5, 7)))],
                              ids=["half", "3,2,5,7"])
@@ -199,7 +204,7 @@ class TestPositivity:
         assert info.value.n == 0
 
     def test_report_shape(self):
-        doc = positivity_scan(HALF_QUAD, 10).to_json()
+        doc = json.loads(document_text(positivity_scan(HALF_QUAD, 10)))
         assert doc["pass"] is True
         assert doc["n_max"] == 10
 
@@ -225,7 +230,7 @@ def _scan_by_recurrence(q: RealParameterQuad, n_max: int) -> PositivityReport:
 def _outcome(scan, q, n_max):
     """The report's document, or the exception's kind, detail and n."""
     try:
-        return "report", scan(q, n_max).to_json()
+        return "report", json.loads(document_text(scan(q, n_max)))
     except BiwkitError as exc:
         return type(exc).__name__, str(exc), getattr(exc, "n", None)
 
