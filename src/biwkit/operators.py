@@ -6,8 +6,10 @@ the monomial basis.  Every operator of the paper is built from polynomial
 multiples, affine substitutions and divided-difference blocks
 num/den * (f o sigma - f), where sigma is an affine map s*x + t and den
 the linear factor vanishing at its fixed point (2x+1, 2x-1, 1-2ix, 1+2ix,
-1-2z or 2z).  Such a block is exactly divisible on its own, so each block
-divides where it occurs and every image is a polynomial.
+1-2z or 2z).  Such a block is exactly divisible on its own, and every
+image is a polynomial.  Since (x*h) o sigma = sigma * (h o sigma), a
+substitution's or a block's image of x^k is one exact combination of its
+image of x^(k-1); a block divides once, when it is built.
 
 Applying an operator to f is a linear combination of its images.  Sums,
 differences, negations and scalar multiples make one flat node: a list of
@@ -121,10 +123,24 @@ def _flat(*operands) -> DifferenceOperator:
         [(c, k, _ONE_POLY) if op is _IDENTITY else (c, 0, op.image(k)) for c, op in terms]), terms)
 
 
+def _affine_steps(s, t, image_0: Polynomial, tail: Polynomial) -> DifferenceOperator:
+    """The operator with image_k = (s*x + t) * image_(k-1) + x^(k-1) * tail, its images
+    filled in ascending order: a substitution for tail 0, else a block (DividedDifference)."""
+    s, t = ComplexRational.coerce(s), ComplexRational.coerce(t)
+    images = [image_0]
+
+    def image_of(k: int) -> Polynomial:
+        for j in range(len(images), k + 1):
+            images.append(Polynomial.combination(
+                [(s, 1, images[-1]), (t, 0, images[-1]), (ONE, j - 1, tail)]))
+        return images[k]
+
+    return DifferenceOperator(image_of)
+
+
 def Substitution(s, t) -> DifferenceOperator:
     """Composition with an affine map: (Op f)(x) = f(s*x + t)."""
-    s, t = ComplexRational.coerce(s), ComplexRational.coerce(t)
-    return DifferenceOperator(lambda k: Polynomial.monomial(k).affine_substitute(s, t))
+    return _affine_steps(s, t, _ONE_POLY, Polynomial.zero())
 
 
 def PolynomialMultiple(poly: Polynomial) -> DifferenceOperator:
@@ -138,6 +154,9 @@ def DividedDifference(num: Polynomial, den: Polynomial, s, t) -> DifferenceOpera
     ``den`` must be linear, with root r.  Unless w = num(r) * (sigma(r) - r)
     is zero, the block leaves the remainder w on x, and building it raises
     OperatorNotPolynomialPreserving.  The paper's sigma are -x + (0, -+1, -+i).
+    The image of x^k is sigma * (image of x^(k-1)) + x^(k-1) * num * rho, where
+    rho = (sigma(x) - x)/den is divided once, here: it is (s - 1)/d1 when sigma
+    fixes r, and sigma(x) - x when den divides num first.
     """
     if den.degree != 1:
         raise ValueError(f"divided difference needs a linear denominator, not degree {den.degree}")
@@ -151,8 +170,7 @@ def DividedDifference(num: Polynomial, den: Polynomial, s, t) -> DifferenceOpera
                 f"block DivDiff({num!r} / {den!r} * (Subst(x -> {s}*x + {t}) - 1)) "
                 "leaves a remainder on x", remainder=Polynomial.monomial(0, w))
         num, den = num.exact_div(den), Polynomial.one()  # num(r) = 0: den divides num
-    return DifferenceOperator(lambda k: num * (Polynomial.monomial(k).affine_substitute(s, t)
-                                               - Polynomial.monomial(k)).exact_div(den))
+    return _affine_steps(s, t, Polynomial.zero(), num * Polynomial([t, s - 1]).exact_div(den))
 
 
 def anticommutator(a: DifferenceOperator, b: DifferenceOperator) -> DifferenceOperator:

@@ -1,7 +1,9 @@
 """Tests for the difference-reflection operators and algebra checks."""
 
+import inspect
 import json
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -66,6 +68,30 @@ class TestOperatorBasics:
         # -(x+1).
         op = DividedDifference(Polynomial([1, 1]), Polynomial([1, 2]), -1, -1)
         assert op.apply(Polynomial.x()) == Polynomial([-1, -1])
+
+    def test_substitution_images_are_affine_substitutions(self):
+        rng = random.Random(2909)
+        for _ in range(5):
+            s, t = _gaussian_rational(rng), _gaussian_rational(rng)
+            op = Substitution(s, t)
+            for k in reversed(range(30)):
+                assert op.image(k) == Polynomial.monomial(k).affine_substitute(s, t)
+
+    def test_high_image_first_needs_no_deep_recursion(self):
+        # L's first block at the half quad.  The limit, 100 frames above this
+        # one, is far below the default 1000 and leaves no frame per lower image.
+        def block():
+            x, p = Polynomial.x(), HALF_QUAD_PARAMS
+            return DividedDifference((x + 2 * p.c + 1) * (x + 2 * p.d + 1), 2 * x + 1, -1, -1)
+
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(inspect.stack(0)) + 100)
+        try:
+            top = block().image(400)
+        finally:
+            sys.setrecursionlimit(limit)
+        in_order = block()
+        assert [in_order.image(k) for k in range(401)][400] == top
 
     def test_non_preserving_raises(self):
         # (f(x+1) - f(x))/x: the shift has no fixed point, x does not divide.
