@@ -180,12 +180,12 @@ def _parse_quad(text: Optional[str]) -> RealParameterQuad:
 
 # The accepted range of --n-max, --degree and --size.  Exact work grows
 # polynomially in each: at the caps the slowest commands end in seconds,
-# while a value such as 100000 runs until it is killed.  At --quad or --daha
-# 1/3,2/5,3/4,1/7 (2-core x86-64, Python 3.11, median of three in-process
-# runs) verify-algebra --degree 100 takes 0.34 s, verify-daha and
-# verify-prop1 at --n-max 100 --degree 100 0.30 s and 0.51 s, verify-iso
-# --degree 100 0.92 s and rep --size 1000 0.43 s; CI runs the first four
-# under a 60 s timeout.
+# while a value such as 100000 runs until it is killed.  At 1/3,2/5,3/4,1/7
+# (2-core x86-64, Python 3.11, median of three in-process runs) the caps
+# take 0.34 s for verify-algebra, 0.30 s and 0.51 s for verify-daha and
+# verify-prop1, 0.92 s for verify-iso, 0.07-0.25 s for poly, q-poly, wilson
+# and verify-eigen, and 0.43 s for rep --size 1000; CI runs the eight exact
+# commands at their caps under a 60 s timeout.
 _SIZE_RANGES = {"n_max": (0, 100), "degree": (0, 100), "size": (MIN_SIZE, 1000)}
 
 

@@ -2,10 +2,11 @@
 
 Builds the monic Bannai-Ito polynomials B_n, the modified family
 Q_n(x) = (-i)^n B_n(ix), and the non-symmetric Wilson polynomials p_n,
-together with recurrence coefficients, eigenvalues, the structure
-constants of both algebras and their Casimir value, the parameter
-bijection between the Bannai-Ito and Hecke-algebra parametrizations,
-the coefficient-level symmetry checks of the modified family, and the
+from one record per parameter set that keeps its recurrence data and B_n
+for the life of the process; also eigenvalues, the structure constants
+of both algebras and their Casimir value, the parameter bijection
+between the Bannai-Ito and Hecke-algebra parametrizations, the symmetry
+checks of the modified family, decided on its c_n and u_n, and the
 proof that the closed forms of its c_n and u_n equal the recurrence's
 for every n.
 """
@@ -15,15 +16,16 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Callable, List
+from typing import Callable, List, Tuple
 
 from .errors import BiwkitError, DegenerateParameters
 from .exact import HALF, I, ONE, QUARTER, ZERO, ComplexRational, Polynomial, RationalFunction
 
 THREE_HALVES = ComplexRational(Fraction(3, 2))
-# How many parameter sets' B_n families and operators a process keeps.
-# ``biwkit all`` meets seven: its own, three random ones and the three
-# permutations of ``q_symmetry_check``.
+# How many parameter sets' records (recurrence data and B_n) and operators a
+# process keeps.  ``biwkit all`` meets seven: its own, three random ones and
+# the three permutations of ``q_symmetry_check``, whose records hold only
+# recurrence data while the symmetries hold.
 SHARED_SETS = 8
 
 
@@ -171,29 +173,33 @@ def _branch(n, shifts, s: ComplexRational):
     return (n + e1) * (n + e2) / (2 * (n + s + 2)), -((n + e3) * (n + e4)) / (2 * (n + s + 1))
 
 
-def bi_coefficients(n_max: int, p: ParameterSet) -> RecurrenceData:
-    """Exact A_n, C_n for 0 <= n <= n_max, plus the modified c_n, u_n.
+@lru_cache(maxsize=SHARED_SETS)
+def _record(p: ParameterSet) -> Tuple[RecurrenceData, List[Polynomial]]:
+    """The recurrence data and the B_n of ``p`` computed so far, as ``(data, [B_0, ...])``;
+    ``bi_coefficients`` and ``bi_polynomials`` extend them."""
+    return RecurrenceData(), [Polynomial.one()]
 
-    Raises DegenerateParameters if a recurrence denominator vanishes,
-    reporting the offending n.
+
+def bi_coefficients(n_max: int, p: ParameterSet) -> RecurrenceData:
+    """Exact A_n, C_n for 0 <= n <= n_max, plus the modified c_n, u_n, as new lists.
+
+    Each parameter set's data are computed once per process and extended when
+    a longer run is asked for.  Raises DegenerateParameters if a recurrence
+    denominator vanishes, reporting the offending n.
     """
     check_denominators(n_max, p.total)
-    data, shifts, diag0 = RecurrenceData(), _shifts(p), 2 * p.a + 1
-    for n in range(n_max + 1):
-        A, C = _branch(n, shifts[n % 2], p.total)
-        diag = diag0 - A - C
-        data.A.append(A)
-        data.C.append(C)
-        data.b_coeff.append(diag)
-        data.c_mod.append(-I * diag)
-        data.u_mod.append(-(data.A[n - 1] * C) if n else ZERO)
-    return data
-
-
-@lru_cache(maxsize=SHARED_SETS)
-def _bi_family(p: ParameterSet) -> List[Polynomial]:
-    """The B_n of ``p`` built so far; ``bi_polynomials`` extends it."""
-    return [Polynomial.one()]
+    data = _record(p)[0]
+    if len(data.A) <= n_max:
+        shifts, diag0 = _shifts(p), 2 * p.a + 1
+        for n in range(len(data.A), n_max + 1):
+            A, C = _branch(n, shifts[n % 2], p.total)
+            diag = diag0 - A - C
+            data.A.append(A)
+            data.C.append(C)
+            data.b_coeff.append(diag)
+            data.c_mod.append(-I * diag)
+            data.u_mod.append(-(data.A[n - 1] * C) if n else ZERO)
+    return RecurrenceData(*(values[:n_max + 1] for values in vars(data).values()))
 
 
 def bi_polynomials(n_max: int, p: ParameterSet) -> List[Polynomial]:
@@ -202,7 +208,7 @@ def bi_polynomials(n_max: int, p: ParameterSet) -> List[Polynomial]:
     Each parameter set's family is built once per process and extended when
     a longer one is asked for.
     """
-    polys = _bi_family(p)
+    polys = _record(p)[1]
     if len(polys) <= n_max:
         data = bi_coefficients(n_max, p)
         for n in range(len(polys) - 1, n_max):
@@ -341,16 +347,28 @@ class SymmetryReport:
 
 
 def q_symmetry_check(n_max: int, p: ParameterSet) -> SymmetryReport:
-    """Coefficient-exact check of the three Q_n parameter symmetries."""
-    base = q_polynomials(n_max, p)
-    others = {
-        "Q_n(x;a,b,c,d) = Q_n(x;b,a,c,d)": q_polynomials(n_max, ParameterSet(p.b, p.a, p.c, p.d)),
-        "Q_n(x;a,b,c,d) = Q_n(x;a,b,d,c)": q_polynomials(n_max, ParameterSet(p.a, p.b, p.d, p.c)),
-        "Q_n(x;a,b,c,d) = (-1)^n Q_n(-x;c,d,a,b)":
-            affine_family(q_polynomials(n_max, ParameterSet(p.c, p.d, p.a, p.b)), -1, -1, 0),
-    }
-    return SymmetryReport(n_max, [SymmetryCheck(identity, [q == r for q, r in zip(base, other)])
-                                  for identity, other in others.items()])
+    """Coefficient-exact check of the three Q_n parameter symmetries, decided on the data.
+
+    As Q_{k+1} - xQ_k = -c_k Q_k - u_k Q_{k-1} fixes c_k and u_k, two monic families agree at
+    every n <= N iff their c_k (k < N) and u_k (1 <= k < N) do; (-1)^n Q_n(-x) has c_k negated.
+    Only where the data differ are the families built and compared n by n.  The data run to
+    n_max, so a set degenerate at n = n_max raises as building Q_{n_max} does.
+    """
+    base = bi_coefficients(n_max, p)
+    checks = []
+    for identity, other, sign in (
+            ("Q_n(x;a,b,c,d) = Q_n(x;b,a,c,d)", ParameterSet(p.b, p.a, p.c, p.d), 1),
+            ("Q_n(x;a,b,c,d) = Q_n(x;a,b,d,c)", ParameterSet(p.a, p.b, p.d, p.c), 1),
+            ("Q_n(x;a,b,c,d) = (-1)^n Q_n(-x;c,d,a,b)", ParameterSet(p.c, p.d, p.a, p.b), -1)):
+        data = bi_coefficients(n_max, other)
+        if (data.u_mod[1:n_max] == base.u_mod[1:n_max]
+                and [sign * c for c in data.c_mod[:n_max]] == base.c_mod[:n_max]):
+            per_n = [True] * (n_max + 1)
+        else:
+            family = affine_family(q_polynomials(n_max, other), sign, sign, 0)
+            per_n = [q == r for q, r in zip(q_polynomials(n_max, p), family)]
+        checks.append(SymmetryCheck(identity, per_n))
+    return SymmetryReport(n_max, checks)
 
 
 def family_to_json(n_max: int, p: ParameterSet,

@@ -4,11 +4,11 @@ The acceptance suite records one verdict per criterion here; the terminal
 summary prints them after the run, outside pytest's output capture, so
 the pass/fail lines always appear in the log.
 
-``polyfam`` and ``operators`` keep each parameter set's B_n family and
-operators for the life of the process.  An autouse fixture empties those
-caches after each test, so a family built while a test had patched
-``polyfam.bi_coefficients`` or ``polyfam._shifts`` never reaches a later
-test at the same parameter set.
+``polyfam`` keeps each parameter set's record, its recurrence data and
+B_n family, and ``operators`` its operators, for the life of the process.
+An autouse fixture empties those caches after each test, so recurrence
+data or a family built while a test had patched ``polyfam.bi_coefficients``
+or ``polyfam._shifts`` never reaches a later test at the same parameter set.
 
 ``mutate_polyfam`` replaces a function of ``polyfam`` by its own source with
 one text change: the source mutants of ``test_reptheory`` and ``test_cli``.

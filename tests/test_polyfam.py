@@ -4,8 +4,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from conftest import mutate_polyfam
 
-from biwkit.cli import random_parameter_set
+from biwkit import polyfam
+from biwkit.cli import document_text, random_parameter_set
 from biwkit.errors import DegenerateParameters
 from biwkit.exact import I, ComplexRational, Polynomial
 from biwkit.polyfam import (
@@ -13,6 +15,9 @@ from biwkit.polyfam import (
     ModifiedClosedForm,
     ParameterSet,
     RealParameterQuad,
+    SymmetryCheck,
+    SymmetryReport,
+    affine_family,
     bi_coefficients,
     bi_eigenvalue,
     bi_polynomials,
@@ -25,6 +30,7 @@ from biwkit.polyfam import (
     structure_constants,
     wilson_eigenvalue,
 )
+from biwkit.reptheory import build_rep
 
 ZERO_PARAMS = ParameterSet(0, 0, 0, 0)
 HALF_QUAD = RealParameterQuad(
@@ -117,6 +123,43 @@ class TestRecurrence:
             assert (data.A, data.C, data.b_coeff, data.c_mod, data.u_mod) == expected, p
         assert degenerate >= 20
 
+    def test_kept_data_equal_the_formulas_after_shorter_and_longer_requests(self):
+        rng = random.Random(3031)
+        for _ in range(10):
+            p = random_parameter_set(rng, 16)
+            for n_max in (5, 16, 3, 16, 0):
+                data = bi_coefficients(n_max, p)
+                expected, _ = _coefficients_written_out(n_max, p)
+                assert (data.A, data.C, data.b_coeff, data.c_mod, data.u_mod) == expected, n_max
+
+    def test_returned_lists_are_not_the_kept_ones(self):
+        p = random_parameter_set(random.Random(5), 8)
+        data = bi_coefficients(8, p)
+        for values in (data.A, data.C, data.b_coeff, data.c_mod, data.u_mod):
+            values.append(ComplexRational(1))
+            values[1] = ComplexRational(7)
+        again, _ = _coefficients_written_out(8, p)
+        data = bi_coefficients(8, p)
+        assert (data.A, data.C, data.b_coeff, data.c_mod, data.u_mod) == again
+        assert bi_polynomials(9, p)[9].degree == 9
+
+    def test_a_longer_rep_leaves_the_first_one_alone(self):
+        first = build_rep(12, HALF_QUAD)
+        c, u = list(first.c), list(first.u)
+        build_rep(24, HALF_QUAD)
+        assert len(first.c) == len(first.u) == 12
+        assert (first.c, first.u) == (c, u)
+
+    def test_degenerate_beyond_a_kept_shorter_request_still_raises(self):
+        # a+b+c+d = -7: n+a+b+c+d+2 vanishes at n = 5.
+        p = ParameterSet(ComplexRational(1, 2), ComplexRational(-3, -2), -5, 0)
+        assert len(bi_coefficients(3, p).A) == 4 and len(bi_polynomials(4, p)) == 5
+        for build in (bi_coefficients, bi_polynomials):
+            with pytest.raises(DegenerateParameters,
+                               match=r"^denominator n\+a\+b\+c\+d\+2 vanishes at n=5$") as info:
+                build(10, p)
+            assert info.value.n == 5
+
     def test_eigenvalue_alternation(self):
         assert bi_eigenvalue(0, ZERO_PARAMS) == ComplexRational(Fraction(3, 2))
         assert bi_eigenvalue(1, ZERO_PARAMS) == ComplexRational(Fraction(-5, 2))
@@ -151,6 +194,73 @@ class TestModifiedFamily:
     def test_symmetries_half_quad(self):
         report = q_symmetry_check(8, ParameterSet.from_quad(HALF_QUAD))
         assert report.passed
+
+
+def _symmetry_oracle(n_max, p):
+    """The three symmetries checked family by family: each permuted Q_n built, mapped and
+    compared with Q_n(x;a,b,c,d) at every n <= n_max."""
+    base = q_polynomials(n_max, p)
+    others = {
+        "Q_n(x;a,b,c,d) = Q_n(x;b,a,c,d)": q_polynomials(n_max, ParameterSet(p.b, p.a, p.c, p.d)),
+        "Q_n(x;a,b,c,d) = Q_n(x;a,b,d,c)": q_polynomials(n_max, ParameterSet(p.a, p.b, p.d, p.c)),
+        "Q_n(x;a,b,c,d) = (-1)^n Q_n(-x;c,d,a,b)":
+            affine_family(q_polynomials(n_max, ParameterSet(p.c, p.d, p.a, p.b)), -1, -1, 0),
+    }
+    return SymmetryReport(n_max, [SymmetryCheck(identity, [q == r for q, r in zip(base, other)])
+                                  for identity, other in others.items()])
+
+
+def _symmetry_outcome(check, n_max, p):
+    try:
+        return document_text(check(n_max, p))
+    except DegenerateParameters as exc:
+        return str(exc), exc.n
+
+
+class TestSymmetriesOnTheData:
+    def test_matches_the_family_oracle(self, monkeypatch):
+        rng = random.Random(3030)
+        cases = [(8, ParameterSet.from_quad(HALF_QUAD))]
+        for _ in range(50):
+            n_max = rng.randint(0, 14)
+            cases.append((n_max, random_parameter_set(rng, n_max)))
+        # The symmetries hold, so no family is built: q_polynomials is never called.
+        built, family = [], polyfam.q_polynomials
+        monkeypatch.setattr(polyfam, "q_polynomials", lambda n, p: built.append(p) or family(n, p))
+        for n_max, p in cases:
+            report = q_symmetry_check(n_max, p)
+            assert report.passed and built == [], p
+            assert document_text(report) == document_text(_symmetry_oracle(n_max, p)), p
+            built.clear()
+
+    @pytest.mark.parametrize("name, old, new", [
+        # b for a in one factor of the even A_n: the reflection fails.
+        ("_shifts", "2 * (p.a + p.c + 1)", "2 * (p.b + p.c + 1)"),
+        ("_shifts", "2 * (p.a + p.d + 1)", "2 * (p.b + p.d + 1)"),
+        # b for a in the diagonal 2a+1-A_n-C_n: only the c_k differ.
+        ("bi_coefficients", "2 * p.a + 1", "2 * p.b + 1"),
+        # u_n scaled by 1+a-b: only the u_k differ.
+        ("bi_coefficients", "-(data.A[n - 1] * C)", "-(data.A[n - 1] * C * (1 + p.a - p.b))"),
+    ], ids=["A-even-first", "A-even-second", "diagonal", "u"])
+    def test_a_broken_symmetry_fails_as_the_oracle_does(self, monkeypatch, name, old, new):
+        mutate_polyfam(monkeypatch, polyfam, name, old, new)
+        rng, failed = random.Random(3032), 0
+        for _ in range(4):
+            p = random_parameter_set(rng, 7)
+            for n_max in range(8):
+                report = q_symmetry_check(n_max, p)
+                failed += not report.passed
+                assert document_text(report) == document_text(_symmetry_oracle(n_max, p)), p
+        assert failed >= 12
+
+    def test_degenerate_at_exactly_n_max_raises_the_same_error(self):
+        # a+b+c+d = -8: n+a+b+c+d+2 vanishes at n = 6, past every k < 6 the data compare.
+        p = ParameterSet(ComplexRational(1, 2), ComplexRational(-3, -2), -6, 0)
+        outcome = _symmetry_outcome(q_symmetry_check, 6, p)
+        assert outcome == ("denominator n+a+b+c+d+2 vanishes at n=6", 6)
+        assert outcome == _symmetry_outcome(_symmetry_oracle, 6, p)
+        oracle = _symmetry_outcome(_symmetry_oracle, 5, p)
+        assert _symmetry_outcome(q_symmetry_check, 5, p) == oracle
 
 
 class TestParameterMaps:
