@@ -4,9 +4,13 @@ Scalars are Gaussian rationals (x + y*i)/d held as three ints in lowest
 terms; each scalar operation is integer arithmetic followed by one gcd.
 A polynomial holds Gaussian-integer numerators over one denominator, in
 ascending powers; each polynomial operation is integer arithmetic
-followed by one content gcd for the whole result.  A rational function of
-n is a polynomial over a polynomial, never reduced: an identity in n holds
-iff a difference has the zero numerator.  No floating point enters here.
+followed by one content gcd for the whole result.  A multivariate
+polynomial in n and the real parameters alpha, beta, gamma, delta is a
+sparse dict from their exponents to polynomials in n.  A rational
+function is one multivariate polynomial over another, never reduced: an
+identity in n, or in n and the parameters, holds iff a difference has the
+zero numerator; a function of n alone is the case with no parameter.  No
+floating point enters here.
 """
 
 from __future__ import annotations
@@ -483,43 +487,150 @@ def _sum(a: int, p: Polynomial, b: int, q) -> Polynomial:
 
 _POLY_ONE = Polynomial.one()
 
+# The symbols of a ``MultiPolynomial``, in the order of its exponent tuples.
+SYMBOLS = ("alpha", "beta", "gamma", "delta")
+_CONSTANT = (0,) * len(SYMBOLS)
 
-def _times(p: Polynomial, q: Polynomial) -> Polynomial:
+
+class MultiPolynomial:
+    """A sparse polynomial in n and the symbols alpha, beta, gamma, delta.
+
+    ``terms`` maps each exponent tuple (i, j, k, l) of alpha^i beta^j gamma^k
+    delta^l to its coefficient, a nonzero ``Polynomial`` in n, so zero is the
+    empty dict and a polynomial in n alone is its one entry at (0, 0, 0, 0).
+    Every product of two coefficients is a ``Polynomial.__mul__``, and the
+    coefficients that meet at one exponent are summed by one
+    ``Polynomial.combination``.
+    """
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms):
+        """``terms`` is a ``Polynomial`` in n, or a dict as above; zero coefficients are dropped."""
+        if type(terms) is Polynomial:
+            terms = {_CONSTANT: terms}
+        self.terms = {e: p for e, p in terms.items() if not p.is_zero()}
+
+    @staticmethod
+    def symbol(k: int) -> "MultiPolynomial":
+        """The symbol ``SYMBOLS[k]``."""
+        return MultiPolynomial({tuple(int(j == k) for j in range(len(SYMBOLS))): _POLY_ONE})
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    @staticmethod
+    def combination(terms) -> "MultiPolynomial":
+        """The sum of c * m over the terms (c, m), ComplexRational c."""
+        return _collected((e, (c, 0, p)) for c, m in terms for e, p in m.terms.items())
+
+    def __mul__(self, other):
+        if type(other) is MultiPolynomial:
+            return _collected((tuple(map(int.__add__, e, f)), (ONE, 0, p * q))
+                              for e, p in self.terms.items() for f, q in other.terms.items())
+        c = ComplexRational.coerce(other)
+        return MultiPolynomial({e: p * c for e, p in self.terms.items()})
+
+    def shift(self, t: ScalarLike) -> "MultiPolynomial":
+        """The polynomial with n replaced by n + t."""
+        return MultiPolynomial({e: p.affine_substitute(1, t) for e, p in self.terms.items()})
+
+    def in_n(self, point=()) -> Polynomial:
+        """The polynomial in n left when the symbols take the values ``point``, in the order
+        of ``SYMBOLS``; with no point, ``self`` must be a polynomial in n alone."""
+        if len(point) != len(SYMBOLS) and any(e != _CONSTANT for e in self.terms):
+            raise ValueError(f"a polynomial in the symbols needs a value for each of {SYMBOLS}")
+        values = [ComplexRational.coerce(v) for v in point]
+        return Polynomial.combination(
+            [(_monomial(values, e), 0, p) for e, p in self.terms.items()])
+
+    def __call__(self, n: ScalarLike, *point) -> ComplexRational:
+        """The value at n and, for a polynomial in the symbols, at ``point``."""
+        return self.in_n(point)(n)
+
+    def __eq__(self, other):
+        if isinstance(other, MultiPolynomial):
+            return self.terms == other.terms
+        return NotImplemented
+
+    def __repr__(self):
+        return f"MultiPolynomial({self.terms!r})"
+
+
+def _collected(pairs) -> MultiPolynomial:
+    """The MultiPolynomial whose coefficient at e sums, by ``Polynomial.combination``, the
+    terms (c, k, p) paired with e."""
+    by_exponent = {}
+    for e, term in pairs:
+        by_exponent.setdefault(e, []).append(term)
+    return MultiPolynomial({e: ts[0][2] if len(ts) == 1 and ts[0][0] is ONE
+                            else Polynomial.combination(ts) for e, ts in by_exponent.items()})
+
+
+def _monomial(values, exponents) -> ComplexRational:
+    """The product of values[j] ** exponents[j]."""
+    out = ONE
+    for v, k in zip(values, exponents):
+        if k:
+            out = out * v ** k
+    return out
+
+
+_MULTI_ONE = MultiPolynomial(_POLY_ONE)
+_MINUS_ONE = -ONE
+
+
+def _times(p: MultiPolynomial, q: MultiPolynomial) -> MultiPolynomial:
     """p*q, with no product taken when a factor is the shared one."""
-    return q if p is _POLY_ONE else p if q is _POLY_ONE else p * q
+    return q if p is _MULTI_ONE else p if q is _MULTI_ONE else p * q
 
 
 class RationalFunction:
-    """num(n)/den(n) for ``Polynomial`` values, never reduced: zero iff ``num`` is zero."""
+    """num/den for ``MultiPolynomial`` values, never reduced: zero iff ``num`` is zero.
+
+    A ``Polynomial`` given for either is the polynomial in n alone, so a
+    rational function of n is the special case whose parts have no symbol.
+    """
 
     __slots__ = ("num", "den")
 
-    def __init__(self, num: Polynomial, den: Polynomial = _POLY_ONE):
+    def __init__(self, num, den=_MULTI_ONE):
+        if type(num) is Polynomial:
+            num = MultiPolynomial(num)
+        if type(den) is Polynomial:
+            den = MultiPolynomial(den)
         if den.is_zero():
             raise ZeroDivisionError("rational function with zero denominator")
         self.num, self.den = num, den
 
-    def _combine(self, a: int, other, b: int) -> "RationalFunction":
+    @staticmethod
+    def symbols() -> tuple:
+        """The symbols alpha, beta, gamma, delta of ``SYMBOLS``, as rational functions."""
+        return tuple(RationalFunction(MultiPolynomial.symbol(k)) for k in range(len(SYMBOLS)))
+
+    def _combine(self, a: ComplexRational, other, b: ComplexRational) -> "RationalFunction":
         """a*self + b*other; over equal denominators only the numerators are added."""
         if type(other) is not RationalFunction:
             c = ComplexRational.coerce(other)
-            terms = ((a * c._d, 0, 0, self.num), (b * c._x, b * c._y, 0, self.den))
-            return RationalFunction(_combination(terms, c._d), self.den)
+            return RationalFunction(MultiPolynomial.combination(((a, self.num), (b * c, self.den))),
+                                    self.den)
         if self.den == other.den:
-            return RationalFunction(_sum(a, self.num, b, other.num), self.den)
-        return RationalFunction(_sum(a, self.num * other.den, b, other.num * self.den),
-                                self.den * other.den)
+            return RationalFunction(MultiPolynomial.combination(((a, self.num), (b, other.num))),
+                                    self.den)
+        return RationalFunction(
+            MultiPolynomial.combination(((a, self.num * other.den), (b, other.num * self.den))),
+            self.den * other.den)
 
     def __add__(self, other):
-        return self._combine(1, other, 1)
+        return self._combine(ONE, other, ONE)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self._combine(1, other, -1)
+        return self._combine(ONE, other, _MINUS_ONE)
 
     def __rsub__(self, other):
-        return self._combine(-1, other, 1)
+        return self._combine(_MINUS_ONE, other, ONE)
 
     def __neg__(self):
         return self * -1
@@ -536,6 +647,21 @@ class RationalFunction:
             return self * RationalFunction(other.den, other.num)
         return self * (1 / ComplexRational.coerce(other))
 
+    def __pow__(self, k: int) -> "RationalFunction":
+        if not isinstance(k, int):
+            raise TypeError("only integer powers are supported")
+        if k < 0:
+            return RationalFunction(self.den, self.num) ** -k
+        result = RationalFunction(_MULTI_ONE)
+        for _ in range(k):
+            result = result * self
+        return result
+
     def shift(self, t: ScalarLike) -> "RationalFunction":
-        """The function n -> f(n + t)."""
-        return RationalFunction(self.num.affine_substitute(1, t), self.den.affine_substitute(1, t))
+        """The function with n replaced by n + t."""
+        return RationalFunction(self.num.shift(t), self.den.shift(t))
+
+    def instantiate(self, point) -> "RationalFunction":
+        """The function of n left when the symbols take the values ``point``, in the order of
+        ``SYMBOLS``; raises ZeroDivisionError if the denominator vanishes there."""
+        return RationalFunction(self.num.in_n(point), self.den.in_n(point))

@@ -8,15 +8,15 @@ of both algebras and their Casimir value, the parameter bijection
 between the Bannai-Ito and Hecke-algebra parametrizations, the symmetry
 checks of the modified family, decided on its c_n and u_n, and the
 proof that the closed forms of its c_n and u_n equal the recurrence's
-for every n.
+for every n, run once per process for every real quad at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from typing import Callable, List, Tuple
+from functools import cache, cached_property, lru_cache
+from typing import Callable, List, NamedTuple, Tuple
 
 from .errors import BiwkitError, DegenerateParameters
 from .exact import HALF, I, ONE, QUARTER, ZERO, ComplexRational, Polynomial, RationalFunction
@@ -94,6 +94,7 @@ class StructureConstants:
 
 
 def structure_constants(p: ParameterSet) -> StructureConstants:
+    """The constants of ``p``: a ParameterSet, or a ``_Pairing`` of numbers or symbols."""
     a, b, c, d = p.a, p.b, p.c, p.d
     omega1 = 4 * (a * b + c * d) + p.total + HALF
     omega2 = 2 * (a * a + b * b - c * c - d * d) + (a + b - c - d)
@@ -168,7 +169,8 @@ def _shifts(p: ParameterSet):
 
 def _branch(n, shifts, s: ComplexRational):
     """``(A_n, C_n)`` for a number n or the variable n, given the ``_shifts`` of its parity
-    and s = a+b+c+d: A_n = (n+e1)(n+e2)/(2(n+s+2)), C_n = -(n+e3)(n+e4)/(2(n+s+1))."""
+    and s = a+b+c+d, numbers or symbols: A_n = (n+e1)(n+e2)/(2(n+s+2)),
+    C_n = -(n+e3)(n+e4)/(2(n+s+1))."""
     e1, e2, e3, e4 = shifts
     return (n + e1) * (n + e2) / (2 * (n + s + 2)), -((n + e3) * (n + e4)) / (2 * (n + s + 1))
 
@@ -235,19 +237,41 @@ def q_polynomials(n_max: int, p: ParameterSet) -> List[Polynomial]:
     return affine_family(bi_polynomials(n_max, p), -I, I, 0)
 
 
+class _Pairing(NamedTuple):
+    """a = alpha+i*beta, b = gamma+i*delta, c = alpha-i*beta, d = gamma-i*delta and their sum,
+    for numbers or symbols: what ``_shifts`` and ``structure_constants`` read of a ParameterSet."""
+
+    a: object
+    b: object
+    c: object
+    d: object
+    total: object
+
+    @staticmethod
+    def of(al, be, ga, de) -> "_Pairing":
+        a, b, c, d = al + I * be, ga + I * de, al - I * be, ga - I * de
+        return _Pairing(a, b, c, d, a + b + c + d)
+
+
 class ModifiedClosedForm:
-    """The closed formulas of the modified c_n and u_n for one real quad.
+    """The closed formulas of the modified c_n and u_n for one real quad, or for every one.
 
     c_n = (2*alpha3*lambda_n + alpha2)/(4*lambda_n^2 - 1), from {A3, A1} =
     A2 + alpha2 on the eigenvectors of M, has denominator 4*d1*(d1+1), d1 =
     n+2(alpha+gamma)+1.  u_n = (n-r1)(n-r2)*(d1^2 + sq)/(4*d1^2) with (r1,
     r2) = ``roots[parity]`` and sq = ``squares[parity]``, 4(beta+delta)^2
     (even n) or 4(beta-delta)^2 (odd n).  All of these are real.
+
+    ``q`` is a RealParameterQuad, or the symbols (alpha, beta, gamma, delta) of
+    ``RationalFunction.symbols()``: the same code then writes every formula as
+    a rational function of the parameters.
     """
 
-    def __init__(self, q: RealParameterQuad):
-        al, be, ga, de = (ComplexRational(v) for v in (q.alpha, q.beta, q.gamma, q.delta))
-        self.p = ParameterSet.from_quad(q)
+    def __init__(self, q):
+        if isinstance(q, RealParameterQuad):
+            q = (ComplexRational(v) for v in (q.alpha, q.beta, q.gamma, q.delta))
+        al, be, ga, de = q
+        self.p = _Pairing.of(al, be, ga, de)
         sc = structure_constants(self.p)
         self.alpha2, self.alpha3 = sc.alpha2, sc.alpha3
         # Even n: n(n+4alpha+4gamma+2); odd n: (n+4alpha+1)(n+4gamma+1).
@@ -268,29 +292,71 @@ def q_modified_coefficients(n_max: int, q: RealParameterQuad) -> RecurrenceData:
     return bi_coefficients(n_max, ParameterSet.from_quad(q))
 
 
+def _disagrees(coefficient: str, parity: int) -> BiwkitError:
+    """The error naming ``coefficient`` on the parity class, also as its ``first_failure``."""
+    cls = ("even", "odd")[parity]
+    return BiwkitError(f"{coefficient} closed form disagrees with recurrence on {cls} n",
+                       {"coefficient": coefficient, "parity": cls})
+
+
+def _closed_form_differences(closed: ModifiedClosedForm):
+    """``(name, parity, closed form minus recurrence)`` for c and u on each parity class, odd n
+    first, as rational functions of n and of the symbols ``closed`` was built on, if any.
+
+    A_{n-1} is the other class's A_n shifted by -1.  A zero numerator means that the two
+    agree at every n of the class where neither divides by zero.
+    """
+    p, n = closed.p, RationalFunction(Polynomial.x())
+    branches = [_branch(n, shifts, p.total) for shifts in _shifts(p)]
+    for parity in (1, 0):
+        (A, C), (c_n, u_n) = branches[parity], closed.at(n, parity)
+        c_rec, u_rec = -I * (2 * p.a + 1 - A - C), -(branches[1 - parity][0].shift(-1) * C)
+        yield "c", parity, c_n - c_rec
+        yield "u", parity, u_n - u_rec
+
+
+@cache
+def _disagreement_for_every_quad():
+    """``(name, parity)`` of the first difference of ``_closed_form_differences`` on the symbols
+    alpha..delta with a nonzero numerator, or None.  It takes no input, so it runs at most once
+    per process, on first use."""
+    closed = ModifiedClosedForm(RationalFunction.symbols())
+    return next(((name, parity) for name, parity, diff in _closed_form_differences(closed)
+                 if not diff.num.is_zero()), None)
+
+
+def prove_closed_forms_for_every_quad() -> None:
+    """Prove that the closed forms of c_n and u_n equal the recurrence for every real quad.
+
+    Closed form minus recurrence has the zero numerator as a rational function of n,
+    alpha, beta, gamma and delta on each parity class, so at any real quad the two agree
+    at every n where neither divides by zero.  Otherwise raises BiwkitError naming the
+    class and c_n or u_n, also as its ``first_failure``.
+    """
+    failure = _disagreement_for_every_quad()
+    if failure is not None:
+        name, parity = failure
+        raise _disagrees(f"{name}_n", parity)
+
+
 def prove_closed_forms(q: RealParameterQuad) -> ModifiedClosedForm:
     """Prove that ``ModifiedClosedForm(q)`` equals the recurrence for every n, and return it.
 
-    On each parity class (odd n first), closed form minus recurrence must have the
-    zero numerator as a rational function of n, A_{n-1} being the other class's A_n
-    shifted by -1: then the two agree at every n of the class where neither divides
-    by zero.  Otherwise raises BiwkitError naming the class and c_k or u_k at the
-    least k >= 1 of it where the difference is defined and nonzero, also as its
-    ``first_failure``.
+    Once ``prove_closed_forms_for_every_quad`` holds, only the closed form of ``q`` is
+    built.  Otherwise the same differences are taken at ``q``: on each parity class (odd n
+    first) closed form minus recurrence must have the zero numerator as a rational function
+    of n, or this raises BiwkitError naming the class and c_k or u_k at the least k >= 1 of
+    it where the difference is defined and nonzero, also as its ``first_failure``.
     """
     closed = ModifiedClosedForm(q)
-    p, n = closed.p, RationalFunction(Polynomial.x())
-    branches = [_branch(n, shifts, p.total) for shifts in _shifts(p)]
-    for parity, cls in ((1, "odd"), (0, "even")):
-        (A, C), (c_n, u_n) = branches[parity], closed.at(n, parity)
-        c_rec, u_rec = -I * (2 * p.a + 1 - A - C), -(branches[1 - parity][0].shift(-1) * C)
-        for name, diff in (("c", c_n - c_rec), ("u", u_n - u_rec)):
-            if not diff.num.is_zero():
-                k = 2 - parity
-                while diff.num(k).is_zero() or diff.den(k).is_zero():
-                    k += 2
-                raise BiwkitError(f"{name}_{k} closed form disagrees with recurrence on {cls} n",
-                                  {"coefficient": f"{name}_{k}", "parity": cls})
+    if _disagreement_for_every_quad() is None:
+        return closed
+    for name, parity, diff in _closed_form_differences(closed):
+        if not diff.num.is_zero():
+            k = 2 - parity
+            while diff.num(k).is_zero() or diff.den(k).is_zero():
+                k += 2
+            raise _disagrees(f"{name}_{k}", parity)
     return closed
 
 

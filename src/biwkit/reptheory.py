@@ -208,16 +208,21 @@ def positivity_scan(q: RealParameterQuad, n_max: int) -> PositivityReport:
 
     1. ``check_denominators`` raises DegenerateParameters at the n where
        ``bi_coefficients`` would, read from s = 2(alpha+gamma).
-    2. ``prove_closed_forms`` proves that the closed forms of c_n and u_n
-       equal the recurrence's as rational functions of n on each parity.
+    2. ``prove_closed_forms`` cites the proof, run once per process, that the
+       closed forms of c_n and u_n equal the recurrence's as rational
+       functions of n and alpha..delta on each parity, and builds the quad's
+       roots; only if that proof fails does it take the differences at q.
     3. u_n = (n-r1)(n-r2)*mod2/(4*d1^2) with mod2 = d1^2 + (real)^2 > 0,
        since d1 = n+s+1 does not vanish for n <= n_max.  So u_n has the sign
        of (n-r1)(n-r2), which is <= 0 exactly for n between the real roots.
        c_n is real because alpha2, alpha3 and lambda_n are.
 
     A sign violation is reported, not raised: scanning hypotheses-violating
-    parameter sets is a supported use.
+    parameter sets is a supported use.  A negative n_max raises
+    InvalidParameters: there is nothing to scan.
     """
+    if n_max < 0:
+        raise InvalidParameters(f"n_max must be >= 0, got {n_max}")
     check_denominators(n_max, ComplexRational(2 * (q.alpha + q.gamma)))
     closed = prove_closed_forms(q)
     firsts = [_first_between(roots, parity, n_max) for parity, roots in enumerate(closed.roots)]

@@ -1,4 +1,4 @@
-"""Acceptance suite: eleven criteria, one pass/fail line each.
+"""Acceptance suite: twelve criteria, one pass/fail line each.
 
 Each criterion pins its own tolerance and runtime budget.  Verdicts are
 recorded in conftest and printed in the terminal summary after the run,
@@ -14,6 +14,7 @@ from mpmath import mpf
 import conftest
 
 from biwkit.cli import random_parameter_set
+from biwkit.errors import BiwkitError
 from biwkit.exact import ComplexRational, Polynomial
 from biwkit.measure import orthogonality_gram
 from biwkit.operators import (
@@ -36,6 +37,7 @@ from biwkit.polyfam import (
     RealParameterQuad,
     bi_polynomials,
     param_map_bi_to_daha,
+    prove_closed_forms_for_every_quad,
     q_symmetry_check,
 )
 from biwkit.reptheory import build_rep, positivity_scan, verify_rep_relations
@@ -188,3 +190,16 @@ def test_criterion_11_q_symmetries():
         q_symmetry_check(10, random_parameter_set(rng, 10)).passed for _ in range(3)
     )
     _report(11, ok, "all three modified-family symmetries coefficient-exact, n <= 10")
+
+
+def test_criterion_12_closed_forms_for_every_quad():
+    start = time.perf_counter()
+    try:
+        prove_closed_forms_for_every_quad()
+        ok = True
+    except BiwkitError:
+        ok = False
+    elapsed = time.perf_counter() - start
+    ok = ok and elapsed < 1.0
+    _report(12, ok, "closed forms of c_n and u_n equal the recurrence for every real quad and "
+                    f"every n ({elapsed:.3f}s < 1s)")

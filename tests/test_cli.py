@@ -563,14 +563,19 @@ def in_json_dumps_form(text: str) -> bool:
     return text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
+def benchmark_module(monkeypatch, name):
+    """The benchmark's ``perfbench/<name>.py``, loaded as a module."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"benchmark_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # for its dataclasses
+    spec.loader.exec_module(module)
+    return module
+
+
 def benchmark_workloads(monkeypatch):
     """The benchmark's ``perfbench/workloads.py``, loaded as a module."""
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location("benchmark_workloads", path)
-    workloads = importlib.util.module_from_spec(spec)
-    monkeypatch.setitem(sys.modules, spec.name, workloads)  # for its dataclasses
-    spec.loader.exec_module(workloads)
-    return workloads
+    return benchmark_module(monkeypatch, "workloads")
 
 
 def exact_wide_documents(tmp_path, monkeypatch, seed):
@@ -590,11 +595,23 @@ def exact_wide_documents(tmp_path, monkeypatch, seed):
 def test_benchmark_pass_meets_every_expected_outcome(workload, tmp_path, monkeypatch):
     """Pass 0 of the benchmark's library workloads at seed 1: each certificate, which
     reads report attributes such as ``passed`` and ``first_nonpositive``, has the outcome
-    it expects."""
+    it expects.  The pass runs under the benchmark's own span tracer: it records a call
+    of every name the workload expects, and none in the layers it bypasses."""
     workloads = benchmark_workloads(monkeypatch)
+    spans = benchmark_module(monkeypatch, "spans")
     context = workloads.PassContext(str(tmp_path))
-    for cert in workloads.build(workload, seed=1, pass_index=0):
-        assert cert.run(context) == cert.expected, cert.name
+    certs = workloads.build(workload, seed=1, pass_index=0)
+    tracer = spans.Tracer()
+    try:
+        assert tracer.install() == []
+        for cert in certs:
+            assert cert.run(context) == cert.expected, cert.name
+    finally:
+        tracer.uninstall()
+    recorded = {tracer.labels[i] for i in set(tracer.name_of)}
+    assert set(spans.EXPECTED_SPANS[workload]) <= recorded, \
+        set(spans.EXPECTED_SPANS[workload]) - recorded
+    assert not set(spans.BYPASSED_LAYERS[workload]) & set(tracer.layers_with_spans())
 
 
 class TestWriter:

@@ -5,11 +5,12 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from biwkit.cli import document_text
 from biwkit.errors import NonzeroRemainder, OperatorNotPolynomialPreserving
-from biwkit.exact import ComplexRational, Polynomial, RationalFunction, parse_complex_rational
+from biwkit.exact import (SYMBOLS, ComplexRational, MultiPolynomial, Polynomial, RationalFunction,
+                          parse_complex_rational)
 from biwkit.operators import DividedDifference
 
 
@@ -494,7 +495,7 @@ class TestRationalFunctionOracle:
     def test_identity_without_reduction(self):
         n = RationalFunction(Polynomial.x())
         f = (n * n - 1) / (n - 1)
-        assert f.den == Polynomial([-1, 1])
+        assert f.den == MultiPolynomial(Polynomial([-1, 1]))
         assert (f - (n + 1)).num.is_zero()
         assert not (f - n).num.is_zero()
 
@@ -524,3 +525,90 @@ class TestUnsupportedOperands:
             Polynomial.x() + 1.5
         with pytest.raises(TypeError, match="unsupported operand type"):
             Polynomial.x() - "a"
+
+
+# -- rational functions of n and alpha..delta, against evaluation at points --
+
+small_polys = st.lists(scalars, min_size=0, max_size=3).map(Polynomial)
+exponents = st.tuples(*[st.integers(0, 2)] * len(SYMBOLS))
+multi_polys = st.dictionaries(exponents, small_polys, max_size=4).map(MultiPolynomial)
+nonzero_multi_polys = multi_polys.filter(lambda m: not m.is_zero())
+multi_functions = st.builds(RationalFunction, multi_polys, nonzero_multi_polys)
+quad_points = st.tuples(*[scalars] * len(SYMBOLS))
+n_points = st.one_of(st.integers(-6, 6), small_fractions)
+
+
+# Each example multiplies dicts of polynomials: half the default count keeps the class near 2 s.
+fewer_examples = settings(max_examples=50)
+
+
+def value_at(f, n, point):
+    """f at n and the symbols' values ``point``, or None where its denominator vanishes."""
+    den = f.den(n, *point)
+    return None if den.is_zero() else f.num(n, *point) / den
+
+
+class TestMultivariateOracle:
+    """Every operation agrees with ``ComplexRational`` arithmetic on the values at (n, point)."""
+
+    @fewer_examples
+    @given(multi_functions, multi_functions, n_points, quad_points)
+    def test_operations_agree_with_evaluation(self, f, g, n, point):
+        fv, gv = value_at(f, n, point), value_at(g, n, point)
+        assume(fv is not None and gv is not None)
+        for h, expected in ((f + g, fv + gv), (f - g, fv - gv), (f * g, fv * gv), (-f, -fv)):
+            assert value_at(h, n, point) == expected
+        if not gv.is_zero():
+            assert value_at(f / g, n, point) == fv / gv
+
+    @fewer_examples
+    @given(multi_functions, any_scalars, n_points, quad_points)
+    def test_scalar_operands(self, f, c, n, point):
+        fv = value_at(f, n, point)
+        assume(fv is not None)
+        for h, expected in ((f + c, fv + c), (c - f, c - fv), (c * f, c * fv)):
+            assert value_at(h, n, point) == expected
+
+    @fewer_examples
+    @given(multi_functions, st.integers(-3, 3), n_points, quad_points)
+    def test_powers(self, f, k, n, point):
+        fv = value_at(f, n, point)
+        assume(fv is not None and (k >= 0 or not fv.is_zero()))
+        assert value_at(f ** k, n, point) == fv ** k
+
+    @fewer_examples
+    @given(multi_functions, st.integers(-3, 3), n_points, quad_points)
+    def test_shift_moves_n_only(self, f, t, n, point):
+        assert value_at(f.shift(t), n, point) == value_at(f, n + t, point)
+
+    @fewer_examples
+    @given(multi_functions, n_points, quad_points)
+    def test_instantiation_at_a_quad(self, f, n, point):
+        try:
+            g = f.instantiate(point)
+        except ZeroDivisionError:
+            assert f.den.in_n(point).is_zero()
+            return
+        assert all(e == (0,) * len(SYMBOLS) for e in g.num.terms)
+        assert value_at(g, n, ()) == value_at(f, n, point)
+
+    @given(n_points, quad_points)
+    def test_symbols(self, n, point):
+        n_rf = RationalFunction(Polynomial.x())
+        for k, symbol in enumerate(RationalFunction.symbols()):
+            assert value_at(symbol, n, point) == point[k]
+            assert value_at(n_rf * symbol, n, point) == n * point[k]
+
+    def test_a_symbol_needs_a_value(self):
+        alpha = RationalFunction.symbols()[0]
+        with pytest.raises(ValueError):
+            alpha.num(0)
+        assert not (alpha - alpha).num.terms
+
+    def test_identity_for_every_conjugate_pairing(self):
+        # a = alpha + i*beta and c = alpha - i*beta: (a + c)^2 - 4*a*c = (a - c)^2 = -4*beta^2.
+        alpha, beta, _, _ = RationalFunction.symbols()
+        i = ComplexRational(0, 1)
+        a, c = alpha + i * beta, alpha - i * beta
+        assert ((a + c) ** 2 - 4 * a * c + 4 * beta ** 2).num.is_zero()
+        assert not ((a + c) ** 2 - 4 * a * c).num.is_zero()

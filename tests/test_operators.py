@@ -10,7 +10,7 @@ from fractions import Fraction
 import pytest
 from conftest import shared_caches
 
-from biwkit import exact
+from biwkit import exact, polyfam
 from biwkit.cli import document_text, random_parameter_set
 from biwkit.errors import DegenerateParameters, InvalidParameters, OperatorNotPolynomialPreserving
 from biwkit.exact import HALF, I, ONE, ComplexRational, Polynomial
@@ -472,12 +472,15 @@ class TestSharedBuilders:
                 assert verify_casimir(p, 0, which).passed
             assert verify_daha_relations(param_map_bi_to_daha(p), 0).passed
             bi_polynomials(2, p)
-        caches = shared_caches()
+        # The proof of the closed forms takes no input: its cache holds at most one entry.
+        proof = polyfam._disagreement_for_every_quad
+        caches = shared_caches() - {proof}
         assert len(caches) == 5
         for cache in caches:
             info = cache.cache_info()
             assert info.maxsize == SHARED_SETS and info.misses > SHARED_SETS
             assert info.currsize <= info.maxsize
+        assert proof.cache_info().currsize <= 1
 
     def test_family_is_returned_as_a_new_list(self):
         polys = bi_polynomials(4, self.P)

@@ -12,7 +12,7 @@ from mpmath import mpf
 from biwkit import polyfam, reptheory
 from biwkit.cli import document_text
 from biwkit.errors import BiwkitError, DegenerateParameters, InvalidParameters
-from biwkit.exact import ComplexRational
+from biwkit.exact import ComplexRational, Polynomial
 from biwkit.polyfam import (
     ModifiedClosedForm,
     ParameterSet,
@@ -203,6 +203,11 @@ class TestPositivity:
             positivity_scan(quad, 4)
         assert info.value.n == 0
 
+    @pytest.mark.parametrize("n_max", [-1, -3])
+    def test_negative_n_max_is_refused(self, n_max):
+        with pytest.raises(InvalidParameters, match=f"n_max must be >= 0, got {n_max}"):
+            positivity_scan(HALF_QUAD, n_max)
+
     def test_report_shape(self):
         doc = json.loads(document_text(positivity_scan(HALF_QUAD, 10)))
         assert doc["pass"] is True
@@ -246,6 +251,30 @@ def _seeded_cases(count: int):
 
 
 EPSILON = "Fraction(1, 10 ** 30)"
+# Source mutants (owner, function, old text, new text, the coefficient the per-quad proof names).
+ODD_CLASS_MUTANTS = [
+    # The odd-branch factor n+4alpha+1 of u_n.
+    pytest.param(ModifiedClosedForm, "__init__", "-4 * al - 1,", f"-4 * al - 1 + {EPSILON},",
+                 "u_1", id="closed-u-odd"),
+    # The denominator 4*lambda_n^2 - 1 of c_n, and alpha3 in its numerator.
+    pytest.param(ModifiedClosedForm, "at", "4 * lam * lam - 1",
+                 f"4 * lam * lam - 1 + {EPSILON}", "c_1", id="closed-c"),
+    pytest.param(ModifiedClosedForm, "__init__", "sc.alpha3\n", f"sc.alpha3 + {EPSILON}\n",
+                 "c_1", id="closed-alpha3"),
+    # The shift of one factor of C_n for even n, and of one of A_n for odd n.
+    pytest.param(polyfam, "_shifts", "2 * (p.c + p.d) + 1)", f"2 * (p.c + p.d) + 1 + {EPSILON})",
+                 "c_2", id="recurrence-C-even"),
+    pytest.param(polyfam, "_shifts", "2 * (p.a + p.b + 1),", f"2 * (p.a + p.b + 1) + {EPSILON},",
+                 "c_1", id="recurrence-A-odd"),
+]
+EVEN_CLASS_MUTANTS = [
+    # The square 4(beta+delta)^2 of u_n for even n only.
+    pytest.param(ModifiedClosedForm, "__init__", "(2 * (be + de)) ** 2",
+                 f"(2 * (be + de)) ** 2 + {EPSILON}", "u_2", id="closed-u-even"),
+    # The factor n of C_n for even n (its shift 0): c_n and u_n of the even class.
+    pytest.param(polyfam, "_shifts", "ZERO,", f"ZERO + {EPSILON},", "c_2",
+                 id="recurrence-C-even-n"),
+]
 
 
 class TestPositivityProof:
@@ -310,28 +339,13 @@ class TestPositivityProof:
         report = positivity_scan(OTHER_QUAD, 10 ** 6)
         assert report.passed and report.n_max == 10 ** 6
 
-    @pytest.mark.parametrize("owner, name, old, new, named", [
-        # The odd-branch factor n+4alpha+1 of u_n.
-        (ModifiedClosedForm, "__init__", "-4 * al - 1,", f"-4 * al - 1 + {EPSILON},", "u_1"),
-        # The denominator 4*lambda_n^2 - 1 of c_n, and alpha3 in its numerator.
-        (ModifiedClosedForm, "at", "4 * lam * lam - 1", f"4 * lam * lam - 1 + {EPSILON}", "c_1"),
-        (ModifiedClosedForm, "__init__", "sc.alpha3\n", f"sc.alpha3 + {EPSILON}\n", "c_1"),
-        # The shift of one factor of C_n for even n, and of one of A_n for odd n.
-        (polyfam, "_shifts", "2 * (p.c + p.d) + 1)", f"2 * (p.c + p.d) + 1 + {EPSILON})", "c_2"),
-        (polyfam, "_shifts", "2 * (p.a + p.b + 1),", f"2 * (p.a + p.b + 1) + {EPSILON},", "c_1"),
-    ], ids=["closed-u-odd", "closed-c", "closed-alpha3", "recurrence-C-even", "recurrence-A-odd"])
+    @pytest.mark.parametrize("owner, name, old, new, named", ODD_CLASS_MUTANTS)
     def test_perturbed_coefficient_fails_the_proof(self, monkeypatch, owner, name, old, new, named):
         mutate_polyfam(monkeypatch, owner, name, old, new)
         with pytest.raises(BiwkitError, match=f"^{named} closed form disagrees"):
             positivity_scan(OTHER_QUAD, 100)
 
-    @pytest.mark.parametrize("owner, name, old, new, named", [
-        # The square 4(beta+delta)^2 of u_n for even n only.
-        (ModifiedClosedForm, "__init__", "(2 * (be + de)) ** 2",
-         f"(2 * (be + de)) ** 2 + {EPSILON}", "u_2"),
-        # The factor n of C_n for even n (its shift 0): c_n and u_n of the even class.
-        (polyfam, "_shifts", "ZERO,", f"ZERO + {EPSILON},", "c_2"),
-    ], ids=["closed-u-even", "recurrence-C-even-n"])
+    @pytest.mark.parametrize("owner, name, old, new, named", EVEN_CLASS_MUTANTS)
     def test_even_class_break_is_named_even(self, monkeypatch, owner, name, old, new, named):
         mutate_polyfam(monkeypatch, owner, name, old, new)
         with pytest.raises(BiwkitError, match=f"^{named} closed form disagrees") as info:
@@ -351,3 +365,55 @@ class TestPositivityProof:
         q = RealParameterQuad(Fraction(1), Fraction(2, 5), gamma, Fraction(1, 7))
         with pytest.raises(BiwkitError, match="^u_3 closed form disagrees .* on odd n$"):
             polyfam.prove_closed_forms(q)
+
+
+def _count_polynomial_products(monkeypatch):
+    """Make every ``Polynomial.__mul__`` call count itself; return the list it appends to."""
+    calls, multiply = [], Polynomial.__mul__
+
+    def counted(self, other):
+        calls.append(1)
+        return multiply(self, other)
+
+    for name in ("__mul__", "__rmul__"):
+        monkeypatch.setattr(Polynomial, name, counted)
+    return calls
+
+
+class TestClosedFormsForEveryQuad:
+    def test_the_proof_runs_once_and_a_scan_then_takes_no_product(self, monkeypatch):
+        calls = _count_polynomial_products(monkeypatch)
+        assert positivity_scan(HALF_QUAD, 100).passed
+        assert calls
+        calls.clear()
+        assert positivity_scan(OTHER_QUAD, 100).passed
+        polyfam.prove_closed_forms_for_every_quad()
+        assert not calls
+        info = polyfam._disagreement_for_every_quad.cache_info()
+        assert (info.misses, info.currsize) == (1, 1)
+
+    @pytest.mark.parametrize("owner, name, old, new, named", [
+        # One odd root moved by 1/7.
+        pytest.param(ModifiedClosedForm, "__init__", "-4 * al - 1,",
+                     "-4 * al - 1 + Fraction(1, 7),", "u_1", id="odd-root-by-1/7"),
+        # b for a in the even e1 of _shifts: A_{n-1} of the odd class's u_n.
+        pytest.param(polyfam, "_shifts", "2 * (p.a + p.c + 1)", "2 * (p.b + p.c + 1)", "u_1",
+                     id="even-e1-b-for-a"),
+    ] + ODD_CLASS_MUTANTS + EVEN_CLASS_MUTANTS)
+    def test_mutant_fails_the_proof_for_every_quad(self, monkeypatch, owner, name, old, new, named):
+        # The proof names the coefficient and the class that the proof at OTHER_QUAD names.
+        mutate_polyfam(monkeypatch, owner, name, old, new)
+        cls = ("even", "odd")[int(named[2:]) % 2]
+        with pytest.raises(BiwkitError, match=f"^{named[0]}_n closed form disagrees .* on {cls} n$"):
+            polyfam.prove_closed_forms_for_every_quad()
+
+    def test_a_mutant_vanishing_at_the_quad_fails_only_the_proof_for_every_quad(self, monkeypatch):
+        # The odd root -4*alpha-1 moved by (alpha - 1/2)/7: unmoved at alpha = 1/2 only.
+        mutate_polyfam(monkeypatch, ModifiedClosedForm, "__init__", "-4 * al - 1,",
+                       "-4 * al - 1 + (al - Fraction(1, 2)) / 7,")
+        with pytest.raises(BiwkitError, match="^u_n closed form disagrees .* on odd n$") as info:
+            polyfam.prove_closed_forms_for_every_quad()
+        assert info.value.first_failure == {"coefficient": "u_n", "parity": "odd"}
+        assert positivity_scan(HALF_QUAD, 100).passed
+        with pytest.raises(BiwkitError, match="^u_1 closed form disagrees .* on odd n$"):
+            positivity_scan(OTHER_QUAD, 100)
