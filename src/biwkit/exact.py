@@ -36,11 +36,12 @@ class ComplexRational:
     __slots__ = ("_x", "_y", "_d")
 
     def __init__(self, re=0, im=0):
-        """Accept for each part whatever ``Fraction()`` accepts."""
+        """Accept for each part whatever ``Fraction()`` accepts; an exact Fraction is kept."""
         if type(re) is int and type(im) is int:
             x, y, d = re, im, 1
         else:
-            re, im = Fraction(re), Fraction(im)
+            re = re if type(re) is Fraction else Fraction(re)
+            im = im if type(im) is Fraction else Fraction(im)
             q, s = re.denominator, im.denominator
             # Over the lcm of two reduced denominators, gcd(x, y, d) = 1.
             d = _lcm(q, s)

@@ -264,24 +264,34 @@ class ModifiedClosedForm:
 
     ``q`` is a RealParameterQuad, or the symbols (alpha, beta, gamma, delta) of
     ``RationalFunction.symbols()``: the same code then writes every formula as
-    a rational function of the parameters.
+    a rational function of the parameters.  Only ``roots`` is built with the
+    object; the pairing ``p``, ``sc`` and ``squares`` are built on first read.
     """
 
     def __init__(self, q):
         if isinstance(q, RealParameterQuad):
             q = (ComplexRational(v) for v in (q.alpha, q.beta, q.gamma, q.delta))
-        al, be, ga, de = q
-        self.p = _Pairing.of(al, be, ga, de)
-        sc = structure_constants(self.p)
-        self.alpha2, self.alpha3 = sc.alpha2, sc.alpha3
+        self.q = al, _, ga, _ = tuple(q)
         # Even n: n(n+4alpha+4gamma+2); odd n: (n+4alpha+1)(n+4gamma+1).
         self.roots = ((ZERO, -4 * al - 4 * ga - 2), (-4 * al - 1, -4 * ga - 1))
-        self.squares = ((2 * (be + de)) ** 2, (2 * (be - de)) ** 2)
+
+    @cached_property
+    def p(self) -> _Pairing:
+        return _Pairing.of(*self.q)
+
+    @cached_property
+    def sc(self) -> StructureConstants:
+        return structure_constants(self.p)
+
+    @cached_property
+    def squares(self):
+        _, be, _, de = self.q
+        return (2 * (be + de)) ** 2, (2 * (be - de)) ** 2
 
     def at(self, n, parity: int):
         """``(c_n, u_n)`` for a number n of the given parity, or for the variable n."""
         lam = (n + self.p.total + THREE_HALVES) * (1 - 2 * parity)
-        c_n = (2 * self.alpha3 * lam + self.alpha2) / (4 * lam * lam - 1)
+        c_n = (2 * self.sc.alpha3 * lam + self.sc.alpha2) / (4 * lam * lam - 1)
         d1 = n + self.p.total + 1
         r1, r2 = self.roots[parity]
         return c_n, (n - r1) * (n - r2) * (d1 * d1 + self.squares[parity]) / (4 * d1 * d1)

@@ -10,10 +10,12 @@ An autouse fixture empties those caches after each test, so recurrence
 data or a family built while a test had patched ``polyfam.bi_coefficients``
 or ``polyfam._shifts`` never reaches a later test at the same parameter set.
 
-``mutate_polyfam`` replaces a function of ``polyfam`` by its own source with
-one text change: the source mutants of ``test_reptheory`` and ``test_cli``.
+``mutate_polyfam`` replaces a function of ``polyfam``, or a method or lazily
+built member of one of its classes, by its own source with one text change:
+the source mutants of ``test_reptheory``, ``test_polyfam`` and ``test_cli``.
 """
 
+import functools
 import inspect
 import textwrap
 
@@ -31,13 +33,20 @@ def shared_caches():
 
 
 def mutate_polyfam(monkeypatch, owner, name, old, new):
-    """Replace ``owner.name``, a function of ``polyfam`` or a method of one of its classes, by
-    its own source with the one occurrence of ``old`` replaced by ``new``."""
-    source = textwrap.dedent(inspect.getsource(getattr(owner, name)))
+    """Replace ``owner.name``, a function of ``polyfam`` or a method or ``cached_property`` of
+    one of its classes, by its own source with the one occurrence of ``old`` replaced by ``new``.
+
+    A ``cached_property`` is read from its ``func``, whose source starts at the decorator, so
+    the mutant is a ``cached_property`` too; it is bound to ``name`` as the class body would."""
+    member = getattr(owner, name)
+    source = textwrap.dedent(inspect.getsource(getattr(member, "func", member)))
     assert source.count(old) == 1, old
     namespace = dict(vars(polyfam))
     exec(compile(source.replace(old, new), polyfam.__file__, "exec"), namespace)
-    monkeypatch.setattr(owner, name, namespace[name])
+    mutant = namespace[name]
+    if isinstance(mutant, functools.cached_property):
+        mutant.__set_name__(owner, name)
+    monkeypatch.setattr(owner, name, mutant)
 
 
 @pytest.fixture(autouse=True)

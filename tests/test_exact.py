@@ -183,6 +183,42 @@ class TestArithmeticOracle:
         assert hash(ComplexRational(Fraction(2, 4), 1)) == hash(ComplexRational("1/2", 1))
 
 
+def fields(z):
+    return z._x, z._y, z._d
+
+
+def fields_through_fraction(re, im):
+    """The canonical (x, y, d) of re + im*i, each part read through ``Fraction()``."""
+    re, im = Fraction(re), Fraction(im)
+    d = re.denominator * im.denominator // gcd(re.denominator, im.denominator)
+    return re.numerator * (d // re.denominator), im.numerator * (d // im.denominator), d
+
+
+class Tagged(Fraction):
+    """A Fraction subclass: not exactly a Fraction, so its parts are read through Fraction()."""
+
+
+class TestConstruction:
+    @given(pairs)
+    def test_fraction_parts_give_the_fields_read_through_fraction(self, a):
+        assert fields(ComplexRational(*a)) == fields_through_fraction(*a)
+
+    def test_an_unreduced_fraction_gives_the_reduced_fields(self):
+        z = ComplexRational(Fraction(2, 4), Fraction(-6, 8))
+        assert fields(z) == fields(ComplexRational(Fraction(1, 2), Fraction(-3, 4))) == (2, -3, 4)
+
+    @pytest.mark.parametrize("value", [Tagged(2, 4), Tagged(-7), 3, "1/3", "-0.25", 0.1, -2.5],
+                             ids=["subclass", "subclass-integer", "int", "str", "str-decimal",
+                                  "float", "float-half"])
+    def test_other_parts_are_read_through_fraction(self, value):
+        for re, im in ((value, 0), (0, value), (value, Fraction(5, 6)), (Fraction(5, 6), value),
+                       (value, value)):
+            z = ComplexRational(re, im)
+            assert fields(z) == fields_through_fraction(re, im), (re, im)
+            assert all(type(v) is int for v in fields(z))
+            assert type(z.re) is Fraction and type(z.im) is Fraction
+
+
 class TestParsing:
     @pytest.mark.parametrize("text,expected", [
         ("3/2", ComplexRational(Fraction(3, 2))),

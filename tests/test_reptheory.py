@@ -259,8 +259,8 @@ ODD_CLASS_MUTANTS = [
     # The denominator 4*lambda_n^2 - 1 of c_n, and alpha3 in its numerator.
     pytest.param(ModifiedClosedForm, "at", "4 * lam * lam - 1",
                  f"4 * lam * lam - 1 + {EPSILON}", "c_1", id="closed-c"),
-    pytest.param(ModifiedClosedForm, "__init__", "sc.alpha3\n", f"sc.alpha3 + {EPSILON}\n",
-                 "c_1", id="closed-alpha3"),
+    pytest.param(ModifiedClosedForm, "at", "2 * self.sc.alpha3 *",
+                 f"2 * (self.sc.alpha3 + {EPSILON}) *", "c_1", id="closed-alpha3"),
     # The shift of one factor of C_n for even n, and of one of A_n for odd n.
     pytest.param(polyfam, "_shifts", "2 * (p.c + p.d) + 1)", f"2 * (p.c + p.d) + 1 + {EPSILON})",
                  "c_2", id="recurrence-C-even"),
@@ -269,7 +269,7 @@ ODD_CLASS_MUTANTS = [
 ]
 EVEN_CLASS_MUTANTS = [
     # The square 4(beta+delta)^2 of u_n for even n only.
-    pytest.param(ModifiedClosedForm, "__init__", "(2 * (be + de)) ** 2",
+    pytest.param(ModifiedClosedForm, "squares", "(2 * (be + de)) ** 2",
                  f"(2 * (be + de)) ** 2 + {EPSILON}", "u_2", id="closed-u-even"),
     # The factor n of C_n for even n (its shift 0): c_n and u_n of the even class.
     pytest.param(polyfam, "_shifts", "ZERO,", f"ZERO + {EPSILON},", "c_2",
@@ -338,6 +338,23 @@ class TestPositivityProof:
         monkeypatch.setattr(polyfam, "bi_coefficients", refuse)
         report = positivity_scan(OTHER_QUAD, 10 ** 6)
         assert report.passed and report.n_max == 10 ** 6
+
+    def test_builds_no_pairing_and_no_structure_constants(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a scan read more of its closed form than the roots")
+
+        polyfam.prove_closed_forms_for_every_quad()
+        monkeypatch.setattr(polyfam, "structure_constants", refuse)
+        monkeypatch.setattr(polyfam._Pairing, "of", refuse)
+        report = positivity_scan(OTHER_QUAD, 10 ** 6)
+        assert report.passed and report.n_max == 10 ** 6
+        monkeypatch.undo()
+        # What the scan left unbuilt is built on first read, to the recurrence's values.
+        data = bi_coefficients(30, ParameterSet.from_quad(OTHER_QUAD))
+        closed = ModifiedClosedForm(OTHER_QUAD)
+        for n in range(31):
+            c_n, u_n = closed.at(n, n % 2)
+            assert data.c_mod[n] == c_n and (n == 0 or data.u_mod[n] == u_n), n
 
     @pytest.mark.parametrize("owner, name, old, new, named", ODD_CLASS_MUTANTS)
     def test_perturbed_coefficient_fails_the_proof(self, monkeypatch, owner, name, old, new, named):
