@@ -30,24 +30,20 @@ class ComplexRational:
 
     The form is canonical: d > 0 and gcd(x, y, d) = 1, so zero is (0, 0, 1)
     and equal values have equal fields.  ``re`` and ``im`` are the parts as
-    ``Fraction``; the arithmetic itself never builds one.
+    ``Fraction``; the arithmetic itself never builds one, and uses an ``int``
+    operand of ``+``, ``-`` and ``*`` as it is (x + k*d over d needs no gcd).
     """
 
     __slots__ = ("_x", "_y", "_d")
 
     def __init__(self, re=0, im=0):
-        """Accept for each part whatever ``Fraction()`` accepts; an exact Fraction is kept."""
-        if type(re) is int and type(im) is int:
-            x, y, d = re, im, 1
-        else:
-            re = re if type(re) is Fraction else Fraction(re)
-            im = im if type(im) is Fraction else Fraction(im)
-            q, s = re.denominator, im.denominator
-            # Over the lcm of two reduced denominators, gcd(x, y, d) = 1.
-            d = _lcm(q, s)
-            x, y = re.numerator * (d // q), im.numerator * (d // s)
-        _set_x(self, x)
-        _set_y(self, y)
+        """Accept for each part whatever ``Fraction()`` accepts; an exact int or Fraction is kept."""
+        x, q = (re if type(re) in (int, Fraction) else Fraction(re)).as_integer_ratio()
+        y, s = (im if type(im) in (int, Fraction) else Fraction(im)).as_integer_ratio()
+        # Over the lcm of two reduced denominators, gcd(x, y, d) = 1.
+        d = _lcm(q, s)
+        _set_x(self, x * (d // q))
+        _set_y(self, y * (d // s))
         _set_d(self, d)
 
     def __setattr__(self, name, value):
@@ -72,6 +68,8 @@ class ComplexRational:
 
     def __add__(self, other):
         if type(other) is not ComplexRational:
+            if type(other) is int:
+                return _make(self._x + other * self._d, self._y, self._d)
             other = _from_rational(other)
             if other is None:
                 return NotImplemented
@@ -84,6 +82,8 @@ class ComplexRational:
 
     def __sub__(self, other):
         if type(other) is not ComplexRational:
+            if type(other) is int:
+                return _make(self._x - other * self._d, self._y, self._d)
             other = _from_rational(other)
             if other is None:
                 return NotImplemented
@@ -93,6 +93,8 @@ class ComplexRational:
         return _reduced(self._x * f - other._x * d, self._y * f - other._y * d, d * f)
 
     def __rsub__(self, other):
+        if type(other) is int:
+            return _make(other * self._d - self._x, -self._y, self._d)
         return ComplexRational.coerce(other) - self
 
     def __neg__(self):
@@ -100,6 +102,8 @@ class ComplexRational:
 
     def __mul__(self, other):
         if type(other) is not ComplexRational:
+            if type(other) is int:
+                return _reduced(self._x * other, self._y * other, self._d)
             other = _from_rational(other)
             if other is None:
                 return NotImplemented
@@ -142,6 +146,12 @@ class ComplexRational:
 
     def is_real(self) -> bool:
         return not self._y
+
+    def as_integer_ratio(self) -> tuple:
+        """A real value's ``(x, d)``, d > 0, as ``int`` and ``Fraction`` give it; else ValueError."""
+        if self._y:
+            raise ValueError(f"{self} is not real")
+        return self._x, self._d
 
     def __eq__(self, other):
         if type(other) is ComplexRational:
@@ -199,10 +209,9 @@ def _reduced(x: int, y: int, d: int) -> ComplexRational:
 
 def _from_rational(v):
     """An int or Fraction as a ComplexRational; None for any other type."""
-    if isinstance(v, int):
-        return _make(int(v), 0, 1)
-    if isinstance(v, Fraction):
-        return _make(v.numerator, 0, v.denominator)
+    if isinstance(v, (int, Fraction)):
+        x, d = v.as_integer_ratio()
+        return _make(x, 0, d)
     return None
 
 

@@ -152,12 +152,11 @@ def check_denominators(n_max: int, s: ComplexRational) -> None:
 
     A_n divides by 2(n+s+2) and C_n by 2(n+s+1), s = a+b+c+d; at each n the
     first is checked before the second.  Both vanish only for s a real
-    integer, so the answer is read from s alone.
+    integer, so the answer is read from s alone (a non-real s as 0/0).
     """
-    if s.im or s.re.denominator != 1:
-        return
-    for n, shift in ((-s.re.numerator - 2, 2), (-s.re.numerator - 1, 1)):
-        if 0 <= n <= n_max:
+    x, d = s.as_integer_ratio() if s.is_real() else (0, 0)
+    for n, shift in ((-x - 2, 2), (-x - 1, 1)):
+        if d == 1 and 0 <= n <= n_max:
             raise DegenerateParameters(f"denominator n+a+b+c+d+{shift} vanishes at n={n}", n=n)
 
 
@@ -265,12 +264,13 @@ class ModifiedClosedForm:
     ``q`` is a RealParameterQuad, or the symbols (alpha, beta, gamma, delta) of
     ``RationalFunction.symbols()``: the same code then writes every formula as
     a rational function of the parameters.  Only ``roots`` is built with the
-    object; the pairing ``p``, ``sc`` and ``squares`` are built on first read.
+    object, from alpha and gamma alone; the pairing ``p``, ``sc`` and
+    ``squares`` are built on first read, and a real beta and delta converted.
     """
 
     def __init__(self, q):
         if isinstance(q, RealParameterQuad):
-            q = (ComplexRational(v) for v in (q.alpha, q.beta, q.gamma, q.delta))
+            q = ComplexRational(q.alpha), q.beta, ComplexRational(q.gamma), q.delta
         self.q = al, _, ga, _ = tuple(q)
         # Even n: n(n+4alpha+4gamma+2); odd n: (n+4alpha+1)(n+4gamma+1).
         self.roots = ((ZERO, -4 * al - 4 * ga - 2), (-4 * al - 1, -4 * ga - 1))
@@ -285,7 +285,7 @@ class ModifiedClosedForm:
 
     @cached_property
     def squares(self):
-        _, be, _, de = self.q
+        _, be, _, de = (ComplexRational(v) if type(v) is Fraction else v for v in self.q)
         return (2 * (be + de)) ** 2, (2 * (be - de)) ** 2
 
     def at(self, n, parity: int):
@@ -326,13 +326,17 @@ def _closed_form_differences(closed: ModifiedClosedForm):
 
 
 @cache
-def _disagreement_for_every_quad():
-    """``(name, parity)`` of the first difference of ``_closed_form_differences`` on the symbols
-    alpha..delta with a nonzero numerator, or None.  It takes no input, so it runs at most once
-    per process, on first use."""
+def _proof_for_every_quad():
+    """``(disagreement, c_real)`` on the symbols alpha..delta: the ``(name, parity)`` of the first
+    difference of ``_closed_form_differences`` with a nonzero numerator, or None; and whether
+    alpha2, alpha3 and a+b+c+d have real coefficients, so that the closed form of c_n is real at
+    every real quad.  It takes no input, so it runs at most once per process, on first use."""
     closed = ModifiedClosedForm(RationalFunction.symbols())
-    return next(((name, parity) for name, parity, diff in _closed_form_differences(closed)
-                 if not diff.num.is_zero()), None)
+    disagreement = next(((name, parity) for name, parity, diff in _closed_form_differences(closed)
+                         if not diff.num.is_zero()), None)
+    sc = closed.sc
+    terms = (m.terms for f in (sc.alpha2, sc.alpha3, closed.p.total) for m in (f.num, f.den))
+    return disagreement, all(c.has_real_coefficients() for t in terms for c in t.values())
 
 
 def prove_closed_forms_for_every_quad() -> None:
@@ -343,10 +347,15 @@ def prove_closed_forms_for_every_quad() -> None:
     at every n where neither divides by zero.  Otherwise raises BiwkitError naming the
     class and c_n or u_n, also as its ``first_failure``.
     """
-    failure = _disagreement_for_every_quad()
+    failure = _proof_for_every_quad()[0]
     if failure is not None:
         name, parity = failure
         raise _disagrees(f"{name}_n", parity)
+
+
+def c_real_for_every_quad() -> bool:
+    """Whether c_n is real at every real quad and every n: ``c_real`` of the proof on the symbols."""
+    return _proof_for_every_quad()[1]
 
 
 def prove_closed_forms(q: RealParameterQuad) -> ModifiedClosedForm:
@@ -359,7 +368,7 @@ def prove_closed_forms(q: RealParameterQuad) -> ModifiedClosedForm:
     it where the difference is defined and nonzero, also as its ``first_failure``.
     """
     closed = ModifiedClosedForm(q)
-    if _disagreement_for_every_quad() is None:
+    if _proof_for_every_quad()[0] is None:
         return closed
     for name, parity, diff in _closed_form_differences(closed):
         if not diff.num.is_zero():

@@ -17,7 +17,6 @@ square root sqrt(u_n) is ever taken.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional
@@ -28,8 +27,8 @@ from .errors import InvalidParameters
 from .exact import ONE, ZERO, ComplexRational
 from .measure import SUMMARY_DIGITS, Approx, _to_mpf
 from .polyfam import (ParameterSet, RealParameterQuad, StructureConstants, bi_eigenvalue,
-                      casimir_scalar, check_denominators, document_key, prove_closed_forms,
-                      q_modified_coefficients, structure_constants)
+                      c_real_for_every_quad, casimir_scalar, check_denominators, document_key,
+                      prove_closed_forms, q_modified_coefficients, structure_constants)
 
 # The least (double) and the default precision_digits: they set only rep_tolerance.
 MIN_PRECISION = 16
@@ -215,8 +214,8 @@ def positivity_scan(q: RealParameterQuad, n_max: int) -> PositivityReport:
     3. u_n = (n-r1)(n-r2)*mod2/(4*d1^2) with mod2 = d1^2 + (real)^2 > 0,
        since d1 = n+s+1 does not vanish for n <= n_max.  So u_n has the sign
        of (n-r1)(n-r2), which is <= 0 exactly for n between the real roots.
-       ``c_all_real`` is True unconditionally: the scan builds no alpha2,
-       alpha3 or lambda_n to check it on (ROADMAP item 3).
+       ``c_all_real`` is ``c_real_for_every_quad()``, proved once per process
+       with the closed forms.
 
     A sign violation is reported, not raised: scanning hypotheses-violating
     parameter sets is a supported use.  A negative n_max raises
@@ -224,17 +223,17 @@ def positivity_scan(q: RealParameterQuad, n_max: int) -> PositivityReport:
     """
     if n_max < 0:
         raise InvalidParameters(f"n_max must be >= 0, got {n_max}")
-    check_denominators(n_max, ComplexRational(2 * (q.alpha + q.gamma)))
+    check_denominators(n_max, 2 * (ComplexRational(q.alpha) + ComplexRational(q.gamma)))
     closed = prove_closed_forms(q)
     firsts = [_first_between(roots, parity, n_max) for parity, roots in enumerate(closed.roots)]
     first_bad = min((n for n in firsts if n is not None), default=None)
-    return PositivityReport(n_max=n_max, all_positive=first_bad is None, all_real=True,
-                            first_nonpositive=first_bad)
+    return PositivityReport(n_max=n_max, all_positive=first_bad is None,
+                            all_real=c_real_for_every_quad(), first_nonpositive=first_bad)
 
 
 def _first_between(roots, parity: int, n_max: int) -> Optional[int]:
     """The least n in 1..n_max of the given parity with min(roots) <= n <= max(roots), if any."""
-    low, high = sorted(r.re for r in roots)
-    n = max(1, math.ceil(low))
+    (a, b), (c, d) = (r.as_integer_ratio() for r in roots)
+    n = max(1, min(-(-a // b), -(-c // d)))
     n += (n - parity) % 2
-    return n if n <= min(high, n_max) else None
+    return n if n <= n_max and (n * b - a) * (n * d - c) <= 0 else None

@@ -219,6 +219,53 @@ class TestConstruction:
             assert type(z.re) is Fraction and type(z.im) is Fraction
 
 
+class Sub(int):
+    """An int subclass: not exactly an int, so it takes the generic operand path."""
+
+
+# 0, +-1, a negative int and ints past 2^64.
+INT_OPERANDS = [0, 1, -1, -7, 2 ** 64 + 13, -(2 ** 70) - 1]
+
+
+class TestIntOperands:
+    @given(pairs)
+    def test_int_paths_give_the_fields_of_the_converted_operand(self, a):
+        z = ComplexRational(*a)
+        for k in INT_OPERANDS:
+            c = ComplexRational(k)
+            for got, expected in ((z + k, z + c), (k + z, c + z), (z - k, z - c), (k - z, c - z),
+                                  (z * k, z * c), (k * z, c * z)):
+                assert fields(got) == fields(expected), (a, k)
+
+    @given(pairs)
+    def test_bool_and_int_subclass_take_the_generic_path(self, a):
+        z = ComplexRational(*a)
+        for k, value in ((True, 1), (False, 0), (Sub(5), 5), (Sub(-3), -3)):
+            c = ComplexRational(value)
+            for got, expected in ((z + k, z + c), (k + z, c + z), (z - k, z - c), (k - z, c - z),
+                                  (z * k, z * c), (k * z, c * z)):
+                assert fields(got) == fields(expected), (a, k)
+                assert all(type(v) is int for v in fields(got))
+
+    def test_an_int_part_is_kept(self):
+        assert fields(ComplexRational(Fraction(3, 4), 0)) == fields(ComplexRational(Fraction(3, 4)))
+        assert fields(ComplexRational(0, Fraction(-5, 6))) == (0, -5, 6)
+        assert fields(ComplexRational(2 ** 70, -3)) == (2 ** 70, -3, 1)
+
+    @given(parts)
+    def test_as_integer_ratio_round_trips_real_values(self, r):
+        z = ComplexRational(r)
+        x, d = z.as_integer_ratio()
+        assert (x, d) == r.as_integer_ratio() and d > 0
+        assert type(x) is int and type(d) is int
+        assert ComplexRational(Fraction(x, d)) == z
+
+    @pytest.mark.parametrize("z", [ComplexRational(1, 1), ComplexRational(0, Fraction(-1, 3))])
+    def test_as_integer_ratio_refuses_a_non_real_value(self, z):
+        with pytest.raises(ValueError, match="is not real"):
+            z.as_integer_ratio()
+
+
 class TestParsing:
     @pytest.mark.parametrize("text,expected", [
         ("3/2", ComplexRational(Fraction(3, 2))),

@@ -473,7 +473,7 @@ class TestSharedBuilders:
             assert verify_daha_relations(param_map_bi_to_daha(p), 0).passed
             bi_polynomials(2, p)
         # The proof of the closed forms takes no input: its cache holds at most one entry.
-        proof = polyfam._disagreement_for_every_quad
+        proof = polyfam._proof_for_every_quad
         caches = shared_caches() - {proof}
         assert len(caches) == 5
         for cache in caches:

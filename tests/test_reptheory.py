@@ -2,11 +2,13 @@
 
 import dataclasses
 import json
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from conftest import mutate_polyfam
+from hypothesis import example, given, strategies as st
 from mpmath import mpf
 
 from biwkit import polyfam, reptheory
@@ -384,6 +386,68 @@ class TestPositivityProof:
             polyfam.prove_closed_forms(q)
 
 
+def _first_between_by_fractions(roots, parity, n_max):
+    """The rule of ``_first_between`` on the roots' ``Fraction`` parts: its reference."""
+    low, high = sorted(r.re for r in roots)
+    n = max(1, math.ceil(low))
+    n += (n - parity) % 2
+    return n if n <= min(high, n_max) else None
+
+
+# Roots between -6 and 12, a third of them integers; n_max 0 and 1 are drawn as often as 2..40.
+root_values = st.one_of(st.integers(-6, 12).map(Fraction),
+                        st.fractions(min_value=-6, max_value=12, max_denominator=7),
+                        st.sampled_from([Fraction(1), Fraction(1, 2), Fraction(3, 2)]))
+n_maxes = st.one_of(st.sampled_from([0, 1]), st.integers(2, 40))
+
+
+class TestFirstBetween:
+    @given(root_values, root_values, st.booleans(), st.sampled_from([0, 1]), n_maxes)
+    @example(Fraction(3), Fraction(3), False, 1, 3)
+    @example(Fraction(3), Fraction(3), False, 0, 3)
+    @example(Fraction(1, 2), Fraction(5, 2), False, 1, 1)
+    @example(Fraction(1, 2), Fraction(5, 2), False, 0, 1)
+    @example(Fraction(-3, 2), Fraction(1, 3), False, 1, 0)
+    @example(Fraction(7, 3), Fraction(-1), False, 0, 40)
+    def test_agrees_with_the_fraction_rule(self, r1, r2, equal, parity, n_max):
+        roots = (ComplexRational(r1), ComplexRational(r1 if equal else r2))
+        assert (reptheory._first_between(roots, parity, n_max)
+                == _first_between_by_fractions(roots, parity, n_max))
+
+
+class TestWarmScan:
+    def test_builds_no_fraction(self, monkeypatch):
+        polyfam.prove_closed_forms_for_every_quad()
+        calls, new = [], Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            calls.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        report = positivity_scan(OTHER_QUAD, 10 ** 6)
+        monkeypatch.undo()
+        assert report.passed and report.first_nonpositive is None
+        assert calls == []
+
+
+class TestCReal:
+    def test_the_check_holds_on_the_symbols(self):
+        assert polyfam.c_real_for_every_quad() is True
+        assert polyfam._proof_for_every_quad() == (None, True)
+
+    def test_alpha2_plus_i_alpha_fails_the_check(self, monkeypatch):
+        # alpha2 + I * alpha, with alpha = (a + c)/2 on the symbols.
+        mutate_polyfam(monkeypatch, polyfam, "structure_constants", "alpha2=-I * omega2,",
+                       "alpha2=-I * omega2 + I * (a + c) / 2,")
+        assert polyfam.c_real_for_every_quad() is False
+
+    def test_a_failed_check_is_reported_not_raised(self, monkeypatch):
+        monkeypatch.setattr(polyfam, "_proof_for_every_quad", lambda: (None, False))
+        doc = json.loads(document_text(positivity_scan(OTHER_QUAD, 100)))
+        assert (doc["u_all_positive"], doc["c_all_real"], doc["pass"]) == (True, False, False)
+
+
 def _count_polynomial_products(monkeypatch):
     """Make every ``Polynomial.__mul__`` call count itself; return the list it appends to."""
     calls, multiply = [], Polynomial.__mul__
@@ -406,7 +470,7 @@ class TestClosedFormsForEveryQuad:
         assert positivity_scan(OTHER_QUAD, 100).passed
         polyfam.prove_closed_forms_for_every_quad()
         assert not calls
-        info = polyfam._disagreement_for_every_quad.cache_info()
+        info = polyfam._proof_for_every_quad.cache_info()
         assert (info.misses, info.currsize) == (1, 1)
 
     @pytest.mark.parametrize("owner, name, old, new, named", [
