@@ -16,6 +16,7 @@ floating point enters here.
 from __future__ import annotations
 
 import re as _re
+import sys
 from fractions import Fraction
 from math import gcd as _gcd, lcm as _lcm
 from typing import Callable, Iterable, Union
@@ -161,9 +162,13 @@ class ComplexRational:
         return NotImplemented
 
     def __hash__(self):
-        if not self._y:
-            return hash(Fraction(self._x, self._d))
-        return hash((self._x, self._y, self._d))
+        if self._y:
+            return hash((self._x, self._y, self._d))
+        # Fraction's hash of x/d, so a real value hashes as the equal int or Fraction does.
+        modulus, x, d = sys.hash_info.modulus, self._x, self._d
+        h = hash(hash(abs(x)) * pow(d, -1, modulus)) if d % modulus else sys.hash_info.inf
+        h = h if x >= 0 else -h
+        return -2 if h == -1 else h
 
     def __repr__(self):
         return f"ComplexRational({self.re!r}, {self.im!r})"

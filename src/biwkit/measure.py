@@ -13,16 +13,15 @@ converges like exp(-2*pi*tau/h), tau the half-width of a strip in t clear
 of the poles' images (see _strip_halvings).  Each halving of h evaluates
 only the new odd nodes and reuses every earlier sample through running sums.
 
-The weight takes its numerator from the distinct Gamma factors, one log|Gamma|
-each from _log_abs_gamma, equal bit for bit to the real part of mpmath's complex
-loggamma (at a = b the four factors are two), and its denominator from the
-identity |Gamma(1/2 + iz)|^2 = pi / cosh(pi z).  The node loop runs on mpmath's
-raw values at the context's precision and rounding, through the libmp calls of
-the object operators, so every value rounds as object arithmetic would;
-_weight is its one call per node.  The closed form of h0 is a ratio of
-seven Gamma values at sums of the parameters, taken through log_gamma
+The weight takes its numerator from the distinct Gamma factors (at a = b the four
+are two), each through _log_abs_gamma, a real-part Stirling kernel that also returns a
+proved error radius (DLMF 5.11(ii)), and its denominator from the identity
+|Gamma(1/2 + iz)|^2 = pi / cosh(pi z).  The node loop runs on mpmath's raw values at
+the context's precision and rounding, through the libmp calls of the object operators,
+so every value rounds as object arithmetic would; _weight is its one call per node.
+h0 is a ratio of seven Gamma values at sums of the parameters, taken through log_gamma
 (mpmath.loggamma), so the diagonal certificate compares a quadrature of W with
-h0 * prod(u_k) at different Gamma arguments.
+h0 * prod(u_k) at other Gamma arguments, by another log-Gamma.
 
 Precision is handled with mpmath work contexts: all entry points take a
 ``precision`` in significant decimal digits and run with guard digits
@@ -38,22 +37,17 @@ h0 * prod(u_k); this module integrates that family.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math as _math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from mpmath import loggamma, mp, mpc, mpf, pi
-from mpmath.libmp import (MPZ_ONE, MPZ_ZERO, from_int, from_man_exp, fzero, mpc_add, mpc_log,
-                          mpc_loggamma, mpf_abs, mpf_add, mpf_cosh, mpf_cosh_sinh, mpf_div,
-                          mpf_exp, mpf_gt, mpf_le, mpf_log_hypot, mpf_mul, mpf_mul_int, mpf_pi,
-                          mpf_pos, mpf_pow_int, mpf_sub, to_fixed, to_int)
-try:  # private to mpmath: without them, _log_abs_gamma is mpc_loggamma's real part
-    from mpmath.libmp.gammazeta import GAMMA_STIRLING_BETA, complex_stirling_series
-    from mpmath.libmp.libmpf import round_fast
-except ImportError:
-    GAMMA_STIRLING_BETA = None
+from mpmath import bernfrac, loggamma, mp, mpc, mpf, pi
+from mpmath.libmp import (MPZ_ONE, from_int, from_man_exp, fzero, mpc_add, mpf_abs, mpf_add,
+                          mpf_atan2, mpf_cosh, mpf_cosh_sinh, mpf_div, mpf_exp, mpf_gt, mpf_le,
+                          mpf_log, mpf_mul, mpf_pi, mpf_pow_int, mpf_shift, to_fixed, to_float)
 
 from .errors import InvalidParameters, PoleError, QuadratureNotConverged
 from .exact import ComplexRational
@@ -93,11 +87,8 @@ class Approx:
 
 
 def log_gamma(z, precision: int):
-    """Principal-branch log-Gamma at the requested decimal precision.
-
-    mpmath.loggamma evaluated with five guard digits; raises PoleError at
-    nonpositive integers.
-    """
+    """Principal-branch log-Gamma at ``precision`` digits: mpmath.loggamma with five guard
+    digits; raises PoleError at the nonpositive integers."""
     with mp.workdps(precision + 5):
         z = mpc(z)
         if mp.im(z) == 0 and mp.re(z) <= 0 and mp.re(z) == mp.floor(mp.re(z)):
@@ -128,11 +119,8 @@ def _check_weight_hypotheses(p: ParameterSet):
 
 def check_gram_inputs(p: ParameterSet, n_max: int, precision: int,
                       truncation: Optional[int], tol) -> None:
-    """Raise InvalidParameters unless ``orthogonality_gram`` accepts these inputs.
-
-    Each message names the command-line flag that sets the value; a
-    truncation of None selects DEFAULT_TRUNCATION.
-    """
+    """Raise InvalidParameters unless ``orthogonality_gram`` accepts these inputs; each message
+    names the command-line flag that sets the value.  A truncation of None selects the default."""
     _check_weight_hypotheses(p)
     if not 0 <= n_max <= MAX_N_MAX:
         raise InvalidParameters(f"--n-max must be in 0..{MAX_N_MAX}, got {n_max}")
@@ -147,13 +135,9 @@ def check_gram_inputs(p: ParameterSet, n_max: int, precision: int,
 
 
 def _gamma_factors(p: ParameterSet) -> Tuple[Tuple[mpc, ...], Tuple[int, ...]]:
-    """The numerator Gamma factors of W as data, at the working precision.
-
-    W has the factors |Gamma(kappa + iz/2)|^2 with kappa = a + 1, b + 1,
-    c + 1/2, d + 1/2.  Returns the distinct kappa, merged by their mpc value
-    (the value loggamma receives), and the index into them of each factor,
-    in the order a, b, c, d.
-    """
+    """The numerator Gamma factors |Gamma(kappa + iz/2)|^2 of W, kappa = a + 1, b + 1, c + 1/2,
+    d + 1/2, as data at the working precision: the distinct kappa, merged by their mpc value
+    (the value _log_abs_gamma receives), and the index of each factor, in the order a, b, c, d."""
     half = mpf(1) / 2
     kappas: List[mpc] = []
     index = []
@@ -165,58 +149,80 @@ def _gamma_factors(p: ParameterSet) -> Tuple[Tuple[mpc, ...], Tuple[int, ...]]:
     return tuple(kappas), tuple(index)
 
 
-def _log_abs_gamma(w, prec, rnd):
-    """log|Gamma(w)| of a raw mpc, equal bit for bit to mpc_loggamma(w, prec, rnd)[0].
+@functools.lru_cache(maxsize=8)
+def _stirling_constants(fp, wp, n):
+    """log(2 pi)/2, and c_k = B_2k / (2k (2k - 1)) with log2 |c_k| for k up to the first K with
+    2^K |c_K| (n - 1)^(1-2K) < 2^-(wp+1), where _log_abs_gamma stops at any |W| >= n - 1; the
+    fixed-point values, at fp fractional bits, are low by less than one unit."""
+    fixed, logs, lw = [], [], _math.log2(n - 1)
+    while len(logs) < 2 or logs[-1] + len(logs) * (1 - 2 * lw) + lw > -wp - 1:
+        k = len(logs) + 1
+        p, den = bernfrac(2 * k)
+        fixed.append((p << fp) // (den * 2 * k * (2 * k - 1)))
+        logs.append(_math.log2(abs(p)) - _math.log2(den * 2 * k * (2 * k - 1)))
+    return to_fixed(mpf_log(mpf_shift(mpf_pi(fp + 10), 1), fp + 10), fp - 1), fixed, logs
 
-    Where Re w > 0, Im w != 0 and mpc_gamma (mpmath 1.3.0) takes neither its
-    near-0, near-real-axis nor huge-|w| branch, this runs mpc_gamma's loggamma
-    steps: w is shifted right by d, r = w (w+1) ... (w+d-1), and Stirling's series
-    gives log Gamma(w+d), whose real part less log|r| is the result.  The
-    imaginary half (the atan2 of log r and its branch correction) is skipped.
-    Elsewhere, and without mpmath's private Stirling names, it calls mpc_loggamma.
+
+def _log_abs_gamma(w, wp):
+    """``(y, P, r)``, raw mpf with |log|Gamma(w)| - y + log(P)/2| <= r, for a raw mpc w, Re w > 0.
+
+    Fixed point at fp >= wp fractional bits, with |w| 2^fp >= 2^(wp-1) and every bit of w kept.
+    w = a + ib is shifted right by d, as mpmath's mpc_gamma shifts it, to W = A + ib, |W| >= 6
+    and about wp/5 or more, and P = |w|^2 ... |w+d-1|^2.  log|Gamma(W)| = (A - 1/2) log|W| -
+    b atan(b/A) - A + log(2 pi)/2 + Re sum c_k W^(1-2k), k < K (DLMF 5.11.1), by Horner's rule
+    in 1/W^2.  r adds DLMF 5.11(ii)'s bound, sec^2K(ph(W)/2) <= 2^K times the first omitted
+    term, K the first index that puts it below 2^-wp; each fixed-point truncation; and one ulp
+    at wp, assumed, for each mpf_log and mpf_atan2 (rounded to nearest).  Margins of 1e-9 on
+    its logarithms cover r's float rounding.
     """
     a, b = w
-    wp = prec + 20
-    bmag = b[2] + b[3]
-    if (GAMMA_STIRLING_BETA is None or a[0] or not a[1] or not b[1] or bmag < -10
-            or not -8 <= max(a[2] + a[3], bmag) <= wp):
-        return mpc_loggamma(w, prec, rnd)[0]
-    an, bn = to_int(a), abs(to_int(b))
-    n = int(GAMMA_STIRLING_BETA * wp)
-    afix, bfix = to_fixed(a, wp), to_fixed(b, wp)
-    r = None
+    fp = max(wp, -a[2], -b[2]) - min(0, max(a[2] + a[3], b[2] + b[3] if b[1] else a[2]))
+    one, afix, bfix = MPZ_ONE << fp, to_fixed(a, fp), to_fixed(b, fp)
+    an, bn, n = afix >> fp, abs(bfix) >> fp, max(7, int(0.2 * wp))  # n >= 7: a K exists
+    P, d, q = one * one, 0, afix * afix + bfix * bfix  # q = |w + j|^2, at 2 fp bits as P
     if max(an, bn) < n:
-        one = MPZ_ONE << wp
-        rre, rim = one, MPZ_ZERO
-        for _ in range(int((1 + n ** 2 - bn ** 2) ** 0.5 - an)):
-            rre, rim = (afix * rre - bfix * rim) >> wp, (afix * rim + bfix * rre) >> wp
-            afix += one
-        r = from_man_exp(rre, -wp), from_man_exp(rim, -wp)
-        a = from_man_exp(afix, -wp)
-    lre, lim = (to_fixed(v, wp) for v in mpc_log((a, b), wp))
-    yre = complex_stirling_series(afix, bfix, wp)[0]
-    y = from_man_exp(((lre * afix - lim * bfix) >> wp) - (lre >> 1) + yre, -wp)
-    if r:
-        y = mpf_sub(y, mpf_log_hypot(r[0], r[1], wp, round_fast), wp)
-    return mpf_pos(y, prec, rnd)
+        d = max(0, int((1 + n * n - bn * bn) ** 0.5 - an))
+        step, two = ((afix << 1) + one) << fp, one * one << 1
+        for _ in range(d):
+            P, q, step = (P * q) >> (2 * fp), q + step, step + two
+        afix += d * one
+    lq = _math.log2(q) / 2 - fp  # log2 |W|; ls2 is log2 sec^2(ph(W)/2)
+    lw, ls2 = lq - 1e-9, 1e-9 - _math.log2((1 + afix / one * 2 ** -lq) / 2)
+    half_log_2pi, fixed, logs = _stirling_constants(fp, wp, n)
+    # log2 of sec^2K(ph(W)/2) |c_K| |W|^(1-2K) is convex in K, as log|c_K| is (DLMF 24.8.1 and
+    # log-convex Gamma and zeta), so it decreases up to K and, with it, |c_k| |W|^(2-2k).
+    K, g = 2, ls2 - 2 * lw
+    while logs[K - 1] + K * g + lw > -wp:
+        K += 1
+    tre, tim = (afix << (2 * fp)) // q, -((bfix << (2 * fp)) // q)  # 1/W
+    ure, uim, hre, him = (tre * tre - tim * tim) >> fp, (tre * tim) >> (fp - 1), fixed[K - 2], 0
+    for c in reversed(fixed[:K - 2]):  # Horner's rule in 1/W^2 = ure + i uim
+        hre, him = c + ((ure * hre - uim * him) >> fp), (ure * him + uim * hre) >> fp
+    log_w2 = mpf_log(from_man_exp(q, -2 * fp), wp, "n")
+    y = (((((afix << 1) - one) * to_fixed(log_w2, fp)) >> (fp + 2)) - afix + half_log_2pi
+         + ((tre * hre - tim * him) >> fp)
+         - ((bfix * to_fixed(mpf_atan2(b, from_man_exp(afix, -fp), wp, "n"), fp)) >> fp))
+    # r in units of 2^-fp, ulp = 2^(1-wp).  The remainder is < ulp/2, mpf_log's error <= |log|W|^2|
+    # ulp and mpf_atan2's <= 2 ulp.  1/W is off by < sqrt(2) units and 1/W^2 by < 2, and
+    # |c_k| |W|^(2-2k) <= 1/12, so Horner's rule is off by < 4 + K + K^2/1800.  P_j >= 2^(2wp-2).
+    ulp, hb, ha = 2.0 ** (fp + 1 - wp), abs(bfix / one), abs(afix / one - 0.5) / 2
+    r = (ulp * (1 + 2 * hb + ha * abs(to_float(log_w2))) + hb + ha + 8 + K * (1 + K / 1800)
+         + _math.ldexp(d, fp + 2 - 2 * wp))
+    return from_man_exp(y, -fp), from_man_exp(P, -2 * fp), from_man_exp(int(r) + 1, -fp)
 
 
 def _weight(z, factors):
-    """W(z) for real z from ``_gamma_factors``, with 1/|Gamma(1/2+iz)|^2 = cosh(pi z)/pi.
-
-    One loggamma per distinct kappa; the real parts are summed in the order
-    a, b, c, d, so the sum rounds as the sum of four separate calls would.
-    """
+    """W(z) for real z from ``_gamma_factors``, with 1/|Gamma(1/2+iz)|^2 = cosh(pi z)/pi: one
+    _log_abs_gamma per distinct kappa, W = exp(2 sum y) cosh(pi z) / (pi prod P), the sum and
+    product taken exactly over the factors a, b, c, d, so merged factors change no bit."""
     prec, rnd = mp._prec_rounding
-    kappas, index = factors
-    izh = (fzero, mpf_div(z._mpf_, from_int(2), prec, rnd))
-    logs = [_log_abs_gamma(mpc_add(kappa._mpc_, izh, prec, rnd), prec, rnd) for kappa in kappas]
-    s = fzero
-    for i in index:
-        s = mpf_add(s, logs[i], prec, rnd)
-    w = mpf_mul(mpf_exp(mpf_mul_int(s, 2, prec, rnd), prec, rnd),
+    izh = (fzero, mpf_shift(z._mpf_, -1))
+    terms = [_log_abs_gamma(mpc_add(k._mpc_, izh, prec, rnd), prec + 20) for k in factors[0]]
+    s = functools.reduce(mpf_add, [terms[i][0] for i in factors[1]])
+    p = functools.reduce(mpf_mul, [terms[i][1] for i in factors[1]])
+    w = mpf_mul(mpf_exp(mpf_shift(s, 1), prec, rnd),
                 mpf_cosh(mpf_mul(mpf_pi(prec, rnd), z._mpf_, prec, rnd), prec, rnd), prec, rnd)
-    return mp.make_mpf(mpf_div(w, mpf_pi(prec, rnd), prec, rnd))
+    return mp.make_mpf(mpf_div(w, mpf_mul(mpf_pi(prec, rnd), p, prec, rnd), prec, rnd))
 
 
 def weight_W(z, p: ParameterSet, precision: int = DEFAULT_PRECISION):
@@ -307,13 +313,9 @@ def _accumulate(accs, vals, scale, prec, rnd):
                 acc[n][m] = mpf_add(acc[n][m], term, prec, rnd)
 
 
-def orthogonality_gram(
-    n_max: int,
-    p: ParameterSet,
-    tol=DEFAULT_TOL,
-    precision: int = DEFAULT_PRECISION,
-    truncation: Optional[int] = None,
-) -> OrthogonalityReport:
+def orthogonality_gram(n_max: int, p: ParameterSet, tol=DEFAULT_TOL,
+                       precision: int = DEFAULT_PRECISION,
+                       truncation: Optional[int] = None) -> OrthogonalityReport:
     """Gram matrix of the modified family against W dz / (4*pi).
 
     Nested trapezoid rule in t (see the module docstring), halving h until
@@ -430,8 +432,7 @@ def orthogonality_gram(
             prev = current
         else:
             raise QuadratureNotConverged(
-                f"Gram matrix did not stabilize after {last - first} halvings of the step"
-            )
+                f"Gram matrix did not stabilize after {last - first} halvings of the step")
 
         gram, gram_l = ([[h * mp.make_mpf(acc[min(n, m)][max(n, m)]) / (4 * pi) for m in range(k)]
                          for n in range(k)] for acc in (full, inner))
@@ -446,8 +447,7 @@ def orthogonality_gram(
         if l_stab > tol / 10:
             raise QuadratureNotConverged(
                 f"cutting the Gram to [-L, L], L = {L}, changes it by {mp.nstr(l_stab, 6)} "
-                f"relative to its (0, 0) entry: W rises again past L"
-            )
+                f"relative to its (0, 0) entry: W rises again past L")
 
         gram = [[Approx(+v, precision) for v in row] for row in gram]
         expected = [Approx(+v, precision) for v in expected]

@@ -1,6 +1,8 @@
 """Unit and property tests for the exact arithmetic substrate."""
 
 import json
+import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -181,6 +183,19 @@ class TestArithmeticOracle:
             assert {value: "v"}.get(z) == "v"
             assert {z: "v"}.get(value) == "v"
         assert hash(ComplexRational(Fraction(2, 4), 1)) == hash(ComplexRational("1/2", 1))
+
+    def test_real_values_hash_by_fractions_formula(self):
+        # Seeded ints and fractions, negative ones, and denominators at and past the modulus
+        # of sys.hash_info, where Fraction's hash has no modular inverse and is inf.
+        rng = random.Random(20261022)
+        modulus = sys.hash_info.modulus
+        values = [Fraction(x, d) for x, d in ((1, modulus), (-1, modulus), (3, 2 * modulus),
+                                              (-5, modulus ** 2), (-1, 1), (-2, 1), (0, 1))]
+        for _ in range(500):
+            d = rng.randint(1, 10 ** rng.randint(0, 30))
+            values.append(Fraction(rng.randint(-10 ** 30, 10 ** 30), d))
+        for value in values:
+            assert hash(ComplexRational(value)) == hash(value), value
 
 
 def fields(z):

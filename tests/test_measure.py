@@ -1,24 +1,21 @@
 """Tests for the weight function, normalization, and Gram matrix.
 
 log_gamma and the norm h0 go through mpmath.loggamma, and the weight W through
-measure._log_abs_gamma, which is checked bit for bit against the real part of
-mpmath's libmp function mpc_loggamma; each is checked against Gamma values built
-from mpmath.gamma, which goes through neither.
+measure._log_abs_gamma, biwkit's real-part Stirling kernel, whose error radius is
+checked against mpmath.loggamma at twice the working precision; each is checked
+against Gamma values built from mpmath.gamma, which goes through neither.
 """
 
 import ast
 import json
-import os
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from pathlib import Path
 
 import mpmath
 import pytest
 from mpmath import mp, mpc, mpf
-from mpmath.libmp import mpc_loggamma
+from mpmath.libmp import fone
 
 from biwkit import measure
 from biwkit.cli import document_text
@@ -60,13 +57,12 @@ def _mp(q):
     return mpf(q.numerator) / q.denominator
 
 
-def _four_term_weight(z, p):
-    """W(z) from one loggamma per factor, summed in the order a, b, c, d."""
-    izh = mpc(0, z / 2)
+def _four_term_weight(z, p, weight=measure._weight):
+    """W(z) from four _log_abs_gamma calls, one per factor a, b, c, d, none merged."""
     half = mpf(1) / 2
-    s = sum(mp.re(mpmath.loggamma(mpc(_mp(v.re), _mp(v.im)) + izh + shift))
-            for v, shift in ((p.a, 1), (p.b, 1), (p.c, half), (p.d, half)))
-    return mp.exp(2 * s) * mp.cosh(mp.pi * z) / mp.pi
+    kappas = tuple(mpc(_mp(v.re), _mp(v.im)) + shift
+                   for v, shift in ((p.a, 1), (p.b, 1), (p.c, half), (p.d, half)))
+    return weight(z, (kappas, (0, 1, 2, 3)))
 
 
 class TestLogGamma:
@@ -96,102 +92,88 @@ class TestLogGamma:
 
 
 def _gram_argument(rng):
-    """A random kappa + iz/2 of the kind W meets, with some off the kernel's own path."""
+    """A random kappa + iz/2 of the kind W meets, with some far from the Gram's."""
     re = rng.uniform(0, 60) if rng.random() < 0.5 else 2 ** rng.uniform(-12, 14)
     im = rng.uniform(-200, 200) if rng.random() < 0.5 else 2 ** rng.uniform(-14, 14)
     return mpc(re, rng.choice((-1, 1)) * im)
 
 
-# (Re w, Im w) as functions of the working precision wp = prec + 20 of mpc_gamma, and
-# whether _log_abs_gamma hands w to mpc_loggamma.  n is the reduction threshold: w is
-# shifted right when max(|int(Re w)|, |int(Im w)|) < n.
-_DOMAIN_CASES = {
-    "im 0": (lambda wp, n: (mpf("3.5"), 0), True),
-    "im 0, re < 0": (lambda wp, n: (mpf("-2.5"), 0), True),
-    "re 0": (lambda wp, n: (0, 2), True),
-    "re < 0": (lambda wp, n: (mpf("-3.25"), 2), True),
-    "|im| = 2^-12": (lambda wp, n: (mpf("1.5"), mpf(2) ** -12), True),
-    "|im| = 2^-11": (lambda wp, n: (mpf("1.5"), -mpf(2) ** -11), False),
-    "|w| < 2^-8": (lambda wp, n: (mpf(2) ** -10, mpf(2) ** -10), True),
-    "|w| = 2^-9": (lambda wp, n: (mpf(2) ** -9, mpf(2) ** -10), False),
-    "|re| = 2^(wp-1)": (lambda wp, n: (mpf(2) ** (wp - 1), 3), False),
-    "|re| = 2^wp": (lambda wp, n: (mpf(2) ** wp, 3), True),
-    "|im| = 2^wp": (lambda wp, n: (1, mpf(2) ** wp), True),
-    "re below n": (lambda wp, n: (n - mpf("0.5"), 1), False),
-    "re at n": (lambda wp, n: (n + mpf("0.5"), 1), False),
-    "im below n": (lambda wp, n: (mpf("0.5"), -(n - mpf("0.5"))), False),
-    "im at n": (lambda wp, n: (mpf("0.5"), n + mpf("0.5")), False),
-}
-
 # The Gram's working precisions: --precision 20, 30, 50 and 100 plus guard digits.
 _GRAM_DPS = (30, 40, 60, 110)
 
 
-class TestLogAbsGamma:
-    """measure._log_abs_gamma against the real part of mpmath's mpc_loggamma, as _mpf_ tuples."""
+def _outside_radius(w):
+    """Whether _log_abs_gamma misses log|Gamma(w)| by more than its radius, at the working
+    precision as the Gram calls it; the reference is mpmath.loggamma at twice that precision."""
+    y, P, r = measure._log_abs_gamma(w._mpc_, mp.prec + 20)
+    with mp.workprec(2 * (mp.prec + 20)):
+        err = abs(mp.make_mpf(y) - mp.log(mp.make_mpf(P)) / 2 - mp.re(mpmath.loggamma(w)))
+        return err > mp.make_mpf(r)
 
-    def test_seeded_sweep_bit_for_bit(self):
+
+# (Re w, Im w) at the kernel's edges, as functions of its shift target n, and whether the
+# kernel shifts w.  w is shifted right when max(int(Re w), |int(Im w)|) < n.
+_DOMAIN_CASES = {
+    "im 0": (lambda n: (mpf("3.5"), 0), True),
+    "im 0, re past n": (lambda n: (n + mpf("0.5"), 0), False),
+    "|im| = 2^-40": (lambda n: (mpf("1.5"), -mpf(2) ** -40), True),
+    "re = 2^-30": (lambda n: (mpf(2) ** -30, 2), True),
+    "re = 2^-200, im 0": (lambda n: (mpf(2) ** -200, 0), True),
+    "|w| = 2^-100": (lambda n: (mpf(2) ** -100, mpf(2) ** -101), True),
+    "re = 2^-30, im past n": (lambda n: (mpf(2) ** -30, n + 3), False),
+    "re below n": (lambda n: (n - mpf("0.5"), 1), True),
+    "re at n": (lambda n: (n + mpf("0.5"), 1), False),
+    "im below n": (lambda n: (mpf("0.5"), -(n - mpf("0.5"))), True),
+    "im at n": (lambda n: (mpf("0.5"), n + mpf("0.5")), False),
+    "|im| = 2^20": (lambda n: (1, mpf(2) ** 20), False),
+    "re = 2^30": (lambda n: (mpf(2) ** 30, -1), False),
+}
+
+
+class TestLogAbsGamma:
+    """measure._log_abs_gamma within its radius of mpmath.loggamma, and its controls."""
+
+    def test_seeded_sweep_within_radius(self):
         rng = random.Random(20261020)
         for dps in _GRAM_DPS:
             with mp.workdps(dps):
-                prec, rnd = mp._prec_rounding
                 for _ in range(2500):
-                    w = _gram_argument(rng)._mpc_
-                    assert measure._log_abs_gamma(w, prec, rnd) == mpc_loggamma(w, prec, rnd)[0], (
-                        dps, mpc(*w))
-
-    def test_without_mpmath_private_names_the_grams_are_unchanged(self):
-        # A fresh interpreter in which mpmath.libmp.gammazeta cannot be imported:
-        # every log|Gamma| of W is mpc_loggamma's real part, and the benchmark's
-        # Grams keep every bit of their pins.
-        script = """if True:
-            import sys, mpmath
-            sys.modules["mpmath.libmp.gammazeta"] = None
-            from fractions import Fraction
-            from biwkit import measure
-            from biwkit.polyfam import ParameterSet, RealParameterQuad
-            calls, original = [], measure.mpc_loggamma
-            measure.mpc_loggamma = lambda w, prec, rnd: calls.append(w) or original(w, prec, rnd)
-            out = {"fallback": measure.GAMMA_STIRLING_BETA is None}
-            for name, quad, truncation in (("half", "1/2,1/2,1/2,1/2", 19),
-                                           ("narrow", "1/10,1/3,1/8,2/3", 17)):
-                p = ParameterSet.from_quad(RealParameterQuad(*map(Fraction, quad.split(","))))
-                del calls[:]
-                r = measure.orthogonality_gram(2, p, tol=Fraction(1, 10 ** 8), precision=20,
-                                               truncation=truncation)
-                out[name] = {"gram": [[v.value._mpf_ for v in row] for row in r.gram],
-                             "expected_diag": [v.value._mpf_ for v in r.expected_diag],
-                             "l_stability": r.l_stability.value._mpf_,
-                             "max_offdiag_rel": r.max_offdiag_rel.value._mpf_,
-                             "panels": r.panels, "truncation_L": r.truncation_L,
-                             "delegated": len(calls)}
-            print(repr(out))
-        """
-        src = str(Path(__file__).resolve().parents[1] / "src")
-        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-        proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
-                              env={**os.environ, "PYTHONPATH": path}, timeout=120)
-        assert proc.returncode == 0, proc.stderr
-        out = ast.literal_eval(proc.stdout)
-        assert out["fallback"] is True
-        for name, pin, kappas in (("half", BENCH_HALF_PIN, 2), ("narrow", BENCH_NARROW_PIN, 4)):
-            got = out[name]
-            assert got.pop("delegated") == got["panels"] * kappas, name
-            assert got == pin, name
+                    w = _gram_argument(rng)
+                    assert not _outside_radius(w), (dps, w)
 
     @pytest.mark.parametrize("dps", _GRAM_DPS)
-    def test_domain_boundaries(self, dps, monkeypatch):
-        delegated = []
-        monkeypatch.setattr(measure, "mpc_loggamma",
-                            lambda w, prec, rnd: delegated.append(w) or mpc_loggamma(w, prec, rnd))
+    def test_domain_boundaries(self, dps):
         with mp.workdps(dps):
-            prec, rnd = mp._prec_rounding
-            wp = prec + 20
-            for name, (point, delegates) in _DOMAIN_CASES.items():
-                w = mpc(*point(wp, int(0.2 * wp)))._mpc_
-                delegated.clear()
-                assert measure._log_abs_gamma(w, prec, rnd) == mpc_loggamma(w, prec, rnd)[0], name
-                assert bool(delegated) == delegates, name
+            n = int(0.2 * (mp.prec + 20))
+            for name, (point, shifted) in _DOMAIN_CASES.items():
+                w = mpc(*point(n))
+                assert not _outside_radius(w), name
+                assert (measure._log_abs_gamma(w._mpc_, mp.prec + 20)[1] != fone) == shifted, name
+
+    @pytest.mark.parametrize("constant", ["log(2 pi)/2", "c_1 = 1/12"])
+    def test_a_constant_off_by_2_to_the_minus_90_fails_the_sweep(self, constant, monkeypatch):
+        original = measure._stirling_constants
+
+        def perturbed(fp, wp, n):
+            half_log_2pi, fixed, logs = original(fp, wp, n)
+            if constant == "log(2 pi)/2":
+                return half_log_2pi + (1 << (fp - 90)), fixed, logs
+            return half_log_2pi, [fixed[0] + (1 << (fp - 90))] + fixed[1:], logs
+
+        monkeypatch.setattr(measure, "_stirling_constants", perturbed)
+        rng = random.Random(20261020)
+        with mp.workdps(_GRAM_DPS[0]):
+            assert any(_outside_radius(_gram_argument(rng)) for _ in range(200))
+
+    def test_imports_no_private_mpmath_names(self):
+        tree = ast.parse(Path(measure.__file__).read_text(encoding="utf-8"))
+        imported = [(node.module, alias.name) for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) for alias in node.names]
+        assert imported
+        for module, name in imported:
+            assert module != "mpmath.libmp.gammazeta", name
+            assert name not in ("round_fast", "mpc_loggamma", "GAMMA_STIRLING_BETA",
+                                "complex_stirling_series"), (module, name)
 
 
 class TestWeight:
@@ -247,7 +229,7 @@ class TestWeight:
         # Bit equality: merged factors change no rounding step of the sum.
         with mp.workdps(DEFAULT_PRECISION + 10):
             factors = measure._gamma_factors(params)
-            # At z = -+1 the half quad's kappa + iz/2 is real: W takes mpc_loggamma there.
+            # At z = -+1 the half quad's kappa + iz/2 is real: the kernel's Im w = 0 edge.
             for z in ("0", "0.3", "-1", "1", "-2.5", "17.75", "-123.0625", "4000.5"):
                 z = mpf(z)
                 assert measure._weight(z, factors) == _four_term_weight(z, params), z
@@ -285,32 +267,55 @@ class TestNormalization:
 
 # The _mpf_ tuples of the numeric benchmark's Grams (n_max 2, precision 20, tol 1e-8).
 _H0, _H2, _H12 = ((0, 7443632425933103584252356722825, -105, 103),
-                  (1, 8278249877289786213407649929999, -205, 103),
-                  (1, 8406609442658860007277233039683, -206, 103))
+                  (1, 4653434000611582655581683095941, -204, 102),
+                  (0, 6395983516903020436542610415429, -206, 103))
 BENCH_HALF_PIN = {
-    "gram": [[_H0, (0, 7314745911010744445872563771435, -208, 103), _H2],
-             [(0, 7314745911010744445872563771435, -208, 103),
-              (0, 7443632425933103584252356722817, -103, 103), _H12],
+    "gram": [[(0, 3721816212966551792126178361413, -104, 102),
+              (0, 2904391683306279349506328213415, -210, 102), _H2],
+             [(0, 2904391683306279349506328213415, -210, 102),
+              (0, 3721816212966551792126178361409, -102, 102), _H12],
              [_H2, _H12, (0, 8634613614082400157732733798467, -101, 103)]],
     "expected_diag": [_H0, (0, 7443632425933103584252356722825, -103, 103),
                       (0, 4317306807041200078866366899239, -100, 102)],
-    "l_stability": (0, 6565937831172950541817892999577, -146, 103),
-    "max_offdiag_rel": (0, 5639143807921271747864677566231, -202, 103),
+    "l_stability": (0, 3282968915586475175038569576451, -145, 102),
+    "max_offdiag_rel": (0, 6339838472889942925232373195983, -202, 103),
     "panels": 275,
     "truncation_L": 19,
 }
-_N01, _N02, _N12 = ((1, 7761549758769715959322301061369, -208, 103),
-                    (1, 2836348841471214310047172789681, -204, 102),
-                    (1, 1790881269788712336789555817057, -208, 101))
+_N01, _N02, _N12 = ((1, 5466723703375129797481602952003, -208, 103),
+                    (1, 9259400172613730790968680274049, -206, 103),
+                    (1, 5554129858001575025162162623829, -207, 103))
 BENCH_NARROW_PIN = {
-    "gram": [[(0, 7775503093476919125097786615943, -105, 103), _N01, _N02],
+    "gram": [[(0, 971937886684614890637223326993, -102, 100), _N01, _N02],
              [_N01, (0, 6263419800656178535832102234111, -104, 103), _N12],
              [_N02, _N12, (0, 2562800690830082482218772465385, -101, 102)]],
     "expected_diag": [(0, 7775503093476919125097786615939, -105, 103),
                       (0, 1565854950164044633958025558529, -102, 101),
                       (0, 5125601381660164964437544930817, -102, 103)],
-    "l_stability": (0, 8392474127474723222356915908543, -148, 103),
-    "max_offdiag_rel": (0, 3699309761050949868919523294075, -202, 102),
+    "l_stability": (0, 4196237063737361611178457954271, -147, 102),
+    "max_offdiag_rel": (0, 1509572312615273608048155854581, -201, 101),
+    "panels": 243,
+    "truncation_L": 17,
+}
+# The same Grams with W's log|Gamma| taken by mpmath's complex loggamma (the pins before
+# W had its own kernel): the reference of the new pins' noise digits.
+_M2, _M12 = ((1, 8278249877289786213407649929999, -205, 103),
+             (1, 8406609442658860007277233039683, -206, 103))
+MPMATH_HALF_PIN = {
+    "gram": [[_H0, (0, 7314745911010744445872563771435, -208, 103), _M2],
+             [(0, 7314745911010744445872563771435, -208, 103),
+              (0, 7443632425933103584252356722817, -103, 103), _M12],
+             [_M2, _M12, (0, 8634613614082400157732733798467, -101, 103)]],
+    "panels": 275,
+    "truncation_L": 19,
+}
+_M01, _M02, _M12 = ((1, 7761549758769715959322301061369, -208, 103),
+                    (1, 2836348841471214310047172789681, -204, 102),
+                    (1, 1790881269788712336789555817057, -208, 101))
+MPMATH_NARROW_PIN = {
+    "gram": [[(0, 7775503093476919125097786615943, -105, 103), _M01, _M02],
+             [_M01, (0, 6263419800656178535832102234111, -104, 103), _M12],
+             [_M02, _M12, (0, 2562800690830082482218772465385, -101, 102)]],
     "panels": 243,
     "truncation_L": 17,
 }
@@ -329,9 +334,9 @@ def loggamma_calls(monkeypatch):
     calls = []
     loggamma = measure._log_abs_gamma
 
-    def counted(w, prec, rnd):
+    def counted(w, wp):
         calls.append(w)
-        return loggamma(w, prec, rnd)
+        return loggamma(w, wp)
 
     monkeypatch.setattr(measure, "_log_abs_gamma", counted)
     return calls
@@ -396,15 +401,13 @@ class TestGram:
         assert report.panels == len(weight_calls)
 
     def test_merged_factors_leave_the_gram_unchanged(self, monkeypatch):
-        # The narrow quad has four distinct factors; the goldens pin the half quad.
-        kwargs = {"n_max": 1, "p": NARROW_PARAMS, "precision": 30, "truncation": 20}
+        # The half quad's four factors are two distinct kappa.
+        kwargs = {"n_max": 1, "p": HALF_PARAMS, "precision": 30, "truncation": 20}
         ours = orthogonality_gram(**kwargs)
         monkeypatch.setattr(measure, "_weight",
-                            lambda z, factors: _four_term_weight(z, NARROW_PARAMS))
+                            lambda z, factors: _four_term_weight(z, HALF_PARAMS))
         ref = orthogonality_gram(**kwargs)
-        assert ours.gram == ref.gram
-        assert (ours.panels, ours.truncation_L) == (ref.panels, ref.truncation_L)
-        assert ours.l_stability == ref.l_stability
+        assert ours == ref
 
     @pytest.mark.parametrize("params, truncation, pin", [
         (HALF_PARAMS, 19, BENCH_HALF_PIN), (NARROW_PARAMS, 17, BENCH_NARROW_PIN),
@@ -419,6 +422,32 @@ class TestGram:
         assert report.l_stability.value._mpf_ == pin["l_stability"]
         assert report.max_offdiag_rel.value._mpf_ == pin["max_offdiag_rel"]
         assert (report.panels, report.truncation_L) == (pin["panels"], pin["truncation_L"])
+
+    @pytest.mark.parametrize("pin, reference", [(BENCH_HALF_PIN, MPMATH_HALF_PIN),
+                                                (BENCH_NARROW_PIN, MPMATH_NARROW_PIN)],
+                             ids=["half", "narrow"])
+    def test_benchmark_grams_move_only_in_noise_digits(self, pin, reference):
+        # Each entry within 1e-28 of mpmath's log-Gamma's, relative to its row's diagonal.
+        assert (pin["panels"], pin["truncation_L"]) == (reference["panels"],
+                                                        reference["truncation_L"])
+        with mp.workprec(400):
+            for n, (row, ref) in enumerate(zip(pin["gram"], reference["gram"])):
+                for v, r in zip(row, ref):
+                    assert abs(mp.make_mpf(v) - mp.make_mpf(r)) <= (
+                        abs(mp.make_mpf(ref[n])) * mpf(10) ** -28), n
+
+    def test_a_kappa_moved_by_one_half_fails_the_diagonal_check(self, monkeypatch):
+        gamma_factors = measure._gamma_factors
+
+        def moved(p):
+            kappas, index = gamma_factors(p)
+            return (kappas[0] + mpf(1) / 2,) + kappas[1:], index
+
+        monkeypatch.setattr(measure, "_gamma_factors", moved)
+        report = orthogonality_gram(2, NARROW_PARAMS, tol=Fraction(1, 10 ** 8), precision=20,
+                                    truncation=17)
+        assert not report.passed
+        assert report.max_diag_rel_err.value > report.tol.value
 
     @pytest.mark.parametrize("params, truncation, kappas", [
         (HALF_PARAMS, 19, 2), (NARROW_PARAMS, 17, 4),

@@ -69,6 +69,21 @@ class TestRecurrence:
         assert data.u_mod[0] == ComplexRational(0)
         assert data.u_mod[1] == ComplexRational(1)
 
+    def test_warm_coefficients_build_no_fraction(self, monkeypatch):
+        # The record cache is keyed by the parameter set: hashing its real entries builds none.
+        p = ParameterSet(Fraction(1, 3), Fraction(2, 5), Fraction(3, 4), Fraction(1, 7))
+        bi_coefficients(5, p)
+        calls, new = [], Fraction.__new__
+
+        def counted(cls, *args, **kwargs):
+            calls.append(args)
+            return new(cls, *args, **kwargs)
+
+        monkeypatch.setattr(Fraction, "__new__", counted)
+        bi_coefficients(5, p)
+        monkeypatch.undo()
+        assert calls == []
+
     def test_first_polynomials_at_zero(self):
         polys = bi_polynomials(2, ZERO_PARAMS)
         x = Polynomial.x()
